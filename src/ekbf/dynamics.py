@@ -1,10 +1,14 @@
 """Time stepping: signal paths, deterministic flow, and the filter recursion.
 
-All steppers accept leading batch dimensions so that a Monte Carlo engine can
-advance thousands of trials (or a bank of filters) with the same code that
-advances one.  Noise is drawn per trial from an independent counter-derived
-stream, in fixed-size blocks, so a single-trial PathBundle and a batched run
-produce bit-identical increments for the same (seed, trial) pair.
+All steppers accept leading batch dimensions.  One kernel, advance(), steps
+every coupled simulation: m trials of signal and observation plus a bank of
+filters fed the same observation increments, through one block of
+pre-drawn noise.  simulate_coupled runs it at m = 1 over a whole
+PathBundle; the ensemble engine runs it per noise block on a chunk of
+trials.  Noise is drawn per trial from an independent counter-derived
+stream by one block drawer, draw_increments, so a single-trial PathBundle
+and a batched run see bit-identical increments for the same (seed, trial)
+pair, and the two callers agree bit for bit by construction.
 """
 
 from __future__ import annotations
@@ -40,9 +44,24 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
-def _noise_blocks(steps: int):
+def draw_increments(gens, steps: int, dt: float, signal_dim: int, obs_dim: int):
+    """Yield (start, dW, dV) noise blocks, one generator per trial.
+
+    dW has shape (m, nb, signal_dim) and dV shape (m, nb, obs_dim), with
+    variance dt per coordinate.  In every block each generator draws its
+    signal block first, then its observation block.
+    """
+    root = np.sqrt(dt)
     for start in range(0, steps, NOISE_BLOCK):
-        yield start, min(NOISE_BLOCK, steps - start)
+        nb = min(NOISE_BLOCK, steps - start)
+        dW = np.empty((len(gens), nb, signal_dim))
+        dV = np.empty((len(gens), nb, obs_dim))
+        for j, g in enumerate(gens):
+            dW[j] = g.standard_normal((nb, signal_dim))
+            dV[j] = g.standard_normal((nb, obs_dim))
+        dW *= root
+        dV *= root
+        yield start, dW, dV
 
 
 @dataclass(frozen=True)
@@ -74,13 +93,9 @@ def make_path_bundle(
         raise InvalidArgument("steps must be positive")
     if dt <= 0.0:
         raise InvalidArgument("dt must be positive")
-    rng = trial_rng(seed, trial)
-    root = np.sqrt(dt)
-    dW = np.empty((steps, signal_dim))
-    dV = np.empty((steps, obs_dim))
-    for start, n in _noise_blocks(steps):
-        dW[start : start + n] = rng.standard_normal((n, signal_dim)) * root
-        dV[start : start + n] = rng.standard_normal((n, obs_dim)) * root
+    blocks = list(draw_increments([trial_rng(seed, trial)], steps, dt, signal_dim, obs_dim))
+    dW = np.concatenate([b[1][0] for b in blocks])
+    dV = np.concatenate([b[2][0] for b in blocks])
     return PathBundle(dt=dt, steps=steps, dW=dW, dV=dV, seed=seed, trial=trial)
 
 
@@ -224,6 +239,43 @@ def step_ekf(model, obs: ObservationModel, state: FilterState, dy, dt: float) ->
     return FilterState(mean=new_x[0], cov=new_P[0], t=state.t + dt)
 
 
+def advance(stepper: Stepper, x, xh, P, active, dW, dV, on_step, start: int = 0):
+    """Step m trials and their filter bank through one block of increments.
+
+    x has shape (m, d); dW and dV have shapes (m, nb, d) and (m, nb, r).
+    The bank is stored filter-major as flat rows: xh (n_f * m, d),
+    P (n_f * m, d, d) and the health mask active (n_f * m,), so filter f of
+    trial i is row f * m + i, filter 0 is the slice [:m], and every filter
+    of a trial sees that trial's observation increment.  Filters that trip
+    the divergence guard freeze.  After step k (counted from start) the
+    kernel calls on_step(k, x, xh, P).  Returns the new (x, xh, P, active).
+    """
+    n_f = xh.shape[0] // x.shape[0]
+    for j in range(dW.shape[1]):
+        dy = stepper.obs_increment(x, dV[:, j])
+        xh, P, active = stepper.filter_step(
+            xh, P, dy if n_f == 1 else np.tile(dy, (n_f, 1)), active
+        )
+        x = stepper.signal_step(x, dW[:, j])
+        on_step(start + j + 1, x, xh, P)
+    return x, xh, P, active
+
+
+def bank_delta_sq(xh, P, m: int) -> np.ndarray:
+    """Per-trial squared joint distance (mean and covariance) of filters 0 and 1."""
+    dm = xh[:m] - xh[m : 2 * m]
+    dP = P[:m] - P[m : 2 * m]
+    return np.einsum("...i,...i->...", dm, dm) + np.sum(dP * dP, axis=(-2, -1))
+
+
+def record_grid(steps: int, every: int) -> list:
+    """Steps 0, every, 2 * every, ..., with the final step always included."""
+    grid = list(range(0, steps + 1, every))
+    if grid[-1] != steps:
+        grid.append(steps)
+    return grid
+
+
 @dataclass
 class TrialRecord:
     """One coupled run: the signal plus a bank of filters fed the same data.
@@ -255,6 +307,7 @@ def simulate_coupled(
 ) -> TrialRecord:
     """Run one signal/observation path and a bank of filters on it.
 
+    This is advance() at m = 1 over the whole bundle, recording everything.
     Every filter sees the identical observation increments.  Filters that
     trip the divergence guard freeze and are flagged rather than aborting
     the trial.
@@ -272,44 +325,35 @@ def simulate_coupled(
     n_f = len(filters)
 
     steps = bundle.steps
-    rec_idx = list(range(0, steps + 1, record_every))
-    if rec_idx[-1] != steps:
-        rec_idx.append(steps)
+    rec_idx = record_grid(steps, record_every)
     rec_pos = {k: i for i, k in enumerate(rec_idx)}
     n_rec = len(rec_idx)
 
-    times = np.asarray(rec_idx, dtype=float) * bundle.dt
     signal = np.empty((n_rec, d))
     means = np.empty((n_f, n_rec, d))
     covs = np.empty((n_f, n_rec, d, d))
     traces = np.empty((n_f, steps + 1))
     delta = np.empty(n_rec) if n_f >= 2 else None
 
-    def record(step, x):
+    def record(step, x, xh, P):
+        traces[:, step] = np.einsum("fii->f", P)
         i = rec_pos.get(step)
         if i is None:
             return
-        signal[i] = x
+        signal[i] = x[0]
         means[:, i] = xh
         covs[:, i] = P
         if delta is not None:
-            dm = xh[0] - xh[1]
-            dP = P[0] - P[1]
-            delta[i] = float(dm @ dm + np.sum(dP * dP))
+            delta[i] = bank_delta_sq(xh, P, 1)[0]
 
-    x = x0
-    active = np.ones(n_f, dtype=bool)
-    traces[:, 0] = np.einsum("fii->f", P)
-    record(0, x)
-    for k in range(steps):
-        dy = stepper.obs_increment(x, bundle.dV[k])
-        xh, P, active = stepper.filter_step(xh, P, np.broadcast_to(dy, (n_f,) + dy.shape), active)
-        x = stepper.signal_step(x, bundle.dW[k])
-        traces[:, k + 1] = np.einsum("fii->f", P)
-        record(k + 1, x)
+    record(0, x0[None], xh, P)
+    active = advance(
+        stepper, x0[None], xh, P, np.ones(n_f, dtype=bool),
+        bundle.dW[None], bundle.dV[None], record,
+    )[3]
 
     return TrialRecord(
-        times=times,
+        times=np.asarray(rec_idx, dtype=float) * bundle.dt,
         signal=signal,
         means=means,
         covs=covs,

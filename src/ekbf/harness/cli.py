@@ -1,7 +1,9 @@
 """Command line: simulate, check, verify, forgetting, gronwall, report.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 on a
-configuration problem.  All file output is deterministic for a fixed
+configuration problem, 3 when the run itself fails (any other EkbfError,
+e.g. too few samples for an estimator); 2 and 3 print a one-line message
+to stderr.  All file output is deterministic for a fixed
 (config, seed): CSV cells use 17 significant digits and JSON is emitted
 with sorted keys, so reruns are byte-identical.
 """
@@ -18,7 +20,7 @@ import numpy as np
 
 from .. import bounds
 from ..dynamics import make_path_bundle, simulate_coupled, FilterState
-from ..errors import ConfigError
+from ..errors import ConfigError, EkbfError
 from .config import ExperimentConfig, load_config
 from .estimators import (
     estimate_chi2_laplace,
@@ -30,9 +32,6 @@ from .estimators import (
     run_ensemble,
     verify_trace_bound,
 )
-
-_GRONWALL_DEFAULTS = {"a": 1.0, "w": 0.5, "u": 0.0, "v": 0.0, "y0": 1.0, "n_paths": 10000}
-
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -240,19 +239,7 @@ def _cmd_forgetting(cfg: ExperimentConfig, out: str | None) -> int:
 
 
 def _cmd_gronwall(cfg: ExperimentConfig, out: str | None) -> int:
-    g = cfg.gronwall or dict(_GRONWALL_DEFAULTS)
-    rows = gronwall_test_process(
-        a=g["a"],
-        w=g["w"],
-        dt=cfg.dt,
-        T=cfg.T,
-        n_paths=g["n_paths"],
-        seed=cfg.seed,
-        orders=cfg.n_orders,
-        y0=g["y0"],
-        u=g["u"],
-        v=g["v"],
-    )
+    rows = gronwall_test_process(**cfg.gronwall_kwargs())
     if out is not None:
         _write_csv(os.path.join(out, "gronwall.csv"), _GRONWALL_COLUMNS, rows)
     return _emit(_summary("gronwall-test", rows), out, "gronwall")
@@ -272,11 +259,7 @@ def _cmd_report(cfg: ExperimentConfig, out: str | None) -> int:
     if len(cfg.filters) >= 2:
         details.append(estimate_forgetting_rate(result, cfg.eps))
     if cfg.gronwall is not None:
-        g = cfg.gronwall
-        details += gronwall_test_process(
-            a=g["a"], w=g["w"], dt=cfg.dt, T=cfg.T, n_paths=g["n_paths"],
-            seed=cfg.seed, orders=cfg.n_orders, y0=g["y0"], u=g["u"], v=g["v"],
-        )
+        details += gronwall_test_process(**cfg.gronwall_kwargs())
     if out is not None:
         _write_csv(os.path.join(out, "events.csv"), _EVENT_COLUMNS,
                    [d for d in details if d.get("paper_ref", "").startswith("event-radius")])
@@ -324,6 +307,9 @@ def run_cli(argv) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except EkbfError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dynamics import check_step_size
+from ..dynamics import check_step_size, record_grid
 from ..errors import ConfigError, EkbfError
 from ..models import LinearModel, ObservationModel, QuadraticCubicModel
 
@@ -30,6 +30,7 @@ SCENARIOS = (
 _DEFAULT_DELTAS = (0.5, 1.0, 2.0, 4.0)
 _DEFAULT_ORDERS = (1, 2)
 _DEFAULT_CHECKPOINTS = (1.0, 5.0, 10.0)
+_GRONWALL_DEFAULTS = {"a": 1.0, "w": 0.5, "u": 0.0, "v": 0.0, "y0": 1.0, "n_paths": 10000}
 
 
 def _get(section: dict, key: str, path: str):
@@ -116,11 +117,24 @@ class ExperimentConfig:
         return out
 
     def record_steps(self) -> list:
-        steps = self.steps
-        out = list(range(0, steps + 1, self.record_every))
-        if out[-1] != steps:
-            out.append(steps)
-        return out
+        return record_grid(self.steps, self.record_every)
+
+    def gronwall_kwargs(self) -> dict:
+        """Arguments of gronwall_test_process; the defaults when the section is absent."""
+        g = self.gronwall if self.gronwall is not None else _gronwall_section({})
+        return dict(g, dt=self.dt, T=self.T, seed=self.seed, orders=self.n_orders)
+
+
+def _gronwall_section(section) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError("config.gronwall must be an object")
+    g = {}
+    for key, default in _GRONWALL_DEFAULTS.items():
+        parse = _int if key == "n_paths" else _num
+        g[key] = parse(section.get(key, default), f"gronwall.{key}")
+    if g["a"] <= 0:
+        raise ConfigError("gronwall.a must be positive")
+    return g
 
 
 def _build_model(section: dict):
@@ -219,18 +233,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     gronwall = raw.get("gronwall")
     if gronwall is not None:
-        if not isinstance(gronwall, dict):
-            raise ConfigError("config.gronwall must be an object")
-        gronwall = {
-            "a": _num(gronwall.get("a", 1.0), "gronwall.a"),
-            "w": _num(gronwall.get("w", 0.5), "gronwall.w"),
-            "u": _num(gronwall.get("u", 0.0), "gronwall.u"),
-            "v": _num(gronwall.get("v", 0.0), "gronwall.v"),
-            "y0": _num(gronwall.get("y0", 1.0), "gronwall.y0"),
-            "n_paths": _int(gronwall.get("n_paths", 10000), "gronwall.n_paths"),
-        }
-        if gronwall["a"] <= 0:
-            raise ConfigError("gronwall.a must be positive")
+        gronwall = _gronwall_section(gronwall)
 
     cfg = ExperimentConfig(
         model=model,

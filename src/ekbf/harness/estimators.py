@@ -1,10 +1,12 @@
 """Batched Monte Carlo engine and the estimators built on top of it.
 
-The engine advances trials in fixed chunks of CHUNK, each trial drawing its
-noise from an independent stream derived from (seed, trial index), in the
-same block protocol as PathBundle.  Results are folded in chunk order, so
-output bytes do not depend on worker count or scheduling; a single trial
-re-simulated with simulate_coupled reproduces the engine bit for bit.
+The engine advances trials in fixed chunks of CHUNK through the stepping
+kernel dynamics.advance, one noise block at a time, keeping only its own
+reductions.  Each trial draws its noise from an independent stream derived
+from (seed, trial index) through the same drawer as PathBundle, so a single
+trial re-simulated with simulate_coupled reproduces the engine bit for bit
+by construction.  Results are folded in chunk order, so output bytes do not
+depend on worker count, chunk size or scheduling.
 
 Estimators compare recorded trial statistics against the closed-form
 envelopes from the bounds module and return plain dict rows ready for CSV
@@ -21,7 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import bounds, linalg
-from ..dynamics import NOISE_BLOCK, Stepper, deterministic_flow, trial_rng
+from ..dynamics import (
+    NOISE_BLOCK,
+    Stepper,
+    advance,
+    bank_delta_sq,
+    deterministic_flow,
+    draw_increments,
+    trial_rng,
+)
 from ..errors import InvalidArgument
 from .stats import bootstrap_mean_ci, fit_decay_rate, increasing_trend_pvalue, wilson_interval
 
@@ -47,6 +57,16 @@ def worker_count() -> int:
 
 def _sumsq(e: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", e, e)
+
+
+def _step_grid(values, steps: int, what: str):
+    """Sorted unique step indices and each step's position in them (-1 if absent)."""
+    grid = np.asarray(sorted(set(int(s) for s in values)), dtype=int)
+    if grid.size == 0 or grid[0] < 0 or grid[-1] > steps:
+        raise InvalidArgument(f"{what} steps must lie in [0, steps]")
+    pos = np.full(steps + 1, -1, dtype=int)
+    pos[grid] = np.arange(grid.size)
+    return grid, pos
 
 
 @dataclass
@@ -103,86 +123,54 @@ def run_ensemble(
     if len(filters) == 0:
         raise InvalidArgument("need at least one filter")
     d = model.dim
-    r = obs.obs_dim
     x0 = linalg.as_vector(x0, d)
-    means0 = [linalg.as_vector(m, d) for m, _ in filters]
-    covs0 = [linalg.as_symmetric(P, d) for _, P in filters]
+    means0 = np.stack([linalg.as_vector(m, d) for m, _ in filters])
+    covs0 = np.stack([linalg.as_symmetric(P, d) for _, P in filters])
     n_f = len(filters)
 
-    cp = np.asarray(sorted(set(int(s) for s in checkpoint_steps)), dtype=int)
-    if cp.size == 0 or cp[0] < 0 or cp[-1] > steps:
-        raise InvalidArgument("checkpoint steps must lie in [0, steps]")
-    cp_pos = np.full(steps + 1, -1, dtype=int)
-    cp_pos[cp] = np.arange(cp.size)
-
-    if record_steps is not None:
-        rec = np.asarray(sorted(set(int(s) for s in record_steps)), dtype=int)
-        if rec.size == 0 or rec[0] < 0 or rec[-1] > steps:
-            raise InvalidArgument("record steps must lie in [0, steps]")
-        rec_pos = np.full(steps + 1, -1, dtype=int)
-        rec_pos[rec] = np.arange(rec.size)
-    else:
-        rec, rec_pos = None, None
+    cp, cp_pos = _step_grid(checkpoint_steps, steps, "checkpoint")
+    rec, rec_pos = (None, None) if record_steps is None else _step_grid(record_steps, steps, "record")
+    with_delta = rec is not None and n_f >= 2
 
     stepper = Stepper(model, dt, obs)
     consts = bounds.problem_constants(model, obs, covs0[0])
-    t_full = np.arange(steps + 1) * dt
-    tau_full = np.asarray(bounds.tau_t(consts, t_full))
-    flow_x0 = deterministic_flow(model, x0, dt, steps)
-    flow_xh0 = deterministic_flow(model, means0[0], dt, steps)
-    root = np.sqrt(dt)
+    tau_full = np.asarray(bounds.tau_t(consts, np.arange(steps + 1) * dt))
+    # noise-free flows from x0 and from the reference filter mean
+    flows = deterministic_flow(model, np.stack([x0, means0[0]]), dt, steps)
+    flow_x0, flow_xh0 = flows[:, 0], flows[:, 1]
 
     def run_chunk(span):
         lo, hi = span
         m = hi - lo
-        gens = [trial_rng(seed, k) for k in range(lo, hi)]
-        x = np.repeat(x0[None], m, axis=0)
-        xs = [np.repeat(mu[None], m, axis=0) for mu in means0]
-        Ps = [np.repeat(P[None], m, axis=0) for P in covs0]
-        act = [np.ones(m, dtype=bool) for _ in range(n_f)]
-
         sig_err = np.empty((m, cp.size))
         fil_err = np.empty((m, cp.size))
         dev_err = np.empty((m, cp.size))
         gap = np.full(m, -np.inf)
-        dsq = np.empty((m, rec.size)) if (rec is not None and n_f >= 2) else None
+        dsq = np.empty((m, rec.size)) if with_delta else None
 
-        def record(s):
-            tr = np.trace(Ps[0], axis1=-2, axis2=-1)
-            np.maximum(gap, tr - tau_full[s], out=gap)
+        def record(s, x, xh, P):
+            np.maximum(gap, np.trace(P[:m], axis1=-2, axis2=-1) - tau_full[s], out=gap)
             i = cp_pos[s]
             if i >= 0:
                 sig_err[:, i] = _sumsq(x - flow_x0[s])
-                fil_err[:, i] = _sumsq(x - xs[0])
-                dev_err[:, i] = _sumsq(xs[0] - flow_xh0[s])
-            if dsq is not None:
-                j = rec_pos[s]
-                if j >= 0:
-                    dm = xs[0] - xs[1]
-                    dP = Ps[0] - Ps[1]
-                    dsq[:, j] = _sumsq(dm) + np.sum(dP * dP, axis=(-2, -1))
+                fil_err[:, i] = _sumsq(x - xh[:m])
+                dev_err[:, i] = _sumsq(xh[:m] - flow_xh0[s])
+            if with_delta and rec_pos[s] >= 0:
+                dsq[:, rec_pos[s]] = bank_delta_sq(xh, P, m)
 
-        record(0)
-        for start in range(0, steps, NOISE_BLOCK):
-            nb = min(NOISE_BLOCK, steps - start)
-            dWb = np.empty((m, nb, d))
-            dVb = np.empty((m, nb, r))
-            for j, g in enumerate(gens):
-                dWb[j] = g.standard_normal((nb, d))
-                dVb[j] = g.standard_normal((nb, r))
-            dWb *= root
-            dVb *= root
-            for j in range(nb):
-                dy = stepper.obs_increment(x, dVb[:, j])
-                for f in range(n_f):
-                    xs[f], Ps[f], act[f] = stepper.filter_step(xs[f], Ps[f], dy, act[f])
-                x = stepper.signal_step(x, dWb[:, j])
-                record(start + j + 1)
-
-        alive = act[0].copy()
-        for f in range(1, n_f):
-            alive &= act[f]
-        return sig_err, fil_err, dev_err, gap, ~alive, dsq
+        # filter-major bank: filter f of trial i is row f * m + i
+        state = (
+            np.repeat(x0[None], m, axis=0),
+            np.repeat(means0, m, axis=0),
+            np.repeat(covs0, m, axis=0),
+            np.ones(n_f * m, dtype=bool),
+        )
+        record(0, *state[:3])
+        gens = [trial_rng(seed, k) for k in range(lo, hi)]
+        for start, dW, dV in draw_increments(gens, steps, dt, d, obs.obs_dim):
+            state = advance(stepper, *state, dW, dV, record, start)
+        diverged = ~state[3].reshape(n_f, m).all(axis=0)
+        return sig_err, fil_err, dev_err, gap, diverged, dsq
 
     spans = [(lo, min(lo + CHUNK, n_trials)) for lo in range(0, n_trials, CHUNK)]
     w = min(worker_count(), len(spans))
@@ -192,12 +180,9 @@ def run_ensemble(
     else:
         parts = [run_chunk(s) for s in spans]
 
-    sig_err = np.concatenate([p[0] for p in parts])
-    fil_err = np.concatenate([p[1] for p in parts])
-    dev_err = np.concatenate([p[2] for p in parts])
-    gap = np.concatenate([p[3] for p in parts])
-    diverged = np.concatenate([p[4] for p in parts])
-    dsq = np.concatenate([p[5] for p in parts]) if parts[0][5] is not None else None
+    sig_err, fil_err, dev_err, gap, diverged, dsq = (
+        None if col[0] is None else np.concatenate(col) for col in zip(*parts)
+    )
 
     return EnsembleResult(
         dt=dt,
@@ -247,7 +232,7 @@ def estimate_event_probability(
             ok = (err[:, i] <= radius) & ~result.diverged
             est = wilson_interval(int(ok.sum()), result.n_trials)
             threshold = 1.0 - np.exp(-delta)
-            passed = est.ci_high >= threshold or est.point >= threshold
+            passed = est.ci_high >= threshold
             rows.append(
                 {
                     "t": float(t),
@@ -496,18 +481,14 @@ def gronwall_test_process(
         y = np.full(n_paths, float(y_init))
         snaps = {}
         root = np.sqrt(dt)
-        done = 0
-        while done < steps:
-            nb = min(NOISE_BLOCK, steps - done)
-            xi = rng.standard_normal((n_paths, nb))
-            for j in range(nb):
+        for start in range(0, steps, NOISE_BLOCK):
+            xi = rng.standard_normal((n_paths, min(NOISE_BLOCK, steps - start)))
+            for j in range(xi.shape[1]):
                 bracket = np.sqrt(np.maximum(bracket_lin * y + w * y * y, 0.0))
                 y = y + (-a * y + drift_const) * dt + bracket * xi[:, j] * root
                 np.maximum(y, 0.0, out=y)
-                s = done + j + 1
-                if s in cp_idx:
-                    snaps[s] = y.copy()
-            done += nb
+                if start + j + 1 in cp_idx:
+                    snaps[start + j + 1] = y.copy()
         return snaps
 
     rows = []

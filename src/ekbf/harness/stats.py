@@ -127,9 +127,6 @@ def fit_decay_rate(times, values, floor: float = 1e-12) -> FitResult:
         raise InvalidArgument("degenerate time grid")
     slope = float(np.sum((t - t_bar) * (y - y.mean())) / sxx)
     resid = y - (y.mean() + slope * (t - t_bar))
-    if n > 2:
-        s2 = float(np.sum(resid**2)) / (n - 2)
-    else:
-        s2 = 0.0
+    s2 = float(np.sum(resid**2)) / (n - 2)
     stderr = float(np.sqrt(s2 / sxx))
     return FitResult(rate=-slope, stderr=stderr, n_used=n)

@@ -317,24 +317,6 @@ class TransformedModel:
         )
 
 
-SignalModel = (LinearModel, QuadraticCubicModel, InteractingModel, TransformedModel)
-
-
-# Module-level op surface; thin delegates so call sites can stay functional.
-
-
-def drift(model, x) -> np.ndarray:
-    return model.drift(x)
-
-
-def drift_jacobian(model, x) -> np.ndarray:
-    return model.drift_jacobian(x)
-
-
-def regularity_constants(model) -> RegularityConstants:
-    return model.regularity_constants()
-
-
 @dataclass(frozen=True)
 class ObservationModel:
     """Linear sensor dY = B X dt + sqrt(R2) dV with derived filter matrices."""

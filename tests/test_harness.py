@@ -2,9 +2,11 @@
 
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ekbf.dynamics import FilterState, make_path_bundle, simulate_coupled
 from ekbf.errors import ConfigError, InvalidArgument
@@ -24,11 +26,14 @@ from ekbf.harness import (
     verify_trace_bound,
     wilson_interval,
 )
+from ekbf.harness import estimators
 from ekbf.harness.cli import run_cli
-from ekbf.models import LinearModel, observation_params
+from ekbf.models import LinearModel, QuadraticCubicModel, observation_params
 
 OU = LinearModel(np.array([[-1.0]]), np.array([[1.0]]))
 OBS1 = observation_params(np.array([[1.0]]), np.array([[1.0]]))
+QC2 = QuadraticCubicModel(np.eye(2), np.zeros(2), np.eye(2), 1.0, 0.5 * np.eye(2))
+OBS2 = observation_params(np.eye(2), np.eye(2))
 
 
 def _ou_ensemble(n_trials=200, steps=100, seed=51, filters=None, record=None):
@@ -110,14 +115,56 @@ def test_fit_decay_rate_drops_dead_points():
 # -------------------------------------------------------------------- engine
 
 
-def test_engine_matches_single_trial_api_bitwise():
-    res = _ou_ensemble(n_trials=5, steps=120, seed=31)
-    bundle = make_path_bundle(31, 3, 120, 0.01, 1, 1)
-    rec = simulate_coupled(
-        OU, OBS1, np.zeros(1), [FilterState(mean=np.zeros(1), cov=np.ones((1, 1)))], bundle
-    )
-    want = float(np.sum((rec.signal[-1] - rec.means[0, -1]) ** 2))
-    assert res.filter_err_sq[3, 1] == want  # bit-for-bit, not approx
+BITWISE_CASES = {
+    "ou-one-filter": (OU, OBS1, np.zeros(1), [(np.zeros(1), np.ones((1, 1)))]),
+    "qc2-two-filters": (
+        QC2, OBS2, np.zeros(2),
+        [(np.zeros(2), 0.5 * np.eye(2)), (np.array([1.0, -0.5]), np.eye(2))],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BITWISE_CASES))
+def test_engine_matches_single_trial_api_bitwise(case):
+    model, obs, x0, filters = BITWISE_CASES[case]
+    seed, trial, steps, dt = 31, 3, 120, 0.01
+    bundle = make_path_bundle(seed, trial, steps, dt, model.dim, obs.obs_dim)
+    states = [FilterState(mean=m, cov=P) for m, P in filters]
+    rec = simulate_coupled(model, obs, x0, states, bundle, record_every=10)
+    for f in range(len(filters)):
+        # the engine reports the errors of filter 0 only: rotate filter f to the front
+        res = run_ensemble(
+            model, obs, x0, filters[f:] + filters[:f], dt, steps, 5, seed,
+            checkpoint_steps=[steps // 2, steps], record_steps=range(0, steps + 1, 10),
+        )
+        e = rec.signal[-1] - rec.means[f, -1]
+        assert res.filter_err_sq[trial, 1] == np.einsum("i,i->", e, e)  # bit-for-bit, not approx
+        if f == 0 and len(filters) > 1:
+            assert np.array_equal(res.delta_sq[trial], rec.delta)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(data=st.data())
+def test_engine_invariant_to_chunk_size(data):
+    n_trials = data.draw(st.integers(1, 40), label="n_trials")
+    chunk = data.draw(st.integers(1, n_trials), label="chunk")
+    n_filters = data.draw(st.integers(1, 3), label="n_filters")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    filters = [(np.array([1.0 - f, 0.5 * f]), (0.5 + f) * np.eye(2)) for f in range(n_filters)]
+
+    def run():
+        return run_ensemble(
+            QC2, OBS2, np.zeros(2), filters, 0.01, 25, n_trials, seed,
+            checkpoint_steps=[10, 25], record_steps=range(0, 26, 5),
+        )
+
+    whole = run()
+    with mock.patch.object(estimators, "CHUNK", chunk):
+        split = run()
+    for name in ("signal_err_sq", "filter_err_sq", "mean_dev_sq", "trace_gap_max",
+                 "diverged", "delta_sq"):
+        a, b = getattr(whole, name), getattr(split, name)
+        assert (a is None and b is None) or np.array_equal(a, b), name
 
 
 def test_engine_invariant_to_worker_count(monkeypatch):
@@ -296,11 +343,19 @@ def test_cli_verify_writes_documented_columns(tmp_path):
 
 def test_cli_reruns_are_byte_identical(tmp_path):
     path = _write_cfg(tmp_path, _base_config())
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    run_cli(["verify", "--config", path, "--out", str(out_a)])
-    run_cli(["verify", "--config", path, "--out", str(out_b)])
-    for name in ("events.csv", "moments.csv", "verify.json"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    bank = _base_config()
+    bank["init"] = {"x0": [0.0], "filters": [[[1.0], [[1.0]]], [[-1.0], [[0.1]]]]}
+    bank_path = _write_cfg(tmp_path, bank, "bank.json")
+    for command, cfg_path, names in (
+        ("verify", path, ("events.csv", "moments.csv", "verify.json")),
+        ("simulate", path, ("ensemble.csv", "trajectory.csv", "simulate.json")),
+        ("forgetting", bank_path, ("forgetting.csv", "forgetting.json")),
+    ):
+        out_a, out_b = tmp_path / command / "a", tmp_path / command / "b"
+        run_cli([command, "--config", cfg_path, "--out", str(out_a)])
+        run_cli([command, "--config", cfg_path, "--out", str(out_b)])
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 def test_cli_exit_codes(tmp_path):
@@ -311,6 +366,15 @@ def test_cli_exit_codes(tmp_path):
     # forgetting needs two filter initializations
     path = _write_cfg(tmp_path, _base_config())
     assert run_cli(["forgetting", "--config", path]) == 2
+
+
+def test_cli_runtime_error_exits_three(tmp_path, capsys):
+    # one trial is a valid config, but the chi-square check needs two samples
+    cfg = _base_config()
+    cfg["sim"]["n_trials"] = 1
+    path = _write_cfg(tmp_path, cfg)
+    assert run_cli(["report", "--config", path]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: need at least two samples"]
 
 
 def test_emit_returns_one_when_any_check_fails(tmp_path, capsys):

@@ -23,6 +23,7 @@ from ..dynamics import make_path_bundle, simulate_coupled, FilterState
 from ..errors import ConfigError, EkbfError
 from .config import ExperimentConfig, load_config
 from .estimators import (
+    check_moment_orders,
     estimate_chi2_laplace,
     estimate_ekf_laplace,
     estimate_event_probability,
@@ -180,6 +181,7 @@ def _write_trajectory(cfg: ExperimentConfig, path: str) -> None:
 def _cmd_verify(cfg: ExperimentConfig, out: str | None, scenario: str | None) -> int:
     scenario = scenario or cfg.scenario
     if scenario in ("signal-vs-flow", "ekf-vs-signal"):
+        check_moment_orders(cfg.n_orders)
         result = _ensemble(cfg)
         kind = "signal" if scenario == "signal-vs-flow" else "ekf"
         details = estimate_event_probability(result, cfg.delta_grid, kind, init_sq=_init_sq(cfg))
@@ -247,6 +249,7 @@ def _cmd_gronwall(cfg: ExperimentConfig, out: str | None) -> int:
 
 def _cmd_report(cfg: ExperimentConfig, out: str | None) -> int:
     """Full battery: envelopes, events, moments, trace, Laplace, and extras."""
+    check_moment_orders(cfg.n_orders)
     _cmd_check(cfg, out)
     details = []
     result = _ensemble(cfg, with_records=len(cfg.filters) >= 2)

@@ -6,7 +6,9 @@ reductions.  Each trial draws its noise from an independent stream derived
 from (seed, trial index) through the same drawer as PathBundle, so a single
 trial re-simulated with simulate_coupled reproduces the engine bit for bit
 by construction.  Results are folded in chunk order, so output bytes do not
-depend on worker count, chunk size or scheduling.
+depend on worker count, chunk size or scheduling.  The same worker pool
+(_parallel_map) runs each estimator's bootstraps; their seeds are fixed in
+job order before the pool starts, and results are placed by job index.
 
 Estimators compare recorded trial statistics against the closed-form
 envelopes from the bounds module and return plain dict rows ready for CSV
@@ -42,7 +44,7 @@ CHUNK = 1024
 
 
 def worker_count() -> int:
-    """Worker threads for the engine; EKBF_THREADS overrides the CPU count."""
+    """Worker threads for the engine and the bootstraps; EKBF_THREADS overrides the CPU count."""
     env = os.environ.get("EKBF_THREADS")
     if env is not None:
         try:
@@ -53,6 +55,27 @@ def worker_count() -> int:
             raise InvalidArgument("EKBF_THREADS must be >= 1")
         return w
     return os.cpu_count() or 1
+
+
+def _parallel_map(fn, items) -> list:
+    """fn over items on up to worker_count() threads, results in item order."""
+    items = list(items)
+    w = min(worker_count(), len(items))
+    if w > 1:
+        with ThreadPoolExecutor(max_workers=w) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def _bootstrap_all(jobs) -> list:
+    """bootstrap_mean_ci over (samples, seed) jobs on the worker pool, in job order."""
+    return _parallel_map(lambda job: bootstrap_mean_ci(*job), jobs)
+
+
+def check_moment_orders(orders) -> None:
+    """Reject moment orders the bootstrap cannot estimate reliably."""
+    if any(n > 4 for n in orders):
+        raise InvalidArgument("moment orders above 4 are too tail-sensitive")
 
 
 def _sumsq(e: np.ndarray) -> np.ndarray:
@@ -173,12 +196,7 @@ def run_ensemble(
         return sig_err, fil_err, dev_err, gap, diverged, dsq
 
     spans = [(lo, min(lo + CHUNK, n_trials)) for lo in range(0, n_trials, CHUNK)]
-    w = min(worker_count(), len(spans))
-    if w > 1:
-        with ThreadPoolExecutor(max_workers=w) as pool:
-            parts = list(pool.map(run_chunk, spans))
-    else:
-        parts = [run_chunk(s) for s in spans]
+    parts = _parallel_map(run_chunk, spans)
 
     sig_err, fil_err, dev_err, gap, diverged, dsq = (
         None if col[0] is None else np.concatenate(col) for col in zip(*parts)
@@ -258,40 +276,39 @@ def estimate_moments(result: EnsembleResult, orders) -> list[dict]:
     the time-dependent filter envelope.  A row passes when the bootstrap
     ci_low sits at or below the bound.
     """
+    check_moment_orders(orders)
     c = result.constants
-    rows = []
-    counter = 0
+    specs, jobs = [], []
     for i, t in enumerate(result.checkpoint_times):
         for n in orders:
-            if n > 4:
-                raise InvalidArgument("moment orders above 4 are too tail-sensitive")
             for kind, err_sq in (
                 ("signal", result.signal_err_sq),
                 ("filter-mean", result.mean_dev_sq),
             ):
-                samples = err_sq[:, i] ** n
-                est = bootstrap_mean_ci(samples, seed=result.seed + 7919 * counter)
-                counter += 1
-                if kind == "signal":
-                    bound = bounds.signal_moment_bound(c, n) ** n
-                    slug = "moment-envelope-signal"
-                else:
-                    bound = float(bounds.moment_bound_xhat(c, 2 * n, t)) ** n
-                    slug = "moment-envelope-filter-mean"
-                rows.append(
-                    {
-                        "t": float(t),
-                        "n": int(n),
-                        "kind": kind,
-                        "estimate": est.point,
-                        "ci_low": est.ci_low,
-                        "ci_high": est.ci_high,
-                        "bound": float(bound),
-                        "n_diverged": int(result.diverged.sum()),
-                        "pass": bool(est.ci_low <= bound),
-                        "paper_ref": slug,
-                    }
-                )
+                specs.append((t, n, kind))
+                jobs.append((err_sq[:, i] ** n, result.seed + 7919 * len(jobs)))
+    rows = []
+    for (t, n, kind), est in zip(specs, _bootstrap_all(jobs)):
+        if kind == "signal":
+            bound = bounds.signal_moment_bound(c, n) ** n
+            slug = "moment-envelope-signal"
+        else:
+            bound = float(bounds.moment_bound_xhat(c, 2 * n, t)) ** n
+            slug = "moment-envelope-filter-mean"
+        rows.append(
+            {
+                "t": float(t),
+                "n": int(n),
+                "kind": kind,
+                "estimate": est.point,
+                "ci_low": est.ci_low,
+                "ci_high": est.ci_high,
+                "bound": float(bound),
+                "n_diverged": int(result.diverged.sum()),
+                "pass": bool(est.ci_low <= bound),
+                "paper_ref": slug,
+            }
+        )
     return rows
 
 
@@ -491,46 +508,48 @@ def gronwall_test_process(
                     snaps[start + j + 1] = y.copy()
         return snaps
 
-    rows = []
-    counter = 0
+    specs, jobs = [], []
     if y0 > 0:
         snaps = simulate(y0, 0.0, 0.0, spawn=3)
         for s in cp_idx:
-            t = s * dt
             for n in orders:
-                m = n / 2.0
-                est = bootstrap_mean_ci(snaps[s] ** m, seed=seed + 31 * counter)
-                counter += 1
-                oracle = y0**m * np.exp(-m * a * t + m * (m - 1.0) * w * t / 2.0)
-                envelope = y0**m * np.exp(0.5 * (-n * a + n * (n - 1.0) * w / 2.0) * t)
-                rows.append(
-                    {
-                        "t": float(t),
-                        "n": int(n),
-                        "kind": "homogeneous",
-                        "estimate": est.point,
-                        "ci_low": est.ci_low,
-                        "ci_high": est.ci_high,
-                        "oracle": float(oracle),
-                        "bound": float(envelope),
-                        "oracle_pass": bool(est.ci_low <= oracle <= est.ci_high),
-                        "pass": bool(est.ci_low <= envelope),
-                        "paper_ref": "gronwall-envelope",
-                    }
-                )
+                specs.append(("homogeneous", s, n))
+                jobs.append((snaps[s] ** (n / 2.0), seed + 31 * len(jobs)))
     if u > 0 or v > 0:
         snaps = simulate(0.0, u, v, spawn=4)
         s = cp_idx[-1]
         for n in orders:
-            m = n / 2.0
-            est = bootstrap_mean_ci(snaps[s] ** m, seed=seed + 31 * counter)
-            counter += 1
+            specs.append(("sourced", s, n))
+            jobs.append((snaps[s] ** (n / 2.0), seed + 31 * len(jobs)))
+
+    rows = []
+    for (kind, s, n), est in zip(specs, _bootstrap_all(jobs)):
+        m, t = n / 2.0, s * dt
+        if kind == "homogeneous":
+            oracle = y0**m * np.exp(-m * a * t + m * (m - 1.0) * w * t / 2.0)
+            envelope = y0**m * np.exp(0.5 * (-n * a + n * (n - 1.0) * w / 2.0) * t)
+            rows.append(
+                {
+                    "t": float(t),
+                    "n": int(n),
+                    "kind": "homogeneous",
+                    "estimate": est.point,
+                    "ci_low": est.ci_low,
+                    "ci_high": est.ci_high,
+                    "oracle": float(oracle),
+                    "bound": float(envelope),
+                    "oracle_pass": bool(est.ci_low <= oracle <= est.ci_high),
+                    "pass": bool(est.ci_low <= envelope),
+                    "paper_ref": "gronwall-envelope",
+                }
+            )
+        else:
             rhs = bounds.gronwall_moment_rhs(n, grid[: s + 1], a, w, u, v)
             point = est.point ** (2.0 / n)
             low = est.ci_low ** (2.0 / n)
             rows.append(
                 {
-                    "t": float(s * dt),
+                    "t": float(t),
                     "n": int(n),
                     "kind": "sourced",
                     "estimate": point,

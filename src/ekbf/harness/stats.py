@@ -3,6 +3,12 @@
 Confidence machinery is deliberately boring: Wilson intervals for
 proportions, seeded percentile bootstrap for means, Kendall's tau for trend
 detection, and least squares on logs for decay rates.
+
+The bootstrap streams its resamples in blocks of BOOTSTRAP_BLOCK rows: each
+block's indices continue the same Generator stream, are gathered into one
+reused (rows, n) buffer, and each row mean is the same pairwise sum as over
+the whole (n_resamples, n) index matrix.  Intervals are therefore bit for
+bit those of the whole-matrix formula, while memory stays a few rows of n.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from ..errors import InvalidArgument
 Z95 = 1.959963984540054
 
 BOOTSTRAP_RESAMPLES = 1000
+# resample rows drawn and gathered at a time
+BOOTSTRAP_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,8 @@ def bootstrap_mean_ci(
     samples, seed: int, n_resamples: int = BOOTSTRAP_RESAMPLES
 ) -> EstimateWithCI:
     """Percentile bootstrap interval for the mean of a sample."""
+    if n_resamples < 1:
+        raise InvalidArgument("n_resamples must be >= 1")
     samples = np.asarray(samples, dtype=float).ravel()
     n = samples.size
     if n < 1:
@@ -69,8 +79,13 @@ def bootstrap_mean_ci(
     if n == 1:
         return EstimateWithCI(point=point, ci_low=point, ci_high=point, n=1, method="bootstrap")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    idx = rng.integers(0, n, size=(n_resamples, n))
-    means = samples[idx].mean(axis=1)
+    means = np.empty(n_resamples)
+    buf = np.empty((min(BOOTSTRAP_BLOCK, n_resamples), n))
+    for lo in range(0, n_resamples, BOOTSTRAP_BLOCK):
+        rows = buf[: min(BOOTSTRAP_BLOCK, n_resamples - lo)]
+        # indices lie in [0, n), so "clip" gathers in place without a bounds pass
+        np.take(samples, rng.integers(0, n, size=rows.shape), out=rows, mode="clip")
+        rows.mean(axis=1, out=means[lo : lo + rows.shape[0]])
     low, high = np.percentile(means, [2.5, 97.5])
     return EstimateWithCI(
         point=point,

@@ -26,7 +26,7 @@ from ekbf.harness import (
     verify_trace_bound,
     wilson_interval,
 )
-from ekbf.harness import estimators
+from ekbf.harness import cli, estimators, stats
 from ekbf.harness.cli import run_cli
 from ekbf.models import LinearModel, QuadraticCubicModel, observation_params
 
@@ -78,6 +78,38 @@ def test_bootstrap_ci_deterministic_and_covering():
     assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
     assert a.ci_low <= 2.0 <= a.ci_high
     assert a.method == "bootstrap"
+
+
+def _whole_matrix_interval(samples, seed, n_resamples):
+    """The bootstrap percentiles from one (n_resamples, n) index matrix."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+    idx = rng.integers(0, samples.size, size=(n_resamples, samples.size))
+    return np.percentile(samples[idx].mean(axis=1), [2.5, 97.5])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    n=st.integers(2, 3000),
+    n_resamples=st.integers(1, 300),
+    block=st.sampled_from([1, 3, stats.BOOTSTRAP_BLOCK]),
+    seed=st.integers(0, 2**32 - 1),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_bootstrap_streaming_matches_whole_matrix(n, n_resamples, block, seed, data_seed):
+    x = np.random.default_rng(data_seed).lognormal(size=n)
+    with mock.patch.object(stats, "BOOTSTRAP_BLOCK", block):
+        est = bootstrap_mean_ci(x, seed=seed, n_resamples=n_resamples)
+    low, high = _whole_matrix_interval(x, seed, n_resamples)
+    point = float(x.mean())
+    assert est.point == point
+    assert est.ci_low == min(float(low), point)  # bit for bit, not approx
+    assert est.ci_high == max(float(high), point)
+
+
+@pytest.mark.parametrize("n_resamples", [0, -3])
+def test_bootstrap_rejects_nonpositive_resamples(n_resamples):
+    with pytest.raises(InvalidArgument):
+        bootstrap_mean_ci(np.arange(10.0), seed=1, n_resamples=n_resamples)
 
 
 def test_estimate_with_ci_invariant():
@@ -205,6 +237,24 @@ def test_moment_rows_structure():
     assert all(r["bound"] > 0 for r in rows)
     with pytest.raises(InvalidArgument):
         estimate_moments(res, [5])
+
+
+def test_bootstrap_rows_invariant_to_worker_count(monkeypatch):
+    res = _ou_ensemble(n_trials=300, steps=100, seed=36)
+
+    def rows():
+        moments = estimate_moments(res, [1, 2, 3])
+        gronwall = gronwall_test_process(
+            a=1.0, w=0.3, dt=1e-2, T=1.0, n_paths=300, seed=37, orders=(1, 2),
+            u=0.5, v=0.2, checkpoints=[0.25, 0.5, 1.0],
+        )
+        # JSON keeps every float exactly and compares the sourced rows' NaN oracle
+        return json.dumps([moments, gronwall], sort_keys=True)
+
+    monkeypatch.setenv("EKBF_THREADS", "1")
+    serial = rows()
+    monkeypatch.setenv("EKBF_THREADS", "4")
+    assert rows() == serial
 
 
 def test_chi2_laplace_near_gaussian_mgf():
@@ -375,6 +425,25 @@ def test_cli_runtime_error_exits_three(tmp_path, capsys):
     path = _write_cfg(tmp_path, cfg)
     assert run_cli(["report", "--config", path]) == 3
     assert capsys.readouterr().err.splitlines() == ["error: need at least two samples"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--scenario", "ekf-vs-signal"],
+        ["verify", "--scenario", "signal-vs-flow"],
+        ["report"],
+    ],
+)
+def test_cli_rejects_high_moment_orders_before_simulating(tmp_path, capsys, argv):
+    cfg = _base_config()
+    cfg["test"]["n_orders"] = [1, 5]
+    path = _write_cfg(tmp_path, cfg)
+    with mock.patch.object(cli, "run_ensemble", side_effect=AssertionError("simulated")):
+        assert run_cli(argv + ["--config", path]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: moment orders above 4 are too tail-sensitive"
+    ]
 
 
 def test_emit_returns_one_when_any_check_fails(tmp_path, capsys):

@@ -8,7 +8,14 @@ PathBundle; the ensemble engine runs it per noise block on a chunk of
 trials.  Noise is drawn per trial from an independent counter-derived
 stream by one block drawer, draw_increments, so a single-trial PathBundle
 and a batched run see bit-identical increments for the same (seed, trial)
-pair, and the two callers agree bit for bit by construction.
+pair.  Every product in a step is either a linalg.matvec or one small
+matrix product per covariance, so a row's bits do not depend on the batch
+width, and the two callers agree bit for bit.
+
+The bank keeps one covariance per filter while the Riccati flow does not
+depend on the data (a state-independent Jacobian, as for LinearModel) and
+one per trial and filter otherwise; broadcasting picks the width, so the
+same code serves both.
 """
 
 from __future__ import annotations
@@ -57,8 +64,8 @@ def draw_increments(gens, steps: int, dt: float, signal_dim: int, obs_dim: int):
         dW = np.empty((len(gens), nb, signal_dim))
         dV = np.empty((len(gens), nb, obs_dim))
         for j, g in enumerate(gens):
-            dW[j] = g.standard_normal((nb, signal_dim))
-            dV[j] = g.standard_normal((nb, obs_dim))
+            g.standard_normal(dW[j].shape, out=dW[j])
+            g.standard_normal(dV[j].shape, out=dV[j])
         dW *= root
         dV *= root
         yield start, dW, dV
@@ -143,7 +150,7 @@ class Stepper:
 
     def signal_step(self, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """Euler-Maruyama update of the state equation."""
-        return x + self.model.drift(x) * self.dt + dw @ self.R1_sqrt.T
+        return x + self.model.drift(x) * self.dt + linalg.matvec(self.R1_sqrt, dw)
 
     def flow_step(self, x: np.ndarray) -> np.ndarray:
         """Classical fourth-order Runge-Kutta step of the noise-free flow."""
@@ -157,34 +164,37 @@ class Stepper:
 
     def obs_increment(self, x: np.ndarray, dv: np.ndarray) -> np.ndarray:
         """Sensor increment dY generated by the state x over one step."""
-        return (x @ self.B.T) * self.dt + dv @ self.R2_sqrt.T
+        return linalg.matvec(self.B, x) * self.dt + linalg.matvec(self.R2_sqrt, dv)
 
     def filter_step(self, xhat, P, dy, active=None):
         """One explicit Euler step of the mean and covariance recursions.
 
-        Batched over leading dimensions.  Rows where the update leaves the
-        admissible region keep their previous value and are reported in the
-        returned boolean mask (True = still healthy).  The covariance is
-        symmetrized and eigenvalue-clipped after every step.
+        Batched over leading dimensions, which broadcast: xhat (..., d),
+        P (..., d, d) and dy (..., r) may each carry size-1 axes where the
+        others do not.  A P shared by many rows stays shared while the
+        Jacobian is state-independent, so its Riccati step runs once; a
+        state-dependent Jacobian widens it to one P per row.  Rows where the
+        update leaves the admissible region keep their previous value (which
+        widens a shared P) and are reported in the returned boolean mask
+        (True = still healthy).  The covariance is symmetrized and
+        eigenvalue-clipped after every step.
         """
         dt = self.dt
-        innovation = dy - (xhat @ self.B.T) * dt
+        innovation = dy - linalg.matvec(self.B, xhat) * dt
         gain = np.matmul(P, self.gain_map)
         J = self.model.drift_jacobian(xhat)
-        new_x = (
-            xhat
-            + self.model.drift(xhat) * dt
-            + np.einsum("...ij,...j->...i", gain, innovation)
-        )
+        new_x = xhat + self.model.drift(xhat) * dt + linalg.matvec(gain, innovation)
         JP = np.matmul(J, P)
         PSP = np.matmul(np.matmul(P, self.S), P)
         new_P = P + dt * (JP + np.swapaxes(JP, -1, -2) + self.R1 - PSP)
         new_P = linalg.psd_project_stack(linalg.symmetrize_stack(new_P))
 
-        finite = np.isfinite(new_x).all(axis=-1) & np.isfinite(new_P).all(axis=(-2, -1))
-        trace = np.einsum("...ii->...", new_P)
-        healthy = finite & (np.linalg.norm(new_x, axis=-1) <= DIVERGENCE_GUARD)
-        healthy &= np.abs(trace) <= DIVERGENCE_GUARD
+        # |x|^2 <= GUARD^2 exactly when |x| <= GUARD, and is False for a NaN
+        # or infinite mean, so only P needs its own finiteness check
+        healthy = np.isfinite(new_P).all(axis=(-2, -1)) & (
+            np.einsum("...i,...i->...", new_x, new_x) <= DIVERGENCE_GUARD**2
+        )
+        healthy &= np.abs(np.einsum("...ii->...", new_P)) <= DIVERGENCE_GUARD
         if active is not None:
             healthy &= active
         if not np.all(healthy):
@@ -243,28 +253,26 @@ def advance(stepper: Stepper, x, xh, P, active, dW, dV, on_step, start: int = 0)
     """Step m trials and their filter bank through one block of increments.
 
     x has shape (m, d); dW and dV have shapes (m, nb, d) and (m, nb, r).
-    The bank is stored filter-major as flat rows: xh (n_f * m, d),
-    P (n_f * m, d, d) and the health mask active (n_f * m,), so filter f of
-    trial i is row f * m + i, filter 0 is the slice [:m], and every filter
-    of a trial sees that trial's observation increment.  Filters that trip
-    the divergence guard freeze.  After step k (counted from start) the
-    kernel calls on_step(k, x, xh, P).  Returns the new (x, xh, P, active).
+    The bank is xh (n_f, m, d), P (n_f, m_P, d, d) with m_P 1 or m, and the
+    health mask active (n_f, m): filter f of trial i is xh[f, i], and its
+    covariance is P[f, 0] while the filter's covariance is shared by all
+    trials, P[f, i] once it is not.  The observation increment (m, r)
+    broadcasts against every filter of a trial.  Filters that trip the
+    divergence guard freeze.  After step k (counted from start) the kernel
+    calls on_step(k, x, xh, P).  Returns the new (x, xh, P, active).
     """
-    n_f = xh.shape[0] // x.shape[0]
     for j in range(dW.shape[1]):
         dy = stepper.obs_increment(x, dV[:, j])
-        xh, P, active = stepper.filter_step(
-            xh, P, dy if n_f == 1 else np.tile(dy, (n_f, 1)), active
-        )
+        xh, P, active = stepper.filter_step(xh, P, dy, active)
         x = stepper.signal_step(x, dW[:, j])
         on_step(start + j + 1, x, xh, P)
     return x, xh, P, active
 
 
-def bank_delta_sq(xh, P, m: int) -> np.ndarray:
+def bank_delta_sq(xh, P) -> np.ndarray:
     """Per-trial squared joint distance (mean and covariance) of filters 0 and 1."""
-    dm = xh[:m] - xh[m : 2 * m]
-    dP = P[:m] - P[m : 2 * m]
+    dm = xh[0] - xh[1]
+    dP = P[0] - P[1]
     return np.einsum("...i,...i->...", dm, dm) + np.sum(dP * dP, axis=(-2, -1))
 
 
@@ -320,8 +328,8 @@ def simulate_coupled(
     x0 = linalg.as_vector(x0, d)
     stepper = Stepper(model, bundle.dt, obs)
 
-    xh = np.stack([linalg.as_vector(f.mean, d) for f in filters])
-    P = np.stack([linalg.as_symmetric(f.cov, d) for f in filters])
+    xh = np.stack([linalg.as_vector(f.mean, d) for f in filters])[:, None]
+    P = np.stack([linalg.as_symmetric(f.cov, d) for f in filters])[:, None]
     n_f = len(filters)
 
     steps = bundle.steps
@@ -336,21 +344,21 @@ def simulate_coupled(
     delta = np.empty(n_rec) if n_f >= 2 else None
 
     def record(step, x, xh, P):
-        traces[:, step] = np.einsum("fii->f", P)
+        traces[:, step] = np.einsum("fii->f", P[:, 0])
         i = rec_pos.get(step)
         if i is None:
             return
         signal[i] = x[0]
-        means[:, i] = xh
-        covs[:, i] = P
+        means[:, i] = xh[:, 0]
+        covs[:, i] = P[:, 0]
         if delta is not None:
-            delta[i] = bank_delta_sq(xh, P, 1)[0]
+            delta[i] = bank_delta_sq(xh, P)[0]
 
     record(0, x0[None], xh, P)
     active = advance(
-        stepper, x0[None], xh, P, np.ones(n_f, dtype=bool),
+        stepper, x0[None], xh, P, np.ones((n_f, 1), dtype=bool),
         bundle.dW[None], bundle.dV[None], record,
-    )[3]
+    )[3][:, 0]
 
     return TrialRecord(
         times=np.asarray(rec_idx, dtype=float) * bundle.dt,

@@ -24,6 +24,7 @@ from ..errors import ConfigError, EkbfError
 from .config import ExperimentConfig, load_config
 from .estimators import (
     check_moment_orders,
+    check_sample_count,
     estimate_chi2_laplace,
     estimate_ekf_laplace,
     estimate_event_probability,
@@ -250,6 +251,7 @@ def _cmd_gronwall(cfg: ExperimentConfig, out: str | None) -> int:
 def _cmd_report(cfg: ExperimentConfig, out: str | None) -> int:
     """Full battery: envelopes, events, moments, trace, Laplace, and extras."""
     check_moment_orders(cfg.n_orders)
+    check_sample_count(cfg.n_trials)  # the chi-square row samples n_trials draws
     _cmd_check(cfg, out)
     details = []
     result = _ensemble(cfg, with_records=len(cfg.filters) >= 2)

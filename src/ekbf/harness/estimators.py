@@ -1,14 +1,17 @@
 """Batched Monte Carlo engine and the estimators built on top of it.
 
-The engine advances trials in fixed chunks of CHUNK through the stepping
-kernel dynamics.advance, one noise block at a time, keeping only its own
-reductions.  Each trial draws its noise from an independent stream derived
-from (seed, trial index) through the same drawer as PathBundle, so a single
-trial re-simulated with simulate_coupled reproduces the engine bit for bit
-by construction.  Results are folded in chunk order, so output bytes do not
-depend on worker count, chunk size or scheduling.  The same worker pool
-(_parallel_map) runs each estimator's bootstraps; their seeds are fixed in
-job order before the pool starts, and results are placed by job index.
+The engine advances trials in fixed chunks of CHUNK, one chunk after the
+other on the calling thread, through the stepping kernel dynamics.advance,
+one noise block at a time, keeping only its own reductions.  Each trial
+draws its noise from an independent stream derived from (seed, trial index)
+through the same drawer as PathBundle, and a row's bits do not depend on
+the batch width, so a single trial re-simulated with simulate_coupled
+reproduces the engine bit for bit and output bytes do not depend on chunk
+size.  The engine runs serially because its chunks are small-array numpy
+code that holds the GIL: on two cores, two threads ran slower than one.
+A worker pool (_parallel_map) runs each estimator's bootstraps;
+their seeds are fixed in job order before the pool starts, and results are
+placed by job index.
 
 Estimators compare recorded trial statistics against the closed-form
 envelopes from the bounds module and return plain dict rows ready for CSV
@@ -37,14 +40,17 @@ from ..dynamics import (
 from ..errors import InvalidArgument
 from .stats import bootstrap_mean_ci, fit_decay_rate, increasing_trend_pvalue, wilson_interval
 
-# Trials are processed in fixed chunks so that vectorization width never
-# depends on worker count; changing this constant changes no results (noise
-# is per-trial) but is kept stable anyway for cache-friendliness.
+# Trials are processed in fixed chunks, which bounds the noise and state
+# held at once; changing this constant changes no results (noise is
+# per-trial and rows are width-independent).
 CHUNK = 1024
 
 
 def worker_count() -> int:
-    """Worker threads for the engine and the bootstraps; EKBF_THREADS overrides the CPU count."""
+    """Worker threads for the estimators' bootstraps; EKBF_THREADS overrides the CPU count.
+
+    The ensemble engine always runs on the calling thread.
+    """
     env = os.environ.get("EKBF_THREADS")
     if env is not None:
         try:
@@ -76,6 +82,12 @@ def check_moment_orders(orders) -> None:
     """Reject moment orders the bootstrap cannot estimate reliably."""
     if any(n > 4 for n in orders):
         raise InvalidArgument("moment orders above 4 are too tail-sensitive")
+
+
+def check_sample_count(n_samples: int) -> None:
+    """Reject sample counts too small for a bootstrap interval."""
+    if n_samples < 2:
+        raise InvalidArgument("need at least two samples")
 
 
 def _sumsq(e: np.ndarray) -> np.ndarray:
@@ -172,31 +184,31 @@ def run_ensemble(
         dsq = np.empty((m, rec.size)) if with_delta else None
 
         def record(s, x, xh, P):
-            np.maximum(gap, np.trace(P[:m], axis1=-2, axis2=-1) - tau_full[s], out=gap)
+            np.maximum(gap, np.trace(P[0], axis1=-2, axis2=-1) - tau_full[s], out=gap)
             i = cp_pos[s]
             if i >= 0:
                 sig_err[:, i] = _sumsq(x - flow_x0[s])
-                fil_err[:, i] = _sumsq(x - xh[:m])
-                dev_err[:, i] = _sumsq(xh[:m] - flow_xh0[s])
+                fil_err[:, i] = _sumsq(x - xh[0])
+                dev_err[:, i] = _sumsq(xh[0] - flow_xh0[s])
             if with_delta and rec_pos[s] >= 0:
-                dsq[:, rec_pos[s]] = bank_delta_sq(xh, P, m)
+                dsq[:, rec_pos[s]] = bank_delta_sq(xh, P)
 
-        # filter-major bank: filter f of trial i is row f * m + i
+        # the bank starts with one covariance per filter, shared by the chunk
         state = (
             np.repeat(x0[None], m, axis=0),
-            np.repeat(means0, m, axis=0),
-            np.repeat(covs0, m, axis=0),
-            np.ones(n_f * m, dtype=bool),
+            np.repeat(means0[:, None], m, axis=1),
+            covs0[:, None],
+            np.ones((n_f, m), dtype=bool),
         )
         record(0, *state[:3])
         gens = [trial_rng(seed, k) for k in range(lo, hi)]
         for start, dW, dV in draw_increments(gens, steps, dt, d, obs.obs_dim):
             state = advance(stepper, *state, dW, dV, record, start)
-        diverged = ~state[3].reshape(n_f, m).all(axis=0)
+        diverged = ~state[3].all(axis=0)
         return sig_err, fil_err, dev_err, gap, diverged, dsq
 
     spans = [(lo, min(lo + CHUNK, n_trials)) for lo in range(0, n_trials, CHUNK)]
-    parts = _parallel_map(run_chunk, spans)
+    parts = [run_chunk(span) for span in spans]
 
     sig_err, fil_err, dev_err, gap, diverged, dsq = (
         None if col[0] is None else np.concatenate(col) for col in zip(*parts)
@@ -323,8 +335,7 @@ def estimate_chi2_laplace(P0, n_samples: int, seed: int) -> dict:
     rho = linalg.max_eigenvalue(P0)
     if rho <= 0:
         raise InvalidArgument("P0 must have a positive top eigenvalue")
-    if n_samples < 2:
-        raise InvalidArgument("need at least two samples")
+    check_sample_count(n_samples)
     chi = 4.0 * d * rho
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
     z = rng.standard_normal((n_samples, d)) @ linalg.sym_sqrt(P0).T

@@ -137,6 +137,17 @@ def sym_sqrt_inv(M) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M @ x over the last axes, broadcast over the leading ones.
+
+    M has shape (..., n, d) and x (..., d).  Unlike x @ M.T, whose BLAS
+    kernel may order a row's sum differently for one row than for many,
+    einsum's own loop gives every row the same bits at any batch width and
+    memory layout (tests/test_linalg.py checks this).
+    """
+    return np.einsum("...ij,...j->...i", M, x)
+
+
 def symmetrize_stack(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + np.swapaxes(P, -1, -2))
 

@@ -10,7 +10,13 @@ Three drift families are supported, all strongly stable:
 
 Every model exposes a vectorized drift(x) and drift_jacobian(x) accepting
 leading batch dimensions, plus regularity_constants() packaging the decay and
-Lipschitz rates the stability envelopes are built from.
+Lipschitz rates the stability envelopes are built from.  drift(x) has the
+shape of x.  drift_jacobian(x) is broadcastable to x.shape[:-1] + (d, d): a
+state-independent Jacobian (LinearModel) is returned as one shared (d, d)
+matrix, which callers must not modify, so that the filter's Riccati step runs
+once per filter instead of once per trial.  Matrix-vector products go
+through linalg.matvec, so a row's drift has the same bits at every batch
+width.
 
 Convention note: for the gradient-flow families the constants are the
 deliberately conservative pair
@@ -99,12 +105,10 @@ class LinearModel:
         return self.A.shape[0]
 
     def drift(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return x @ self.A.T
+        return linalg.matvec(self.A, np.asarray(x, dtype=float))
 
     def drift_jacobian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(self.A, x.shape[:-1] + self.A.shape).copy()
+        return self.A
 
     def regularity_constants(self) -> RegularityConstants:
         decay = -linalg.sym_spectral_abscissa(self.A)
@@ -145,21 +149,21 @@ class QuadraticCubicModel:
     def dim(self) -> int:
         return self.Q1.shape[0]
 
-    def _cubic_form(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("...i,ij,...j->...", x, self.Q2, x)
+    def _cubic_parts(self, x: np.ndarray):
+        """Q2 x, <Q2 x, x> and the clipped square root of the latter."""
+        g = linalg.matvec(self.Q2, x)
+        s = np.einsum("...i,...i->...", x, g)
+        return g, s, np.sqrt(np.maximum(s, 0.0))
 
     def potential_gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        s = self._cubic_form(x)
-        root = np.sqrt(np.maximum(s, 0.0))
-        cubic = np.where(s[..., None] > CUBIC_CUTOFF, root[..., None] * (x @ self.Q2), 0.0)
-        return self.q + x @ self.Q1 + cubic
+        g, s, root = self._cubic_parts(x)
+        cubic = np.where(s[..., None] > CUBIC_CUTOFF, root[..., None] * g, 0.0)
+        return self.q + linalg.matvec(self.Q1, x) + cubic
 
     def potential_hessian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        s = self._cubic_form(x)
-        root = np.sqrt(np.maximum(s, 0.0))
-        g = x @ self.Q2
+        g, s, root = self._cubic_parts(x)
         # rank-one term (Q2 x)(Q2 x)^T / sqrt(<Q2 x, x>), zero at the cutoff
         safe = np.where(s > CUBIC_CUTOFF, root, 1.0)
         outer = np.einsum("...i,...j->...ij", g, g) / safe[..., None, None]
@@ -293,12 +297,12 @@ class TransformedModel:
 
     def drift(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return self.base.drift(x @ self.T_inv.T) @ self.T.T
+        return linalg.matvec(self.T, self.base.drift(linalg.matvec(self.T_inv, x)))
 
     def drift_jacobian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        J = self.base.drift_jacobian(x @ self.T_inv.T)
-        return np.einsum("ij,...jk,kl->...il", self.T, J, self.T_inv)
+        J = self.base.drift_jacobian(linalg.matvec(self.T_inv, x))
+        return self.T @ J @ self.T_inv
 
     def regularity_constants(self) -> RegularityConstants:
         TTt = self.T @ self.T.T

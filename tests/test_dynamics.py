@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ekbf import linalg
 from ekbf.dynamics import (
     NOISE_BLOCK,
     FilterState,
     Stepper,
+    advance,
     check_step_size,
     deterministic_flow,
+    draw_increments,
     fixed_point,
     make_path_bundle,
     simulate_coupled,
@@ -148,6 +152,52 @@ def test_divergence_guard_freezes_and_flags():
 
     with pytest.raises(DivergedFilter):
         step_ekf(OU, OBS1, bad, np.zeros(1), 0.01)
+
+
+def _spd(draw, scale):
+    """A random 2x2 positive definite matrix, scale times L L^T."""
+    L = np.array([[draw(st.floats(0.1, 1.0)), 0.0],
+                  [draw(st.floats(-1.0, 1.0)), draw(st.floats(0.1, 1.0))]])
+    return scale * (L @ L.T)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_covariance_psd_and_finite_after_every_step(data):
+    # stiff steps and large or near-singular priors push the explicit
+    # Riccati update outside the PSD cone; the projection must bring it back
+    draw = data.draw
+    if draw(st.booleans(), label="linear"):
+        skew = draw(st.floats(-2.0, 2.0), label="skew")
+        A = np.array([[-1.0, skew], [-skew, -draw(st.floats(0.5, 3.0))]])
+        model = LinearModel(A, np.eye(2))
+    else:
+        model = _qc2()
+    obs = observation_params(
+        np.array([[1.0, draw(st.floats(-1.0, 1.0))], [0.0, draw(st.floats(0.2, 2.0))]]),
+        _spd(draw, draw(st.floats(0.05, 2.0))),
+    )
+    # up to the largest step check_step_size accepts
+    dt = draw(st.floats(0.05, 0.99), label="dt") * 0.5 / model.regularity_constants().jac_decay
+    m, n_f = 4, 2
+    P0 = np.stack([_spd(draw, draw(st.floats(1e-6, 1e3), label="prior scale")) for _ in range(n_f)])
+    stepper = Stepper(model, dt, obs)
+    state = (
+        np.zeros((m, 2)),
+        np.broadcast_to(draw(st.floats(-1e3, 1e3), label="mean"), (n_f, m, 2)),
+        P0[:, None],
+        np.ones((n_f, m), dtype=bool),
+    )
+
+    def check(step, x, xh, P):
+        assert np.isfinite(P).all()
+        w = np.linalg.eigvalsh(P)
+        assert np.all(w[..., 0] >= -linalg.EIG_ZERO_BAND * np.maximum(1.0, w[..., -1]))
+
+    gens = [trial_rng(draw(st.integers(0, 2**32 - 1), label="seed"), k) for k in range(m)]
+    with np.errstate(over="ignore", invalid="ignore"):  # blown-up rows freeze
+        for start, dW, dV in draw_increments(gens, 40, dt, 2, 2):
+            state = advance(stepper, *state, dW, dV, check, start)
 
 
 def test_step_size_guard():

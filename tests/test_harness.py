@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ekbf import linalg
 from ekbf.dynamics import FilterState, make_path_bundle, simulate_coupled
 from ekbf.errors import ConfigError, InvalidArgument
 from ekbf.harness import (
@@ -34,6 +35,14 @@ OU = LinearModel(np.array([[-1.0]]), np.array([[1.0]]))
 OBS1 = observation_params(np.array([[1.0]]), np.array([[1.0]]))
 QC2 = QuadraticCubicModel(np.eye(2), np.zeros(2), np.eye(2), 1.0, 0.5 * np.eye(2))
 OBS2 = observation_params(np.eye(2), np.eye(2))
+# non-diagonal everywhere: a BLAS product would round rows differently at
+# different batch widths
+LIN2 = LinearModel(np.array([[-1.0, 0.3], [-0.2, -1.5]]), np.array([[0.5, 0.1], [0.1, 0.4]]))
+OBS2_SKEW = observation_params(np.array([[1.0, 0.2], [0.0, 1.0]]), np.diag([1.0, 0.5]))
+QC2_SKEW = QuadraticCubicModel(
+    np.array([[1.2, 0.3], [0.3, 0.9]]), np.array([0.1, -0.2]), np.array([[1.0, 0.4], [0.4, 0.7]]),
+    0.8, np.array([[0.5, 0.1], [0.1, 0.4]]),
+)
 
 
 def _ou_ensemble(n_trials=200, steps=100, seed=51, filters=None, record=None):
@@ -153,6 +162,16 @@ BITWISE_CASES = {
         QC2, OBS2, np.zeros(2),
         [(np.zeros(2), 0.5 * np.eye(2)), (np.array([1.0, -0.5]), np.eye(2))],
     ),
+    "lin2-two-filters": (
+        LIN2, OBS2_SKEW, np.array([0.3, -0.2]),
+        [(np.zeros(2), np.eye(2)), (np.array([1.0, -0.5]), np.array([[0.4, 0.1], [0.1, 0.3]]))],
+    ),
+    # the second filter trips the divergence guard on its first step, which
+    # gives every trial its own covariance from then on
+    "lin2-frozen-filter": (
+        LIN2, OBS2_SKEW, np.zeros(2),
+        [(np.zeros(2), np.eye(2)), (np.array([5e8, 0.0]), np.eye(2))],
+    ),
 }
 
 
@@ -179,14 +198,18 @@ def test_engine_matches_single_trial_api_bitwise(case):
 @given(data=st.data())
 def test_engine_invariant_to_chunk_size(data):
     n_trials = data.draw(st.integers(1, 40), label="n_trials")
-    chunk = data.draw(st.integers(1, n_trials), label="chunk")
+    # one-row chunks are where a width-dependent product shows most often
+    chunk = data.draw(st.just(1) | st.integers(1, n_trials), label="chunk")
     n_filters = data.draw(st.integers(1, 3), label="n_filters")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    model, obs = data.draw(
+        st.sampled_from([(QC2, OBS2), (QC2_SKEW, OBS2_SKEW), (LIN2, OBS2_SKEW)]), label="model"
+    )
     filters = [(np.array([1.0 - f, 0.5 * f]), (0.5 + f) * np.eye(2)) for f in range(n_filters)]
 
     def run():
         return run_ensemble(
-            QC2, OBS2, np.zeros(2), filters, 0.01, 25, n_trials, seed,
+            model, obs, np.zeros(2), filters, 0.01, 25, n_trials, seed,
             checkpoint_steps=[10, 25], record_steps=range(0, 26, 5),
         )
 
@@ -197,6 +220,29 @@ def test_engine_invariant_to_chunk_size(data):
                  "diverged", "delta_sq"):
         a, b = getattr(whole, name), getattr(split, name)
         assert (a is None and b is None) or np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_linear_engine_projects_one_covariance_per_filter(monkeypatch, frozen):
+    # a linear model's Riccati flow ignores the data: one covariance per
+    # filter until a filter freezes, then one per trial and filter
+    rows = []
+    project = linalg.psd_project_stack
+
+    def counting(P):
+        rows.append(int(np.prod(P.shape[:-2])))
+        return project(P)
+
+    monkeypatch.setattr(linalg, "psd_project_stack", counting)
+    filters = [(np.zeros(2), np.eye(2)), (np.array([1.0, -0.5]), 0.5 * np.eye(2))]
+    if frozen:
+        filters.append((np.array([5e8, 0.0]), np.eye(2)))
+    n_f, m, steps = len(filters), 7, 30
+    res = run_ensemble(
+        LIN2, OBS2_SKEW, np.zeros(2), filters, 0.01, steps, m, 44, checkpoint_steps=[steps],
+    )
+    assert res.diverged.all() == frozen
+    assert rows == ([n_f] + [n_f * m] * (steps - 1) if frozen else [n_f] * steps)
 
 
 def test_engine_invariant_to_worker_count(monkeypatch):
@@ -424,6 +470,16 @@ def test_cli_runtime_error_exits_three(tmp_path, capsys):
     cfg["sim"]["n_trials"] = 1
     path = _write_cfg(tmp_path, cfg)
     assert run_cli(["report", "--config", path]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: need at least two samples"]
+
+
+@pytest.mark.parametrize("argv", [["report"], ["verify", "--scenario", "chi2-laplace"]])
+def test_cli_rejects_single_trial_before_simulating(tmp_path, capsys, argv):
+    cfg = _base_config()
+    cfg["sim"]["n_trials"] = 1
+    path = _write_cfg(tmp_path, cfg)
+    with mock.patch.object(cli, "run_ensemble", side_effect=AssertionError("simulated")):
+        assert run_cli(argv + ["--config", path]) == 3
     assert capsys.readouterr().err.splitlines() == ["error: need at least two samples"]
 
 

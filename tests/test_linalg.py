@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ekbf import linalg
 from ekbf.errors import InvalidArgument, InvalidMatrix, NotPD, NotPSD
@@ -136,3 +137,26 @@ def test_opnorm_sym_stack():
     got = linalg.opnorm_sym_stack(S)
     want = np.linalg.norm(S, ord=2, axis=(-2, -1))
     assert np.allclose(got, want, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    d=st.integers(1, 9),
+    n=st.integers(1, 9),
+    width=st.integers(2, 300),
+    stride=st.integers(1, 3),
+    batched=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matvec_rows_independent_of_batch_width(d, n, width, stride, batched, seed):
+    # the engine and a single-trial run must compute bit-identical rows
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((3, 1, n, d) if batched else (n, d))
+    block = rng.standard_normal((3, width, stride, d))
+    x = block[:, :, 0]  # rows of a noise block: a strided view, as in the engine
+    full = linalg.matvec(M, x)
+    assert np.allclose(full, (M @ x[..., None])[..., 0], rtol=1e-12, atol=1e-12)
+    for i in range(width):
+        row = x[:, i : i + 1]
+        assert np.array_equal(full[:, i], linalg.matvec(M, row)[:, 0])
+        assert np.array_equal(full[:, i], linalg.matvec(M, np.ascontiguousarray(row))[:, 0])

@@ -1,17 +1,15 @@
 """Batched Monte Carlo engine and the estimators built on top of it.
 
-The engine advances trials in fixed chunks of CHUNK, one chunk after the
-other on the calling thread, through the stepping kernel dynamics.advance,
-one noise block at a time, keeping only its own reductions.  Each trial
-draws its noise from an independent stream derived from (seed, trial index)
-through the same drawer as PathBundle, and a row's bits do not depend on
-the batch width, so a single trial re-simulated with simulate_coupled
-reproduces the engine bit for bit and output bytes do not depend on chunk
-size.  The engine runs serially because its chunks are small-array numpy
-code that holds the GIL: on two cores, two threads ran slower than one.
-A worker pool (_parallel_map) runs each estimator's bootstraps;
-their seeds are fixed in job order before the pool starts, and results are
-placed by job index.
+The engine advances trials in fixed chunks of CHUNK through the stepping
+kernel dynamics.advance, one noise block at a time, keeping only its own
+reductions.  Each trial draws its noise from an independent stream derived
+from (seed, trial index) through the same drawer as PathBundle, and a row's
+bits do not depend on the batch width, so a single trial re-simulated with
+simulate_coupled reproduces the engine bit for bit and output bytes do not
+depend on chunk size or worker count.  A worker pool (_parallel_map) runs
+the chunks when the model's Jacobian depends on the state, and each
+estimator's bootstraps; bootstrap seeds are fixed in job order before the
+pool starts, and results are placed by job index.
 
 Estimators compare recorded trial statistics against the closed-form
 envelopes from the bounds module and return plain dict rows ready for CSV
@@ -47,9 +45,10 @@ CHUNK = 1024
 
 
 def worker_count() -> int:
-    """Worker threads for the estimators' bootstraps; EKBF_THREADS overrides the CPU count.
+    """Worker threads of _parallel_map; EKBF_THREADS overrides the CPU count.
 
-    The ensemble engine always runs on the calling thread.
+    The pool runs the estimators' bootstraps, and the ensemble engine's
+    chunks when every trial carries its own covariance.
     """
     env = os.environ.get("EKBF_THREADS")
     if env is not None:
@@ -208,7 +207,14 @@ def run_ensemble(
         return sig_err, fil_err, dev_err, gap, diverged, dsq
 
     spans = [(lo, min(lo + CHUNK, n_trials)) for lo in range(0, n_trials, CHUNK)]
-    parts = [run_chunk(span) for span in spans]
+    # A Jacobian with batch axes gives every trial its own covariance, and
+    # that Riccati step is enough numpy work between GIL releases for chunks
+    # to gain from threads.  A shared Jacobian (linear models) leaves a chunk
+    # too little work, and threads only add contention.
+    if np.ndim(model.drift_jacobian(x0[None])) > 2:
+        parts = _parallel_map(run_chunk, spans)
+    else:
+        parts = [run_chunk(span) for span in spans]
 
     sig_err, fil_err, dev_err, gap, diverged, dsq = (
         None if col[0] is None else np.concatenate(col) for col in zip(*parts)

@@ -245,14 +245,47 @@ def test_linear_engine_projects_one_covariance_per_filter(monkeypatch, frozen):
     assert rows == ([n_f] + [n_f * m] * (steps - 1) if frozen else [n_f] * steps)
 
 
+def _count_pools(monkeypatch) -> list:
+    """Record the worker count of every thread pool the estimators start; chunks of four trials."""
+    pools = []
+    pool = estimators.ThreadPoolExecutor
+
+    def counting(max_workers):
+        pools.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(estimators, "ThreadPoolExecutor", counting)
+    monkeypatch.setattr(estimators, "CHUNK", 4)
+    return pools
+
+
 def test_engine_invariant_to_worker_count(monkeypatch):
+    # a state-dependent Jacobian gives every trial its own covariance, and
+    # the engine then runs its chunks on the pool
+    pools = _count_pools(monkeypatch)
+
+    def run():
+        return run_ensemble(
+            QC2_SKEW, OBS2_SKEW, np.zeros(2), [(np.zeros(2), 0.5 * np.eye(2))], 0.01, 40, 11, 32,
+            checkpoint_steps=[20, 40],
+        )
+
     monkeypatch.setenv("EKBF_THREADS", "1")
-    serial = _ou_ensemble(n_trials=2100, steps=40, seed=32)
+    serial = run()
     monkeypatch.setenv("EKBF_THREADS", "4")
-    threaded = _ou_ensemble(n_trials=2100, steps=40, seed=32)
+    threaded = run()
+    assert pools == [3]  # three chunks of at most four trials
     assert np.array_equal(serial.filter_err_sq, threaded.filter_err_sq)
     assert np.array_equal(serial.signal_err_sq, threaded.signal_err_sq)
     assert np.array_equal(serial.trace_gap_max, threaded.trace_gap_max)
+
+
+def test_linear_engine_runs_on_calling_thread(monkeypatch):
+    # one shared covariance per filter leaves a chunk too little work for threads
+    pools = _count_pools(monkeypatch)
+    monkeypatch.setenv("EKBF_THREADS", "4")
+    _ou_ensemble(n_trials=11, steps=10, seed=32)
+    assert pools == []
 
 
 def test_engine_rerun_is_bitwise_identical():

@@ -1,16 +1,16 @@
 """Time stepping: signal paths, deterministic flow, and the filter recursion.
 
-All steppers accept leading batch dimensions.  One kernel, advance(), steps
-every coupled simulation: m trials of signal and observation plus a bank of
-filters fed the same observation increments, through one block of
-pre-drawn noise.  simulate_coupled runs it at m = 1 over a whole
-PathBundle; the ensemble engine runs it per noise block on a chunk of
-trials.  Noise is drawn per trial from an independent counter-derived
-stream by one block drawer, draw_increments, so a single-trial PathBundle
-and a batched run see bit-identical increments for the same (seed, trial)
-pair.  Every product in a step is either a linalg.matvec or one small
-matrix product per covariance, so a row's bits do not depend on the batch
-width, and the two callers agree bit for bit.
+All steppers accept leading batch dimensions.  One driver, advance(), runs
+every coupled simulation: it builds m trials of signal and observation
+plus a bank of filters fed the same observation increments, and steps
+them through every block of pre-drawn noise.  simulate_coupled passes a
+whole PathBundle as one block at m = 1; the ensemble engine passes a chunk
+of trials and their draw_increments blocks.  Noise is drawn per trial
+from an independent counter-derived stream by that one drawer, so a
+single-trial PathBundle and a batched run see bit-identical increments
+for the same (seed, trial) pair.  Every product in a step is either a
+linalg.matvec or one small matrix product per covariance, so a row's bits
+do not depend on the batch width, and the two callers agree bit for bit.
 
 The bank keeps one covariance per filter while the Riccati flow does not
 depend on the data (a state-independent Jacobian, as for LinearModel) and
@@ -20,7 +20,7 @@ same code serves both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -82,8 +82,6 @@ class PathBundle:
     steps: int
     dW: np.ndarray
     dV: np.ndarray
-    seed: int = 0
-    trial: int = 0
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -103,7 +101,7 @@ def make_path_bundle(
     blocks = list(draw_increments([trial_rng(seed, trial)], steps, dt, signal_dim, obs_dim))
     dW = np.concatenate([b[1][0] for b in blocks])
     dV = np.concatenate([b[2][0] for b in blocks])
-    return PathBundle(dt=dt, steps=steps, dW=dW, dV=dV, seed=seed, trial=trial)
+    return PathBundle(dt=dt, steps=steps, dW=dW, dV=dV)
 
 
 @dataclass
@@ -138,7 +136,6 @@ class Stepper:
         self.model = model
         self.dt = float(dt)
         self.R1_sqrt = linalg.sym_sqrt(model.R1)
-        self.obs = obs
         if obs is not None:
             if obs.state_dim != model.dim:
                 raise DimensionMismatch("sensor matrix and model dimension disagree")
@@ -249,24 +246,41 @@ def step_ekf(model, obs: ObservationModel, state: FilterState, dy, dt: float) ->
     return FilterState(mean=new_x[0], cov=new_P[0], t=state.t + dt)
 
 
-def advance(stepper: Stepper, x, xh, P, active, dW, dV, on_step, start: int = 0):
-    """Step m trials and their filter bank through one block of increments.
+def initial_bank(filters, d: int):
+    """Means (n_f, d) and covariances (n_f, d, d) of non-empty (mean, cov) pairs."""
+    if len(filters) == 0:
+        raise InvalidArgument("need at least one filter")
+    means0 = np.stack([linalg.as_vector(mean, d) for mean, _ in filters])
+    covs0 = np.stack([linalg.as_symmetric(cov, d) for _, cov in filters])
+    return means0, covs0
 
-    x has shape (m, d); dW and dV have shapes (m, nb, d) and (m, nb, r).
-    The bank is xh (n_f, m, d), P (n_f, m_P, d, d) with m_P 1 or m, and the
-    health mask active (n_f, m): filter f of trial i is xh[f, i], and its
-    covariance is P[f, 0] while the filter's covariance is shared by all
-    trials, P[f, i] once it is not.  The observation increment (m, r)
-    broadcasts against every filter of a trial.  Filters that trip the
-    divergence guard freeze.  After step k (counted from start) the kernel
-    calls on_step(k, x, xh, P).  Returns the new (x, xh, P, active).
+
+def advance(stepper: Stepper, x0, means0, covs0, m: int, blocks, on_step):
+    """Run m trials from x0 (d,) and their filter bank through every noise block.
+
+    The bank starts at initial_bank's means0 and covs0 and is xh (n_f, m, d),
+    P (n_f, m_P, d, d) with m_P 1 or m, and the health mask active (n_f, m):
+    filter f of trial i is xh[f, i], and its covariance is P[f, 0] while the
+    filter's covariance is shared by all trials, P[f, i] once it is not.
+    blocks yields (start, dW, dV) with dW (m, nb, d) and dV (m, nb, r), as
+    draw_increments does; the observation increment (m, r) broadcasts
+    against every filter of a trial.  Filters that trip the divergence guard
+    freeze.  on_step(k, x, xh, P) is called at step 0 and after every step
+    k.  Returns the final health mask.
     """
-    for j in range(dW.shape[1]):
-        dy = stepper.obs_increment(x, dV[:, j])
-        xh, P, active = stepper.filter_step(xh, P, dy, active)
-        x = stepper.signal_step(x, dW[:, j])
-        on_step(start + j + 1, x, xh, P)
-    return x, xh, P, active
+    x = np.repeat(x0[None], m, axis=0)
+    xh = np.repeat(means0[:, None], m, axis=1)
+    # every filter starts with one covariance, shared by all trials
+    P = covs0[:, None]
+    active = np.ones((len(means0), m), dtype=bool)
+    on_step(0, x, xh, P)
+    for start, dW, dV in blocks:
+        for j in range(dW.shape[1]):
+            dy = stepper.obs_increment(x, dV[:, j])
+            xh, P, active = stepper.filter_step(xh, P, dy, active)
+            x = stepper.signal_step(x, dW[:, j])
+            on_step(start + j + 1, x, xh, P)
+    return active
 
 
 def bank_delta_sq(xh, P) -> np.ndarray:
@@ -284,6 +298,16 @@ def record_grid(steps: int, every: int) -> list:
     return grid
 
 
+def step_grid(values, steps: int, what: str):
+    """Sorted unique step indices and each step's position in them (-1 if absent)."""
+    grid = np.asarray(sorted(set(int(s) for s in values)), dtype=int)
+    if grid.size == 0 or grid[0] < 0 or grid[-1] > steps:
+        raise InvalidArgument(f"{what} steps must lie in [0, steps]")
+    pos = np.full(steps + 1, -1, dtype=int)
+    pos[grid] = np.arange(grid.size)
+    return grid, pos
+
+
 @dataclass
 class TrialRecord:
     """One coupled run: the signal plus a bank of filters fed the same data.
@@ -297,12 +321,10 @@ class TrialRecord:
     times: np.ndarray
     signal: np.ndarray
     means: np.ndarray
-    covs: np.ndarray
     full_times: np.ndarray
     traces: np.ndarray
     delta: np.ndarray | None
     diverged: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
 
 
 def simulate_coupled(
@@ -315,61 +337,48 @@ def simulate_coupled(
 ) -> TrialRecord:
     """Run one signal/observation path and a bank of filters on it.
 
-    This is advance() at m = 1 over the whole bundle, recording everything.
+    This is advance() at m = 1 with the whole bundle as its one block.
     Every filter sees the identical observation increments.  Filters that
     trip the divergence guard freeze and are flagged rather than aborting
     the trial.
     """
-    if len(filters) == 0:
-        raise InvalidArgument("need at least one filter")
-    if record_every < 1:
-        raise InvalidArgument("record_every must be >= 1")
     d = model.dim
     x0 = linalg.as_vector(x0, d)
+    means0, covs0 = initial_bank([(f.mean, f.cov) for f in filters], d)
+    if record_every < 1:
+        raise InvalidArgument("record_every must be >= 1")
     stepper = Stepper(model, bundle.dt, obs)
-
-    xh = np.stack([linalg.as_vector(f.mean, d) for f in filters])[:, None]
-    P = np.stack([linalg.as_symmetric(f.cov, d) for f in filters])[:, None]
     n_f = len(filters)
 
     steps = bundle.steps
-    rec_idx = record_grid(steps, record_every)
-    rec_pos = {k: i for i, k in enumerate(rec_idx)}
-    n_rec = len(rec_idx)
+    rec_idx, rec_pos = step_grid(record_grid(steps, record_every), steps, "record")
+    n_rec = rec_idx.size
 
     signal = np.empty((n_rec, d))
     means = np.empty((n_f, n_rec, d))
-    covs = np.empty((n_f, n_rec, d, d))
     traces = np.empty((n_f, steps + 1))
     delta = np.empty(n_rec) if n_f >= 2 else None
 
     def record(step, x, xh, P):
         traces[:, step] = np.einsum("fii->f", P[:, 0])
-        i = rec_pos.get(step)
-        if i is None:
-            return
-        signal[i] = x[0]
-        means[:, i] = xh[:, 0]
-        covs[:, i] = P[:, 0]
-        if delta is not None:
-            delta[i] = bank_delta_sq(xh, P)[0]
+        i = rec_pos[step]
+        if i >= 0:
+            signal[i] = x[0]
+            means[:, i] = xh[:, 0]
+            if delta is not None:
+                delta[i] = bank_delta_sq(xh, P)[0]
 
-    record(0, x0[None], xh, P)
-    active = advance(
-        stepper, x0[None], xh, P, np.ones((n_f, 1), dtype=bool),
-        bundle.dW[None], bundle.dV[None], record,
-    )[3][:, 0]
+    block = (0, bundle.dW[None], bundle.dV[None])
+    active = advance(stepper, x0, means0, covs0, 1, [block], record)[:, 0]
 
     return TrialRecord(
-        times=np.asarray(rec_idx, dtype=float) * bundle.dt,
+        times=rec_idx * bundle.dt,
         signal=signal,
         means=means,
-        covs=covs,
         full_times=np.arange(steps + 1) * bundle.dt,
         traces=traces,
         delta=delta,
         diverged=~active,
-        diagnostics={"seed": bundle.seed, "trial": bundle.trial},
     )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .. import bounds
 from ..dynamics import make_path_bundle, simulate_coupled, FilterState
 from ..errors import ConfigError, EkbfError
-from .config import ExperimentConfig, load_config
+from .config import SCENARIOS, ExperimentConfig, load_config
 from .estimators import (
     check_moment_orders,
     check_sample_count,
@@ -95,7 +95,7 @@ _GRONWALL_COLUMNS = [
 ]
 
 
-def _ensemble(cfg: ExperimentConfig, with_records: bool = False):
+def _ensemble(cfg: ExperimentConfig):
     return run_ensemble(
         cfg.model,
         cfg.obs,
@@ -106,7 +106,7 @@ def _ensemble(cfg: ExperimentConfig, with_records: bool = False):
         cfg.n_trials,
         cfg.seed,
         cfg.checkpoint_steps(),
-        record_steps=cfg.record_steps() if with_records else None,
+        record_steps=cfg.record_steps(),
     )
 
 
@@ -208,18 +208,18 @@ def _cmd_verify(cfg: ExperimentConfig, out: str | None, scenario: str | None) ->
         if out is not None:
             _write_csv(os.path.join(out, "laplace.csv"), _LAPLACE_COLUMNS, [row])
         return _emit(_summary(scenario, [row]), out, "verify")
-    raise ConfigError(
-        f"scenario {scenario!r} has its own subcommand; verify handles "
-        "signal-vs-flow, ekf-vs-signal, trace-bound, chi2-laplace"
-    )
+    handled = "verify handles signal-vs-flow, ekf-vs-signal, trace-bound, chi2-laplace"
+    if scenario in SCENARIOS:
+        raise ConfigError(f"scenario {scenario!r} has its own subcommand; {handled}")
+    raise ConfigError(f"unknown scenario {scenario!r}; {handled}")
 
 
 def _cmd_forgetting(cfg: ExperimentConfig, out: str | None) -> int:
     if len(cfg.filters) < 2:
         raise ConfigError("forgetting needs init.filters with at least two entries")
-    result = _ensemble(cfg, with_records=True)
-    report = estimate_forgetting_rate(result, cfg.eps)
-    if out is not None and result.delta_sq is not None:
+    result = _ensemble(cfg)
+    report = estimate_forgetting_rate(result, cfg.eps, cfg.alpha)
+    if out is not None:
         alive = ~result.diverged
         dsq = result.delta_sq[alive] if alive.any() else result.delta_sq
         exponent = report.get("exponent")
@@ -254,7 +254,7 @@ def _cmd_report(cfg: ExperimentConfig, out: str | None) -> int:
     check_sample_count(cfg.n_trials)  # the chi-square row samples n_trials draws
     _cmd_check(cfg, out)
     details = []
-    result = _ensemble(cfg, with_records=len(cfg.filters) >= 2)
+    result = _ensemble(cfg)
     details += estimate_event_probability(result, cfg.delta_grid, "signal", init_sq=_init_sq(cfg))
     details += estimate_event_probability(result, cfg.delta_grid, "ekf", init_sq=_init_sq(cfg))
     details += estimate_moments(result, cfg.n_orders)
@@ -262,7 +262,7 @@ def _cmd_report(cfg: ExperimentConfig, out: str | None) -> int:
     details.append(dict(estimate_chi2_laplace(cfg.filters[0][1], cfg.n_trials, cfg.seed), mode="chi2"))
     details.append(dict(estimate_ekf_laplace(result, cfg.eps), mode="ekf"))
     if len(cfg.filters) >= 2:
-        details.append(estimate_forgetting_rate(result, cfg.eps))
+        details.append(estimate_forgetting_rate(result, cfg.eps, cfg.alpha))
     if cfg.gronwall is not None:
         details += gronwall_test_process(**cfg.gronwall_kwargs())
     if out is not None:

@@ -10,13 +10,14 @@ to exit code 2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..dynamics import check_step_size, record_grid
 from ..errors import ConfigError, EkbfError
 from ..models import LinearModel, ObservationModel, QuadraticCubicModel
+from .estimators import DEFAULT_ALPHA, DEFAULT_EPS
 
 SCENARIOS = (
     "signal-vs-flow",
@@ -100,7 +101,6 @@ class ExperimentConfig:
     checkpoints: list
     eps: float
     gronwall: dict | None = None
-    raw: dict = field(default_factory=dict, repr=False)
 
     @property
     def steps(self) -> int:
@@ -219,7 +219,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     n_orders = [_int(x, "test.n_orders") for x in test.get("n_orders", _DEFAULT_ORDERS)]
     if any(n < 1 for n in n_orders):
         raise ConfigError("test.n_orders entries must be >= 1")
-    alpha = _num(test.get("alpha", 1.1), "test.alpha")
+    alpha = _num(test.get("alpha", DEFAULT_ALPHA), "test.alpha")
     if alpha <= 1.0:
         raise ConfigError("test.alpha must exceed 1")
     scenario = test.get("scenario", "ekf-vs-signal")
@@ -227,7 +227,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"test.scenario must be one of {', '.join(SCENARIOS)}")
     checkpoints = [_num(x, "test.checkpoints") for x in test.get("checkpoints", _DEFAULT_CHECKPOINTS)]
     checkpoints = [t for t in checkpoints if t <= T] or [T]
-    eps = _num(test.get("eps", 0.5), "test.eps")
+    eps = _num(test.get("eps", DEFAULT_EPS), "test.eps")
     if not (0.0 < eps < 1.0):
         raise ConfigError("test.eps must lie in (0, 1)")
 
@@ -252,7 +252,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         checkpoints=checkpoints,
         eps=eps,
         gronwall=gronwall,
-        raw=raw,
     )
     cfg.checkpoint_steps()  # validate against the grid now, not at run time
     return cfg

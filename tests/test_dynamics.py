@@ -182,22 +182,20 @@ def test_covariance_psd_and_finite_after_every_step(data):
     m, n_f = 4, 2
     P0 = np.stack([_spd(draw, draw(st.floats(1e-6, 1e3), label="prior scale")) for _ in range(n_f)])
     stepper = Stepper(model, dt, obs)
-    state = (
-        np.zeros((m, 2)),
-        np.broadcast_to(draw(st.floats(-1e3, 1e3), label="mean"), (n_f, m, 2)),
-        P0[:, None],
-        np.ones((n_f, m), dtype=bool),
-    )
+    means0 = np.broadcast_to(draw(st.floats(-1e3, 1e3), label="mean"), (n_f, 2))
+    steps_seen = []
 
     def check(step, x, xh, P):
+        steps_seen.append(step)
         assert np.isfinite(P).all()
         w = np.linalg.eigvalsh(P)
         assert np.all(w[..., 0] >= -linalg.EIG_ZERO_BAND * np.maximum(1.0, w[..., -1]))
 
     gens = [trial_rng(draw(st.integers(0, 2**32 - 1), label="seed"), k) for k in range(m)]
     with np.errstate(over="ignore", invalid="ignore"):  # blown-up rows freeze
-        for start, dW, dV in draw_increments(gens, 40, dt, 2, 2):
-            state = advance(stepper, *state, dW, dV, check, start)
+        blocks = draw_increments(gens, 40, dt, 2, 2)
+        advance(stepper, np.zeros(2), means0, P0, m, blocks, check)
+    assert steps_seen == list(range(41))  # step 0 is checked too
 
 
 def test_step_size_guard():

@@ -295,6 +295,14 @@ def test_engine_rerun_is_bitwise_identical():
     assert np.array_equal(a.mean_dev_sq, b.mean_dev_sq)
 
 
+def test_empty_filter_bank_rejected():
+    bundle = make_path_bundle(seed=1, trial=0, steps=5, dt=0.01, signal_dim=1, obs_dim=1)
+    with pytest.raises(InvalidArgument, match="at least one filter"):
+        simulate_coupled(OU, OBS1, np.zeros(1), [], bundle)
+    with pytest.raises(InvalidArgument, match="at least one filter"):
+        run_ensemble(OU, OBS1, np.zeros(1), [], 0.01, 5, 2, 1, [5])
+
+
 # ---------------------------------------------------------------- estimators
 
 
@@ -576,3 +584,35 @@ def test_cli_chi2_scenario(tmp_path):
     row = (out / "laplace.csv").read_text().splitlines()
     assert row[0].startswith("mode,")
     assert os.path.exists(out / "verify.json")
+
+
+def test_forgetting_conditions_follow_test_alpha(tmp_path, capsys):
+    # at alpha = 60 the forgetting config breaks the small-noise condition;
+    # the forgetting row must say so, as check does
+    cfg = _base_config(
+        model={"variant": "linear", "A": [[-2.5]], "R1": [[0.01]]},
+        init={"x0": [0.0], "filters": [[[1.0], [[1.0]]], [[-1.0], [[0.1]]]]},
+    )
+    cfg["test"]["alpha"] = 60.0
+    path = _write_cfg(tmp_path, cfg)
+    assert run_cli(["check", "--config", path]) == 0
+    conditions = json.loads(capsys.readouterr().out)["conditions"]
+    assert not conditions["small_noise"]
+    out = tmp_path / "out"
+    run_cli(["forgetting", "--config", path, "--out", str(out)])
+    row = json.loads((out / "forgetting.json").read_text())["details"][0]
+    assert row["status"] == "ok"
+    assert row["conditions_hold"] == (conditions["spectral_gap"] and conditions["small_noise"])
+
+
+def test_cli_verify_scenario_messages(tmp_path, capsys):
+    path = _write_cfg(tmp_path, _base_config())
+    handled = "verify handles signal-vs-flow, ekf-vs-signal, trace-bound, chi2-laplace"
+    assert run_cli(["verify", "--config", path, "--scenario", "trace-bnd"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: unknown scenario 'trace-bnd'; {handled}"
+    ]
+    assert run_cli(["verify", "--config", path, "--scenario", "coupled-forgetting"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: scenario 'coupled-forgetting' has its own subcommand; {handled}"
+    ]

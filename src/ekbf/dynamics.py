@@ -12,6 +12,10 @@ for the same (seed, trial) pair.  Every product in a step is either a
 linalg.matvec or one small matrix product per covariance, so a row's bits
 do not depend on the batch width, and the two callers agree bit for bit.
 
+This module is the one home of the seeding policy: every other random
+stream of the package (bootstraps, chi-square samples, Gronwall paths)
+comes from stream(), under a key no trial uses.
+
 The bank keeps one covariance per filter while the Riccati flow does not
 depend on the data (a state-independent Jacobian, as for LinearModel) and
 one per trial and filter otherwise; broadcasting picks the width, so the
@@ -46,9 +50,24 @@ NOISE_BLOCK = 4096
 DIVERGENCE_GUARD = 1e8
 
 
+# Purposes of the streams that are not trial noise.  stream() keys them
+# (purpose, index), and a 2-tuple never equals a trial's 1-tuple key (k,).
+# Like NOISE_BLOCK, these keys are part of the on-disk format.
+MOMENT_BOOTSTRAP = 1  # index: moment row
+EKF_LAPLACE_BOOTSTRAP = 2  # index 0
+CHI2 = 3  # index 0: samples, 1: their bootstrap
+GRONWALL_PATHS = 4  # index 0: homogeneous process, 1: sourced process
+GRONWALL_BOOTSTRAP = 5  # index: Gronwall row
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent stream for one trial, invariant to scheduling and batching."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
+
+
+def stream(seed: int, purpose: int, index: int = 0) -> np.random.Generator:
+    """Independent stream for one non-trial purpose, keyed (purpose, index)."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(purpose, index)))
 
 
 def draw_increments(gens, steps: int, dt: float, signal_dim: int, obs_dim: int):

@@ -32,6 +32,8 @@ _DEFAULT_DELTAS = (0.5, 1.0, 2.0, 4.0)
 _DEFAULT_ORDERS = (1, 2)
 _DEFAULT_CHECKPOINTS = (1.0, 5.0, 10.0)
 _GRONWALL_DEFAULTS = {"a": 1.0, "w": 0.5, "u": 0.0, "v": 0.0, "y0": 1.0, "n_paths": 10000}
+# what building a model or sensor from finite but extreme entries may raise
+_REJECTED = (EkbfError, ArithmeticError, np.linalg.LinAlgError)
 
 
 def _get(section: dict, key: str, path: str):
@@ -50,7 +52,13 @@ def _section(raw: dict, name: str) -> dict:
 def _num(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path} must be a number")
-    return float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        out = np.inf
+    if not np.isfinite(out):
+        raise ConfigError(f"{path} must be finite")
+    return out
 
 
 def _int(value, path: str) -> int:
@@ -59,26 +67,37 @@ def _int(value, path: str) -> int:
     return value
 
 
-def _vec(value, path: str) -> np.ndarray:
+def _array(value, path: str, what: str) -> np.ndarray:
     try:
-        arr = np.atleast_1d(np.asarray(value, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path} must be a numeric vector") from exc
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path} must be a numeric {what}") from exc
+    if arr.size == 0 or not np.isfinite(arr).all():
+        raise ConfigError(f"{path} must be non-empty with finite entries")
+    return arr
+
+
+def _vec(value, path: str) -> np.ndarray:
+    arr = np.atleast_1d(_array(value, path, "vector"))
     if arr.ndim != 1:
         raise ConfigError(f"{path} must be a flat vector")
     return arr
 
 
 def _mat(value, path: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path} must be a numeric matrix") from exc
+    arr = _array(value, path, "matrix")
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     if arr.ndim != 2:
         raise ConfigError(f"{path} must be a matrix")
     return arr
+
+
+def _items(section: dict, key: str, default, parse, path: str) -> list:
+    value = section.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path}.{key} must be a list")
+    return [parse(x, f"{path}.{key}") for x in value]
 
 
 @dataclass
@@ -149,7 +168,7 @@ def _build_model(section: dict):
             Q2 = _mat(_get(section, "Q2", "model"), "model.Q2")
             beta = _num(section.get("beta", 1.0), "model.beta")
             return QuadraticCubicModel(Q1, q, Q2, beta, R1)
-    except EkbfError as exc:
+    except _REJECTED as exc:
         raise ConfigError(f"model section rejected: {exc}") from exc
     raise ConfigError(f"model.variant must be 'linear' or 'quadratic_cubic', got {variant!r}")
 
@@ -165,7 +184,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             _mat(_get(obs_sec, "B", "obs"), "obs.B"),
             _mat(_get(obs_sec, "R2", "obs"), "obs.R2"),
         )
-    except EkbfError as exc:
+    except _REJECTED as exc:
         raise ConfigError(f"obs section rejected: {exc}") from exc
     if obs.state_dim != model.dim:
         raise ConfigError("obs.B column count must match the model dimension")
@@ -178,13 +197,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     record_every = _int(sim.get("record_every", 1), "sim.record_every")
     if dt <= 0 or T <= 0 or T < dt:
         raise ConfigError("sim.dt and sim.T must be positive with T >= dt")
+    if not np.isfinite(T / dt):
+        raise ConfigError("sim.T / sim.dt overflows the step count")
     if n_trials < 1:
         raise ConfigError("sim.n_trials must be >= 1")
+    if seed < 0:
+        raise ConfigError("sim.seed must be >= 0")
     if record_every < 1:
         raise ConfigError("sim.record_every must be >= 1")
     try:
         check_step_size(model, dt)
-    except EkbfError as exc:
+    except _REJECTED as exc:
         raise ConfigError(f"sim.dt rejected: {exc}") from exc
 
     init = _section(raw, "init")
@@ -213,10 +236,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     test = raw.get("test", {})
     if not isinstance(test, dict):
         raise ConfigError("config.test must be an object")
-    delta_grid = [_num(x, "test.delta_grid") for x in test.get("delta_grid", _DEFAULT_DELTAS)]
+    delta_grid = _items(test, "delta_grid", _DEFAULT_DELTAS, _num, "test")
     if any(d < 0 for d in delta_grid):
         raise ConfigError("test.delta_grid entries must be non-negative")
-    n_orders = [_int(x, "test.n_orders") for x in test.get("n_orders", _DEFAULT_ORDERS)]
+    n_orders = _items(test, "n_orders", _DEFAULT_ORDERS, _int, "test")
     if any(n < 1 for n in n_orders):
         raise ConfigError("test.n_orders entries must be >= 1")
     alpha = _num(test.get("alpha", DEFAULT_ALPHA), "test.alpha")
@@ -225,7 +248,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     scenario = test.get("scenario", "ekf-vs-signal")
     if scenario not in SCENARIOS:
         raise ConfigError(f"test.scenario must be one of {', '.join(SCENARIOS)}")
-    checkpoints = [_num(x, "test.checkpoints") for x in test.get("checkpoints", _DEFAULT_CHECKPOINTS)]
+    checkpoints = _items(test, "checkpoints", _DEFAULT_CHECKPOINTS, _num, "test")
     checkpoints = [t for t in checkpoints if t <= T] or [T]
     eps = _num(test.get("eps", DEFAULT_EPS), "test.eps")
     if not (0.0 < eps < 1.0):

@@ -2,14 +2,20 @@
 
 The engine hands each fixed chunk of CHUNK trials to dynamics.advance,
 which builds the filter bank and steps it through the chunk's noise
-blocks; the engine keeps only its own reductions, recorded per step.  Each trial draws its noise from an independent stream derived
-from (seed, trial index) through the same drawer as PathBundle, and a row's
-bits do not depend on the batch width, so a single trial re-simulated with
+blocks; the engine keeps only its own reductions, recorded per step.  Each
+trial draws its noise from an independent stream derived from (seed, trial
+index) through the same drawer as PathBundle, and a row's bits do not
+depend on the batch width, so a single trial re-simulated with
 simulate_coupled reproduces the engine bit for bit and output bytes do not
 depend on chunk size or worker count.  A worker pool (_parallel_map) runs
 the chunks when the model's Jacobian depends on the state, and each
-estimator's bootstraps; bootstrap seeds are fixed in job order before the
-pool starts, and results are placed by job index.
+estimator's bootstraps; results are placed by job index.
+
+Every other random stream comes from dynamics.stream under its own
+(purpose, index) key: each bootstrap job gets its generator when the job
+is built, before the pool starts, and the chi-square samples and the two
+Gronwall processes each draw from one stream.  No key equals a trial's, so
+no interval reuses the noise of the trials it summarizes.
 
 Estimators compare recorded trial statistics against the closed-form
 envelopes from the bounds module and return plain dict rows ready for CSV
@@ -27,7 +33,11 @@ import numpy as np
 
 from .. import bounds, linalg
 from ..dynamics import (
-    NOISE_BLOCK,
+    CHI2,
+    EKF_LAPLACE_BOOTSTRAP,
+    GRONWALL_BOOTSTRAP,
+    GRONWALL_PATHS,
+    MOMENT_BOOTSTRAP,
     Stepper,
     advance,
     bank_delta_sq,
@@ -35,6 +45,7 @@ from ..dynamics import (
     draw_increments,
     initial_bank,
     step_grid,
+    stream,
     trial_rng,
 )
 from ..errors import InvalidArgument
@@ -81,7 +92,11 @@ def _parallel_map(fn, items) -> list:
 
 
 def _bootstrap_all(jobs) -> list:
-    """bootstrap_mean_ci over (samples, seed) jobs on the worker pool, in job order."""
+    """bootstrap_mean_ci over (samples, rng) jobs on the worker pool, in job order.
+
+    Each job carries its own generator, so no two jobs share a stream and
+    the intervals do not depend on which thread ran them.
+    """
     return _parallel_map(lambda job: bootstrap_mean_ci(*job), jobs)
 
 
@@ -118,14 +133,12 @@ class EnsembleResult:
     n_trials: int
     seed: int
     constants: bounds.ProblemConstants
-    checkpoint_steps: np.ndarray
     checkpoint_times: np.ndarray
     signal_err_sq: np.ndarray
     filter_err_sq: np.ndarray
     mean_dev_sq: np.ndarray
     trace_gap_max: np.ndarray
     diverged: np.ndarray
-    record_steps: np.ndarray | None = None
     record_times: np.ndarray | None = None
     delta_sq: np.ndarray | None = None
 
@@ -211,14 +224,12 @@ def run_ensemble(
         n_trials=n_trials,
         seed=seed,
         constants=consts,
-        checkpoint_steps=cp,
         checkpoint_times=cp * dt,
         signal_err_sq=sig_err,
         filter_err_sq=fil_err,
         mean_dev_sq=dev_err,
         trace_gap_max=gap,
         diverged=diverged,
-        record_steps=rec,
         record_times=None if rec is None else rec * dt,
         delta_sq=dsq,
     )
@@ -289,7 +300,8 @@ def estimate_moments(result: EnsembleResult, orders) -> list[dict]:
                 ("filter-mean", result.mean_dev_sq),
             ):
                 specs.append((t, n, kind))
-                jobs.append((err_sq[:, i] ** n, result.seed + 7919 * len(jobs)))
+                rng = stream(result.seed, MOMENT_BOOTSTRAP, len(jobs))
+                jobs.append((err_sq[:, i] ** n, rng))
     rows = []
     for (t, n, kind), est in zip(specs, _bootstrap_all(jobs)):
         if kind == "signal":
@@ -328,11 +340,10 @@ def estimate_chi2_laplace(P0, n_samples: int, seed: int) -> dict:
         raise InvalidArgument("P0 must have a positive top eigenvalue")
     check_sample_count(n_samples)
     chi = 4.0 * d * rho
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
-    z = rng.standard_normal((n_samples, d)) @ linalg.sym_sqrt(P0).T
+    z = stream(seed, CHI2, 0).standard_normal((n_samples, d)) @ linalg.sym_sqrt(P0).T
     vals = np.exp(_sumsq(z) / chi)
     n_overflow = int(np.sum(~np.isfinite(vals)))
-    est = bootstrap_mean_ci(vals[np.isfinite(vals)], seed=seed)
+    est = bootstrap_mean_ci(vals[np.isfinite(vals)], stream(seed, CHI2, 1))
     return {
         "estimate": est.point,
         "ci_low": est.ci_low,
@@ -360,7 +371,7 @@ def estimate_ekf_laplace(result: EnsembleResult, eps: float = DEFAULT_EPS) -> di
     n_overflow = int(np.sum(~finite))
     if not finite.any():
         raise InvalidArgument("all trials overflowed or diverged")
-    est = bootstrap_mean_ci(vals[finite], seed=result.seed + 13)
+    est = bootstrap_mean_ci(vals[finite], stream(result.seed, EKF_LAPLACE_BOOTSTRAP))
     rhs = bounds.laplace_rhs(eps, 0.25, 1.0)
     return {
         "t": float(result.checkpoint_times[-1]),
@@ -481,7 +492,9 @@ def gronwall_test_process(
     E Y^{n/2} against the exact geometric closed form and against the
     homogeneous envelope.  When u or v is positive, also runs the sourced
     variant dY = (-a Y + u) dt + sqrt(v Y + w Y^2) dN from Y_0 = 0 and
-    checks E(Y_T^{n/2})^{2/n} against the quadrature envelope.
+    checks E(Y_T^{n/2})^{2/n} against the quadrature envelope.  Each
+    process draws its (n_paths,) normals one Euler step at a time from its
+    own stream, so the noise held at once is one step's.
     """
     if dt <= 0 or T <= dt:
         raise InvalidArgument("need 0 < dt < T")
@@ -495,34 +508,32 @@ def gronwall_test_process(
         checkpoints = [0.5 * T, T]
     cp_idx = sorted({min(steps, max(1, int(round(t / dt)))) for t in checkpoints})
 
-    def simulate(y_init, drift_const, bracket_lin, spawn):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(spawn,)))
+    def simulate(y_init, drift_const, bracket_lin, index):
+        rng = stream(seed, GRONWALL_PATHS, index)
         y = np.full(n_paths, float(y_init))
         snaps = {}
         root = np.sqrt(dt)
-        for start in range(0, steps, NOISE_BLOCK):
-            xi = rng.standard_normal((n_paths, min(NOISE_BLOCK, steps - start)))
-            for j in range(xi.shape[1]):
-                bracket = np.sqrt(np.maximum(bracket_lin * y + w * y * y, 0.0))
-                y = y + (-a * y + drift_const) * dt + bracket * xi[:, j] * root
-                np.maximum(y, 0.0, out=y)
-                if start + j + 1 in cp_idx:
-                    snaps[start + j + 1] = y.copy()
+        for k in range(1, steps + 1):
+            bracket = np.sqrt(np.maximum(bracket_lin * y + w * y * y, 0.0))
+            y = y + (-a * y + drift_const) * dt + bracket * rng.standard_normal(n_paths) * root
+            np.maximum(y, 0.0, out=y)
+            if k in cp_idx:
+                snaps[k] = y  # the next step builds a new array
         return snaps
 
     specs, jobs = [], []
     if y0 > 0:
-        snaps = simulate(y0, 0.0, 0.0, spawn=3)
+        snaps = simulate(y0, 0.0, 0.0, index=0)
         for s in cp_idx:
             for n in orders:
                 specs.append(("homogeneous", s, n))
-                jobs.append((snaps[s] ** (n / 2.0), seed + 31 * len(jobs)))
+                jobs.append((snaps[s] ** (n / 2.0), stream(seed, GRONWALL_BOOTSTRAP, len(jobs))))
     if u > 0 or v > 0:
-        snaps = simulate(0.0, u, v, spawn=4)
+        snaps = simulate(0.0, u, v, index=1)
         s = cp_idx[-1]
         for n in orders:
             specs.append(("sourced", s, n))
-            jobs.append((snaps[s] ** (n / 2.0), seed + 31 * len(jobs)))
+            jobs.append((snaps[s] ** (n / 2.0), stream(seed, GRONWALL_BOOTSTRAP, len(jobs))))
 
     rows = []
     for (kind, s, n), est in zip(specs, _bootstrap_all(jobs)):

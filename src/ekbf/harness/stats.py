@@ -1,14 +1,16 @@
 """Small statistical toolbox shared by the estimators.
 
 Confidence machinery is deliberately boring: Wilson intervals for
-proportions, seeded percentile bootstrap for means, Kendall's tau for trend
+proportions, percentile bootstrap for means, Kendall's tau for trend
 detection, and least squares on logs for decay rates.
 
-The bootstrap streams its resamples in blocks of BOOTSTRAP_BLOCK rows: each
-block's indices continue the same Generator stream, are gathered into one
-reused (rows, n) buffer, and each row mean is the same pairwise sum as over
-the whole (n_resamples, n) index matrix.  Intervals are therefore bit for
-bit those of the whole-matrix formula, while memory stays a few rows of n.
+The bootstrap knows no seeding policy: its caller hands it a Generator
+(from dynamics.stream, keyed by what the interval is for).  It streams its
+resamples in blocks of BOOTSTRAP_BLOCK rows: each block's indices continue
+that Generator's stream, are gathered into one reused (rows, n) buffer,
+and each row mean is the same pairwise sum as over the whole
+(n_resamples, n) index matrix.  Intervals are therefore bit for bit those
+of the whole-matrix formula, while memory stays a few rows of n.
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ def wilson_interval(successes: int, n: int, z: float = Z95) -> EstimateWithCI:
 
 
 def bootstrap_mean_ci(
-    samples, seed: int, n_resamples: int = BOOTSTRAP_RESAMPLES
+    samples, rng: np.random.Generator, n_resamples: int = BOOTSTRAP_RESAMPLES
 ) -> EstimateWithCI:
-    """Percentile bootstrap interval for the mean of a sample."""
+    """Percentile bootstrap interval for the mean of a sample, resampled from rng."""
     if n_resamples < 1:
         raise InvalidArgument("n_resamples must be >= 1")
     samples = np.asarray(samples, dtype=float).ravel()
@@ -78,7 +80,6 @@ def bootstrap_mean_ci(
     point = float(samples.mean())
     if n == 1:
         return EstimateWithCI(point=point, ci_low=point, ci_high=point, n=1, method="bootstrap")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     means = np.empty(n_resamples)
     buf = np.empty((min(BOOTSTRAP_BLOCK, n_resamples), n))
     for lo in range(0, n_resamples, BOOTSTRAP_BLOCK):

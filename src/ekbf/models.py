@@ -179,7 +179,8 @@ class QuadraticCubicModel:
 
     def regularity_constants(self) -> RegularityConstants:
         curv = linalg.min_eigenvalue(self.Q1)
-        lip = 2.0 * linalg.max_eigenvalue(self.Q2) ** 1.5
+        # Q2 may sit just below zero within the PSD tolerance
+        lip = 2.0 * max(linalg.max_eigenvalue(self.Q2), 0.0) ** 1.5
         decay = 0.5 * self.beta * curv
         return RegularityConstants(
             jac_decay=decay, jac_lip=self.beta * lip, drift_decay=0.5 * decay

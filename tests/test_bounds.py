@@ -9,6 +9,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ekbf import bounds
 from ekbf.errors import InvalidArgument, NotStable
@@ -215,3 +216,49 @@ def test_bounds_report_serializes():
     # deterministic prior: no chi normalizer, emitted as null
     r0 = bounds.bounds_report(OU_C0, [1.0], [1.0])
     assert json.loads(r0.to_json())["chi_normalizer"] is None
+
+
+_rate = st.floats(1e-3, 1e3)
+_level = st.floats(0.0, 1e3)
+_constants = st.builds(
+    bounds.ProblemConstants,
+    jac_decay=_rate,
+    jac_lip=_level,
+    drift_decay=_rate,
+    noise_trace=_rate,
+    sensor_gain=_level,
+    prior_trace=_level,
+    prior_norm=_level,
+    dim=st.integers(1, 8),
+)
+
+
+def _sorted_pair(values):
+    return st.tuples(values, values).map(sorted)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    c=_constants,
+    deltas=_sorted_pair(st.floats(0.0, 1e3)),
+    times=_sorted_pair(st.floats(0.0, 1e2)),
+    orders=_sorted_pair(st.floats(1.0, 64.0)),
+    init_sq=_level,
+)
+def test_envelopes_monotone(c, deltas, times, orders, init_sq):
+    # radii widen with the confidence level delta
+    lo, hi = deltas
+    assert bounds.varpi(lo) <= bounds.varpi(hi)
+    assert bounds.signal_radius(c, lo) <= bounds.signal_radius(c, hi)
+    for t in times:
+        assert bounds.ekf_radius(c, lo, t, init_sq, c.prior_trace) <= bounds.ekf_radius(
+            c, hi, t, init_sq, c.prior_trace
+        )
+    # the covariance trace envelope only relaxes toward its limit
+    early, late = times
+    assert bounds.tau_t(c, late) <= bounds.tau_t(c, early)
+    # higher moments have wider envelopes
+    n_lo, n_hi = orders
+    assert bounds.signal_moment_bound(c, n_lo) <= bounds.signal_moment_bound(c, n_hi)
+    for t in times:
+        assert bounds.moment_bound_xhat(c, n_lo, t) <= bounds.moment_bound_xhat(c, n_hi, t)

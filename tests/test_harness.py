@@ -82,8 +82,8 @@ def test_wilson_coverage_on_known_bernoulli():
 def test_bootstrap_ci_deterministic_and_covering():
     rng = np.random.default_rng(607)
     x = rng.standard_normal(400) + 2.0
-    a = bootstrap_mean_ci(x, seed=11)
-    b = bootstrap_mean_ci(x, seed=11)
+    a = bootstrap_mean_ci(x, np.random.default_rng(11))
+    b = bootstrap_mean_ci(x, np.random.default_rng(11))
     assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
     assert a.ci_low <= 2.0 <= a.ci_high
     assert a.method == "bootstrap"
@@ -107,7 +107,8 @@ def _whole_matrix_interval(samples, seed, n_resamples):
 def test_bootstrap_streaming_matches_whole_matrix(n, n_resamples, block, seed, data_seed):
     x = np.random.default_rng(data_seed).lognormal(size=n)
     with mock.patch.object(stats, "BOOTSTRAP_BLOCK", block):
-        est = bootstrap_mean_ci(x, seed=seed, n_resamples=n_resamples)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+        est = bootstrap_mean_ci(x, rng, n_resamples=n_resamples)
     low, high = _whole_matrix_interval(x, seed, n_resamples)
     point = float(x.mean())
     assert est.point == point
@@ -118,7 +119,7 @@ def test_bootstrap_streaming_matches_whole_matrix(n, n_resamples, block, seed, d
 @pytest.mark.parametrize("n_resamples", [0, -3])
 def test_bootstrap_rejects_nonpositive_resamples(n_resamples):
     with pytest.raises(InvalidArgument):
-        bootstrap_mean_ci(np.arange(10.0), seed=1, n_resamples=n_resamples)
+        bootstrap_mean_ci(np.arange(10.0), np.random.default_rng(1), n_resamples=n_resamples)
 
 
 def test_estimate_with_ci_invariant():
@@ -451,6 +452,101 @@ def test_config_trims_checkpoints_to_horizon():
         _base_config(test={"checkpoints": [0.5, 5.0, 10.0], "delta_grid": [1.0]})
     )
     assert cfg.checkpoints == [0.5]
+
+
+def _fuzz_bases():
+    """Two valid configs that between them set every config key."""
+    linear = _base_config()
+    linear["test"].update(alpha=1.5, scenario="trace-bound", eps=0.4)
+    linear["gronwall"] = {"a": 1.0, "w": 0.5, "u": 0.1, "v": 0.1, "y0": 1.0, "n_paths": 100}
+    qc = _base_config(
+        model={
+            "variant": "quadratic_cubic", "Q1": [[1.0]], "q": [0.0], "Q2": [[1.0]],
+            "beta": 1.0, "R1": [[0.5]],
+        },
+        init={"x0": [0.0], "filters": [[[1.0], [[1.0]]], [[-1.0], [[0.1]]]]},
+    )
+    return [linear, qc]
+
+
+def _key_paths(node, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_FUZZ_CASES = [(i, path) for i, base in enumerate(_fuzz_bases()) for path in _key_paths(base)]
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(case=st.sampled_from(_FUZZ_CASES), value=_json_values)
+def test_config_fuzz_raises_only_config_error(case, value):
+    # one key of a valid config replaced by any JSON value: the config
+    # either loads or is rejected with a ConfigError, never another exception
+    which, path = case
+    raw = _fuzz_bases()[which]
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        config_from_dict(raw)
+    except ConfigError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("sim", "seed", -1),
+        ("test", "delta_grid", 1.0),
+        ("test", "n_orders", 2),
+        ("test", "checkpoints", 5),
+    ],
+)
+def test_cli_rejects_bad_values_as_config_errors(tmp_path, capsys, section, key, value):
+    cfg = _base_config()
+    cfg[section][key] = value
+    path = _write_cfg(tmp_path, cfg)
+    with mock.patch.object(cli, "run_ensemble", side_effect=AssertionError("simulated")):
+        assert run_cli(["report", "--config", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {section}.{key} ")
+
+
+class _RecordedSeedSequence(np.random.SeedSequence):
+    created = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.created.append((self.entropy, tuple(self.spawn_key)))
+
+
+def test_report_streams_are_independent(tmp_path, monkeypatch):
+    cfg = _base_config()
+    cfg["test"]["n_orders"] = [1, 2]
+    cfg["gronwall"] = {"a": 1.0, "w": 0.5, "u": 0.3, "v": 0.2, "n_paths": 200}
+    path = _write_cfg(tmp_path, cfg)
+    monkeypatch.setattr(_RecordedSeedSequence, "created", [])
+    with mock.patch.object(np.random, "SeedSequence", _RecordedSeedSequence):
+        run_cli(["report", "--config", path, "--out", str(tmp_path / "out")])
+    keys = _RecordedSeedSequence.created
+    repeated = sorted({k for k in keys if keys.count(k) > 1})
+    assert not repeated, f"streams used twice: {repeated}"
+    # trials keep (k,); every other stream has its own (purpose, index)
+    assert {k for _, k in keys if len(k) == 1} == {(k,) for k in range(50)}
+    assert sorted(k for _, k in keys if len(k) != 1) == sorted(
+        [(1, j) for j in range(8)]  # 2 checkpoints x 2 orders x 2 moment kinds
+        + [(2, 0), (3, 0), (3, 1), (4, 0), (4, 1)]
+        + [(5, j) for j in range(6)]  # 2 checkpoints x 2 orders + 2 sourced rows
+    )
+    assert {e for e, _ in keys} == {7}
 
 
 def _write_cfg(tmp_path, cfg, name="cfg.json"):

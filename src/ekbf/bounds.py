@@ -22,7 +22,6 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from . import linalg
 from .errors import InvalidArgument, NotStable
@@ -323,12 +322,17 @@ def gronwall_moment_rhs(n: float, times, a, w, u, v) -> float:
         raise InvalidArgument("w, u, v must be non-negative")
     half = 0.5 * (n - 1.0)
     lam = a - half * w
-    cum_lam = cumulative_trapezoid(lam, times, initial=0.0)
-    cum_w = cumulative_trapezoid(w, times, initial=0.0)
+    cum_lam = _cumulative_trapezoid(lam, times)
+    cum_w = _cumulative_trapezoid(w, times)
     # int_s^T lam dr = cum_lam[-1] - cum_lam[s]
     exponent = -(cum_lam[-1] - cum_lam) - half * cum_w
     integrand = np.exp(exponent) * (u + half * v)
-    return float(trapezoid(integrand, times))
+    return float(np.trapezoid(integrand, times))
+
+
+def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over the grid t, starting at 0."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)))
 
 
 def laplace_rhs(eps: float, u_a: float, v_a: float) -> float:

@@ -1,8 +1,9 @@
 """Small statistical toolbox shared by the estimators.
 
 Confidence machinery is deliberately boring: Wilson intervals for
-proportions, percentile bootstrap for means, Kendall's tau for trend
-detection, and least squares on logs for decay rates.
+proportions, percentile bootstrap for means, the Mann-Kendall test for
+trend detection, and least squares on logs for decay rates.  Everything
+here is numpy and the standard library.
 
 The bootstrap knows no seeding policy: its caller hands it a Generator
 (from dynamics.stream, keyed by what the interval is for).  It streams its
@@ -15,10 +16,10 @@ of the whole-matrix formula, while memory stays a few rows of n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from ..errors import InvalidArgument
 
@@ -28,6 +29,9 @@ Z95 = 1.959963984540054
 BOOTSTRAP_RESAMPLES = 1000
 # resample rows drawn and gathered at a time
 BOOTSTRAP_BLOCK = 8
+# longest untied series whose trend p-value comes from the exact null
+# distribution, as in scipy.stats.kendalltau(method="auto")
+_EXACT_MAX_N = 33
 
 
 @dataclass(frozen=True)
@@ -102,15 +106,100 @@ def increasing_trend_pvalue(times, values) -> float:
 
     Small p means the series is credibly increasing; p >= 0.05 is the
     "no growth" verdict used by the uniform-moment checks.
+
+    times is a record grid and must increase strictly, so only the values
+    can tie.  The statistic is S = sum_{i<j} sign(v_j - v_i), the
+    concordant minus the discordant pairs.  When no two values tie and
+    either n <= 33 or S lies within one pair of its extreme (fewer than two
+    discordant or two concordant pairs), p is P(S' >= S) under the exact
+    null distribution, from Kendall's recursion on the number of
+    permutations with k inversions.  Otherwise S is taken as normal with
+    mean 0 and the tie-corrected variance
+
+      Var S = [n(n-1)(2n+5) - sum_g t_g(t_g-1)(2t_g+5)] / 18
+
+    over the groups of t_g equal values, and p = erfc(S / sqrt(2 Var S)) / 2.
+    This is scipy.stats.kendalltau(times, values, alternative="greater")
+    with method="auto", the normal tail taken from math.erfc.  When every
+    value equals the first, S is undefined and p is 1.0; NaN values give NaN.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if times.shape != values.shape or times.size < 3:
-        raise InvalidArgument("need matching series of length >= 3")
-    if np.allclose(values, values[0]):
+    if times.ndim != 1 or times.shape != values.shape or times.size < 3:
+        raise InvalidArgument("need matching 1-d series of length >= 3")
+    if not np.all(np.diff(times) > 0):
+        raise InvalidArgument("times must increase strictly")
+    if np.isnan(values).any():
+        return math.nan
+    if np.all(values == values[0]):
         return 1.0
-    result = kendalltau(times, values, alternative="greater")
-    return float(result.pvalue)
+    n = values.size
+    _, ranks, counts = np.unique(values, return_inverse=True, return_counts=True)
+    dis = _discordant_pairs(ranks)
+    tot = n * (n - 1) // 2
+    counts = counts[counts > 1].astype(np.int64)
+    ties = int((counts * (counts - 1) // 2).sum())
+    if ties == 0 and (n <= _EXACT_MAX_N or min(dis, tot - dis) <= 1):
+        return _kendall_exact_greater(n, tot - dis)
+    s = tot - ties - 2 * dis
+    tie_terms = int((counts * (counts - 1) * (2 * counts + 5)).sum())
+    var = (n * (n - 1.0) * (2 * n + 5) - tie_terms) / 18
+    return 0.5 * math.erfc(s / math.sqrt(var) / math.sqrt(2.0))
+
+
+def _discordant_pairs(ranks: np.ndarray) -> int:
+    """Pairs i < j with ranks[i] > ranks[j], counted by bottom-up merge levels.
+
+    At each level the sorted runs of `width` ranks are paired; every rank of
+    a right run counts the ranks above it in its left run, then each pair is
+    merged.  Offsetting each pair's ranks by pair * n keeps the pairs apart,
+    so one searchsorted and one sort serve all pairs of a level.
+    """
+    n = ranks.size
+    r = ranks.astype(np.int64)
+    pos = np.arange(n, dtype=np.int64)
+    dis = 0
+    width = 1
+    while width < n:
+        pair = pos // (2 * width)
+        key = pair * n + r
+        right = (pos // width) % 2 == 1
+        # a pair with a right run has a full left run before it
+        left_ends = (pair[right] + 1) * width
+        dis += int((left_ends - np.searchsorted(key[~right], key[right], side="right")).sum())
+        r = np.sort(key, kind="stable") - pair * n
+        width *= 2
+    return dis
+
+
+def _kendall_exact_greater(n: int, c: int) -> float:
+    """P(C >= c) for the concordant pairs C of n untied points under independence.
+
+    Maurice G. Kendall, "Rank Correlation Methods", 1970, as computed by
+    scipy.stats._mstats_basic._kendall_p_exact for n <= 33 or an extreme c.
+    """
+    half = n * (n - 1) // 2
+    in_right_tail = c >= half - c
+    c = min(c, half - c)
+    if c == 0:
+        prob = 2.0 / math.factorial(n) if n < 171 else 0.0
+        mass = prob / 2
+    elif c == 1:
+        prob = 2.0 / math.factorial(n - 1) if n < 172 else 0.0
+        mass = (n - 1) / math.factorial(n)
+    else:
+        # new[k] counts the permutations of j items with k inversions, k <= c
+        new = np.zeros(c + 1)
+        new[0:2] = 1.0
+        for j in range(3, n + 1):
+            new = np.cumsum(new)
+            if j <= c:
+                new[j:] -= new[: c + 1 - j]
+        prob = 2.0 * np.sum(new) / math.factorial(n)
+        mass = new[-1] / math.factorial(n)
+    # prob is the two-sided p-value of the nearer tail
+    p = prob / 2 if in_right_tail else 1 - prob / 2 + mass
+    return float(np.clip(p, 0, 1))
 
 
 @dataclass(frozen=True)

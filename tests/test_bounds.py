@@ -176,6 +176,26 @@ def test_gronwall_rhs_validation():
         bounds.gronwall_moment_rhs(1, [0.0, 1.0], 1.0, -0.1, 1.0, 0.0)  # negative bracket
 
 
+def test_quadrature_matches_scipy_bitwise():
+    from scipy.integrate import cumulative_trapezoid, trapezoid
+
+    rng = np.random.default_rng(808)
+    for size in (2, 3, 17, 500, 4001):
+        times = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-4, 0.1, size - 1))))
+        y = rng.standard_normal(size) * np.exp(rng.uniform(-3.0, 3.0, size))
+        want = cumulative_trapezoid(y, times, initial=0.0)
+        assert np.array_equal(bounds._cumulative_trapezoid(y, times), want)
+        assert np.trapezoid(y, times) == trapezoid(y, times)
+        # the envelope itself, with every coefficient varying on the grid
+        a, w, u, v = rng.uniform(0.0, 2.0, (4, size))
+        half = 0.5
+        cum_lam = cumulative_trapezoid(a - half * w, times, initial=0.0)
+        cum_w = cumulative_trapezoid(w, times, initial=0.0)
+        integrand = np.exp(-(cum_lam[-1] - cum_lam) - half * cum_w) * (u + half * v)
+        want = float(trapezoid(integrand, times))
+        assert bounds.gronwall_moment_rhs(2, times, a, w, u, v) == want
+
+
 def test_laplace_rhs_frozen():
     assert bounds.laplace_rhs(1.0, 0.0, 1.0) == pytest.approx(1.4610577570397791, rel=1e-12)
     assert bounds.laplace_rhs(0.5, 0.25, 1.0) == pytest.approx(1.8826702301384135, rel=1e-12)

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -132,6 +135,56 @@ def test_trend_pvalue_directions():
     assert increasing_trend_pvalue(t, t + 0.01 * np.sin(t)) < 0.05
     assert increasing_trend_pvalue(t, -t) > 0.5
     assert increasing_trend_pvalue(t, np.ones(30)) == 1.0
+    # growth far below any absolute tolerance is still growth
+    t = np.linspace(0.0, 5.0, 50)
+    assert increasing_trend_pvalue(t, 1e-12 * np.exp(t)) < 1e-60
+    with pytest.raises(InvalidArgument):
+        increasing_trend_pvalue([0.0, 1.0, 1.0, 2.0], np.arange(4.0))
+
+
+def test_discordant_pairs_match_direct_count():
+    rng = np.random.default_rng(611)
+    for n in list(range(1, 40)) + [64, 65, 257]:
+        ranks = rng.integers(0, max(1, n // 3), n)
+        direct = sum(int((ranks[:j] > ranks[j]).sum()) for j in range(n))
+        assert stats._discordant_pairs(ranks) == direct
+
+
+def test_trend_pvalue_matches_scipy_exact_branch():
+    from scipy.stats import kendalltau
+
+    rng = np.random.default_rng(612)
+    for k in range(400):
+        n = int(rng.integers(3, 34))
+        t = np.cumsum(rng.uniform(0.1, 1.0, n))
+        v = (k % 3 - 1) * rng.uniform(0.0, 0.3) * np.arange(n) + rng.standard_normal(n)
+        want = float(kendalltau(t, v, alternative="greater").pvalue)
+        assert increasing_trend_pvalue(t, v) == want
+    # past 33 points, a series within one pair of monotone stays exact
+    t = np.arange(60.0)
+    for v in (t, -t, np.r_[t[1], t[0], t[2:]], -np.r_[t[1], t[0], t[2:]]):
+        want = float(kendalltau(t, v, alternative="greater").pvalue)
+        assert increasing_trend_pvalue(t, v) == want
+
+
+def test_trend_pvalue_matches_scipy_asymptotic_branch():
+    import time
+
+    from scipy.stats import kendalltau
+
+    rng = np.random.default_rng(613)
+    for n in (34, 35, 100, 1000, 10_000, 100_000):
+        for drift in (-1.0, 0.0, 0.02, 1.0):
+            t = np.linspace(0.0, 1.0, n)
+            # rounding to one decimal makes ties
+            v = np.round(drift * np.sqrt(n) * t + 3.0 * rng.standard_normal(n), 1)
+            assert np.unique(v).size < n
+            start = time.perf_counter()
+            got = increasing_trend_pvalue(t, v)
+            elapsed = time.perf_counter() - start
+            want = float(kendalltau(t, v, alternative="greater").pvalue)
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+            assert elapsed < 1.0
 
 
 def test_fit_decay_rate_recovers_exponential():
@@ -553,6 +606,25 @@ def _write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def test_cli_imports_without_scipy():
+    # scipy is a test dependency only; the command line must not load it
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "import ekbf.harness.cli as cli\n"
+        "cli.load_config(sys.argv[1])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "demos" / "configs" / "forgetting.json")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_check_prints_json(tmp_path, capsys):

@@ -53,11 +53,11 @@ DIVERGENCE_GUARD = 1e8
 # Purposes of the streams that are not trial noise.  stream() keys them
 # (purpose, index), and a 2-tuple never equals a trial's 1-tuple key (k,).
 # Like NOISE_BLOCK, these keys are part of the on-disk format.
-MOMENT_BOOTSTRAP = 1  # index: moment row
+MOMENT_BOOTSTRAP = 1  # index 0: every moment row
 EKF_LAPLACE_BOOTSTRAP = 2  # index 0
 CHI2 = 3  # index 0: samples, 1: their bootstrap
 GRONWALL_PATHS = 4  # index 0: homogeneous process, 1: sourced process
-GRONWALL_BOOTSTRAP = 5  # index: Gronwall row
+GRONWALL_BOOTSTRAP = 5  # index 0: homogeneous rows, 1: sourced rows
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

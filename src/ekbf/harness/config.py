@@ -153,6 +153,11 @@ def _gronwall_section(section) -> dict:
         g[key] = parse(section.get(key, default), f"gronwall.{key}")
     if g["a"] <= 0:
         raise ConfigError("gronwall.a must be positive")
+    for key in ("w", "u", "v", "y0"):
+        if g[key] < 0:
+            raise ConfigError(f"gronwall.{key} must be non-negative")
+    if g["n_paths"] < 2:
+        raise ConfigError("gronwall.n_paths must be >= 2")
     return g
 
 

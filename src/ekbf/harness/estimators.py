@@ -8,14 +8,16 @@ index) through the same drawer as PathBundle, and a row's bits do not
 depend on the batch width, so a single trial re-simulated with
 simulate_coupled reproduces the engine bit for bit and output bytes do not
 depend on chunk size or worker count.  A worker pool (_parallel_map) runs
-the chunks when the model's Jacobian depends on the state, and each
-estimator's bootstraps; results are placed by job index.
+the chunks when the model's Jacobian depends on the state, and the two
+Gronwall processes' bootstraps; results are placed by job index.
 
 Every other random stream comes from dynamics.stream under its own
-(purpose, index) key: each bootstrap job gets its generator when the job
-is built, before the pool starts, and the chi-square samples and the two
-Gronwall processes each draw from one stream.  No key equals a trial's, so
-no interval reuses the noise of the trials it summarizes.
+(purpose, index) key, one per sample set: the bootstrap of a sample set
+resamples its units once for every statistic of that set, so all moment
+rows share one stream and each Gronwall process's rows another, made
+before any pool starts.  The chi-square samples and the two Gronwall
+processes each draw from one stream.  No key equals a trial's, so no
+interval reuses the noise of the trials it summarizes.
 
 Estimators compare recorded trial statistics against the closed-form
 envelopes from the bounds module and return plain dict rows ready for CSV
@@ -66,8 +68,8 @@ DEFAULT_ALPHA = 1.1
 def worker_count() -> int:
     """Worker threads of _parallel_map; EKBF_THREADS overrides the CPU count.
 
-    The pool runs the estimators' bootstraps, and the ensemble engine's
-    chunks when every trial carries its own covariance.
+    The pool runs the Gronwall processes' bootstraps, and the ensemble
+    engine's chunks when every trial carries its own covariance.
     """
     env = os.environ.get("EKBF_THREADS")
     if env is not None:
@@ -89,15 +91,6 @@ def _parallel_map(fn, items) -> list:
         with ThreadPoolExecutor(max_workers=w) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
-
-
-def _bootstrap_all(jobs) -> list:
-    """bootstrap_mean_ci over (samples, rng) jobs on the worker pool, in job order.
-
-    Each job carries its own generator, so no two jobs share a stream and
-    the intervals do not depend on which thread ran them.
-    """
-    return _parallel_map(lambda job: bootstrap_mean_ci(*job), jobs)
 
 
 def check_moment_orders(orders) -> None:
@@ -288,22 +281,22 @@ def estimate_moments(result: EnsembleResult, orders) -> list[dict]:
     For each checkpoint and order n: the signal-vs-flow moment against the
     stationary signal envelope, and the filter-mean-vs-flow moment against
     the time-dependent filter envelope.  A row passes when the bootstrap
-    ci_low sits at or below the bound.
+    ci_low sits at or below the bound.  Every row is resampled over the
+    same trials, in one bootstrap on the calling thread.
     """
     check_moment_orders(orders)
     c = result.constants
-    specs, jobs = [], []
-    for i, t in enumerate(result.checkpoint_times):
-        for n in orders:
-            for kind, err_sq in (
-                ("signal", result.signal_err_sq),
-                ("filter-mean", result.mean_dev_sq),
-            ):
-                specs.append((t, n, kind))
-                rng = stream(result.seed, MOMENT_BOOTSTRAP, len(jobs))
-                jobs.append((err_sq[:, i] ** n, rng))
+    errors = {"signal": result.signal_err_sq, "filter-mean": result.mean_dev_sq}
+    specs = [
+        (i, t, n, kind) for i, t in enumerate(result.checkpoint_times) for n in orders for kind in errors
+    ]
+    # one row per (checkpoint, order, kind), all resampled over the same trials
+    samples = np.empty((len(specs), result.n_trials))
+    for row, (i, _, n, kind) in zip(samples, specs):
+        row[:] = errors[kind][:, i] ** n
+    estimates = bootstrap_mean_ci(samples, stream(result.seed, MOMENT_BOOTSTRAP))
     rows = []
-    for (t, n, kind), est in zip(specs, _bootstrap_all(jobs)):
+    for (_, t, n, kind), est in zip(specs, estimates):
         if kind == "signal":
             bound = bounds.signal_moment_bound(c, n) ** n
             slug = "moment-envelope-signal"
@@ -494,7 +487,9 @@ def gronwall_test_process(
     variant dY = (-a Y + u) dt + sqrt(v Y + w Y^2) dN from Y_0 = 0 and
     checks E(Y_T^{n/2})^{2/n} against the quadrature envelope.  Each
     process draws its (n_paths,) normals one Euler step at a time from its
-    own stream, so the noise held at once is one step's.
+    own stream, so the noise held at once is one step's.  Each process's
+    rows come from one bootstrap of its paths, keyed by the process index,
+    and the two bootstraps run on the worker pool.
     """
     if dt <= 0 or T <= dt:
         raise InvalidArgument("need 0 < dt < T")
@@ -521,22 +516,24 @@ def gronwall_test_process(
                 snaps[k] = y  # the next step builds a new array
         return snaps
 
-    specs, jobs = [], []
+    processes = []
     if y0 > 0:
-        snaps = simulate(y0, 0.0, 0.0, index=0)
-        for s in cp_idx:
-            for n in orders:
-                specs.append(("homogeneous", s, n))
-                jobs.append((snaps[s] ** (n / 2.0), stream(seed, GRONWALL_BOOTSTRAP, len(jobs))))
+        processes.append((0, y0, 0.0, 0.0, [("homogeneous", s, n) for s in cp_idx for n in orders]))
     if u > 0 or v > 0:
-        snaps = simulate(0.0, u, v, index=1)
-        s = cp_idx[-1]
-        for n in orders:
-            specs.append(("sourced", s, n))
-            jobs.append((snaps[s] ** (n / 2.0), stream(seed, GRONWALL_BOOTSTRAP, len(jobs))))
+        processes.append((1, 0.0, u, v, [("sourced", cp_idx[-1], n) for n in orders]))
+    specs, jobs = [], []
+    for index, y_init, drift_const, bracket_lin, cells in processes:
+        snaps = simulate(y_init, drift_const, bracket_lin, index)
+        samples = np.empty((len(cells), n_paths))
+        for row, (_, s, n) in zip(samples, cells):
+            row[:] = snaps[s] ** (n / 2.0)
+        specs += cells
+        jobs.append((samples, stream(seed, GRONWALL_BOOTSTRAP, index)))
+    # one bootstrap per process, on the pool: a process's rows share its resamples
+    estimates = [e for ests in _parallel_map(lambda job: bootstrap_mean_ci(*job), jobs) for e in ests]
 
     rows = []
-    for (kind, s, n), est in zip(specs, _bootstrap_all(jobs)):
+    for (kind, s, n), est in zip(specs, estimates):
         m, t = n / 2.0, s * dt
         if kind == "homogeneous":
             oracle = y0**m * np.exp(-m * a * t + m * (m - 1.0) * w * t / 2.0)

@@ -6,12 +6,16 @@ trend detection, and least squares on logs for decay rates.  Everything
 here is numpy and the standard library.
 
 The bootstrap knows no seeding policy: its caller hands it a Generator
-(from dynamics.stream, keyed by what the interval is for).  It streams its
-resamples in blocks of BOOTSTRAP_BLOCK rows: each block's indices continue
-that Generator's stream, are gathered into one reused (rows, n) buffer,
-and each row mean is the same pairwise sum as over the whole
-(n_resamples, n) index matrix.  Intervals are therefore bit for bit those
-of the whole-matrix formula, while memory stays a few rows of n.
+(from dynamics.stream, keyed by the sample set the intervals are for).
+One call serves every statistic of a sample set: given k statistics of
+the same n units, each resample is one row of unit indices, and all k
+statistics are gathered with it, as the nonparametric bootstrap resamples
+the sampling unit.  Indices are drawn in blocks of BOOTSTRAP_BLOCK rows
+that continue the Generator's stream; each index row gathers the k
+statistics into one reused (k, n) buffer, and each mean is the same
+pairwise sum as over the whole (n_resamples, n) index matrix.  Intervals
+are therefore bit for bit those of the whole-matrix formula applied to
+each statistic alone, while memory stays a block of indices and k rows.
 """
 
 from __future__ import annotations
@@ -71,34 +75,50 @@ def wilson_interval(successes: int, n: int, z: float = Z95) -> EstimateWithCI:
     return EstimateWithCI(point=p, ci_low=low, ci_high=high, n=n, method="Wilson")
 
 
-def bootstrap_mean_ci(
-    samples, rng: np.random.Generator, n_resamples: int = BOOTSTRAP_RESAMPLES
-) -> EstimateWithCI:
-    """Percentile bootstrap interval for the mean of a sample, resampled from rng."""
+def bootstrap_mean_ci(samples, rng: np.random.Generator, n_resamples: int = BOOTSTRAP_RESAMPLES):
+    """Percentile bootstrap intervals for means, resampled from rng.
+
+    samples is one sample of n units, or a (k, n) array of k statistics of
+    the same n units.  Every resample draws one row of n unit indices and
+    gathers all k statistics with it, so the k intervals share their
+    resamples.  Row j's interval is bit for bit that of samples[j] alone
+    under an identically seeded rng.  Returns one EstimateWithCI for a 1-d
+    sample and a list of k for a (k, n) array.
+    """
     if n_resamples < 1:
         raise InvalidArgument("n_resamples must be >= 1")
-    samples = np.asarray(samples, dtype=float).ravel()
-    n = samples.size
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim > 2:
+        raise InvalidArgument("samples must be 1-d or (statistics, units)")
+    table = samples.reshape(1, -1) if samples.ndim < 2 else samples
+    k, n = table.shape
     if n < 1:
         raise InvalidArgument("need at least one sample")
-    point = float(samples.mean())
-    if n == 1:
-        return EstimateWithCI(point=point, ci_low=point, ci_high=point, n=1, method="bootstrap")
-    means = np.empty(n_resamples)
-    buf = np.empty((min(BOOTSTRAP_BLOCK, n_resamples), n))
-    for lo in range(0, n_resamples, BOOTSTRAP_BLOCK):
-        rows = buf[: min(BOOTSTRAP_BLOCK, n_resamples - lo)]
-        # indices lie in [0, n), so "clip" gathers in place without a bounds pass
-        np.take(samples, rng.integers(0, n, size=rows.shape), out=rows, mode="clip")
-        rows.mean(axis=1, out=means[lo : lo + rows.shape[0]])
-    low, high = np.percentile(means, [2.5, 97.5])
-    return EstimateWithCI(
-        point=point,
-        ci_low=min(float(low), point),
-        ci_high=max(float(high), point),
-        n=n,
-        method="bootstrap",
-    )
+    points = [float(row.mean()) for row in table]
+    if n == 1 or k == 0:
+        means = table  # nothing to resample; a one-unit interval is its point
+    else:
+        means = np.empty((k, n_resamples))
+        buf = np.empty((k, n))
+        for lo in range(0, n_resamples, BOOTSTRAP_BLOCK):
+            idx = rng.integers(0, n, size=(min(BOOTSTRAP_BLOCK, n_resamples - lo), n))
+            for r, row in enumerate(idx):
+                # indices lie in [0, n), so "clip" gathers without a bounds pass
+                np.take(table, row, axis=1, out=buf, mode="clip")
+                buf.mean(axis=1, out=means[:, lo + r])
+    out = []
+    for point, row in zip(points, means):
+        low, high = np.percentile(row, [2.5, 97.5])
+        out.append(
+            EstimateWithCI(
+                point=point,
+                ci_low=min(float(low), point),
+                ci_high=max(float(high), point),
+                n=n,
+                method="bootstrap",
+            )
+        )
+    return out if samples.ndim == 2 else out[0]
 
 
 def increasing_trend_pvalue(times, values) -> float:

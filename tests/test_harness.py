@@ -101,22 +101,60 @@ def _whole_matrix_interval(samples, seed, n_resamples):
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(
+    k=st.integers(1, 4),
     n=st.integers(2, 3000),
     n_resamples=st.integers(1, 300),
     block=st.sampled_from([1, 3, stats.BOOTSTRAP_BLOCK]),
     seed=st.integers(0, 2**32 - 1),
     data_seed=st.integers(0, 2**32 - 1),
 )
-def test_bootstrap_streaming_matches_whole_matrix(n, n_resamples, block, seed, data_seed):
-    x = np.random.default_rng(data_seed).lognormal(size=n)
+def test_bootstrap_streaming_matches_whole_matrix(k, n, n_resamples, block, seed, data_seed):
+    # k statistics of the same n units share one resample stream: row j is
+    # bit for bit the whole-matrix interval of x[j] alone
+    x = np.random.default_rng(data_seed).lognormal(size=(k, n))
     with mock.patch.object(stats, "BOOTSTRAP_BLOCK", block):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-        est = bootstrap_mean_ci(x, rng, n_resamples=n_resamples)
-    low, high = _whole_matrix_interval(x, seed, n_resamples)
-    point = float(x.mean())
-    assert est.point == point
-    assert est.ci_low == min(float(low), point)  # bit for bit, not approx
-    assert est.ci_high == max(float(high), point)
+        ests = bootstrap_mean_ci(x, rng, n_resamples=n_resamples)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+        single = bootstrap_mean_ci(x[0], rng, n_resamples=n_resamples)
+    assert len(ests) == k
+    assert single == ests[0]  # a 1-d sample is one statistic
+    for row, est in zip(x, ests):
+        low, high = _whole_matrix_interval(row, seed, n_resamples)
+        point = float(row.mean())
+        assert est.point == point
+        assert est.ci_low == min(float(low), point)  # bit for bit, not approx
+        assert est.ci_high == max(float(high), point)
+
+
+def test_bootstrap_edge_shapes():
+    rng = np.random.default_rng(3)
+    assert bootstrap_mean_ci(np.empty((0, 5)), rng) == []
+    one_unit = bootstrap_mean_ci(np.array([[2.0], [3.0]]), rng)
+    assert [(e.ci_low, e.point, e.ci_high) for e in one_unit] == [(2.0, 2.0, 2.0), (3.0, 3.0, 3.0)]
+    with pytest.raises(InvalidArgument):
+        bootstrap_mean_ci(np.empty((2, 0)), rng)
+    with pytest.raises(InvalidArgument):
+        bootstrap_mean_ci(np.ones((2, 2, 2)), rng)
+
+
+def test_one_bootstrap_per_sample_set(monkeypatch):
+    res = _ou_ensemble(n_trials=200, steps=100, seed=38)
+    calls = []
+
+    def counting(samples, rng, *args, **kwargs):
+        calls.append(np.shape(samples))
+        return stats.bootstrap_mean_ci(samples, rng, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "bootstrap_mean_ci", counting)
+    estimate_moments(res, [1, 2])  # 2 checkpoints x 2 orders x 2 kinds
+    assert calls == [(8, 200)]
+    calls.clear()
+    gronwall_test_process(
+        a=1.0, w=0.3, dt=1e-2, T=1.0, n_paths=100, seed=39, orders=(1, 2),
+        u=0.5, v=0.2, checkpoints=[0.5, 1.0],
+    )
+    assert sorted(calls) == [(2, 100), (4, 100)]  # sourced rows, homogeneous rows
 
 
 @pytest.mark.parametrize("n_resamples", [0, -3])
@@ -573,6 +611,21 @@ def test_cli_rejects_bad_values_as_config_errors(tmp_path, capsys, section, key,
     assert len(err) == 1 and err[0].startswith(f"config error: {section}.{key} ")
 
 
+@pytest.mark.parametrize("command", ["report", "gronwall"])
+@pytest.mark.parametrize(
+    "key, value", [("n_paths", 1), ("w", -0.5), ("u", -0.1), ("v", -0.2), ("y0", -1.0)]
+)
+def test_cli_rejects_bad_gronwall_section_before_running(tmp_path, capsys, command, key, value):
+    cfg = _base_config()
+    cfg["gronwall"] = {"a": 1.0, "w": 0.5, "u": 0.3, "v": 0.2, "n_paths": 200, key: value}
+    path = _write_cfg(tmp_path, cfg)
+    with mock.patch.object(cli, "run_ensemble", side_effect=AssertionError("simulated")), \
+            mock.patch.object(cli, "gronwall_test_process", side_effect=AssertionError("simulated")):
+        assert run_cli([command, "--config", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: gronwall.{key} ")
+
+
 class _RecordedSeedSequence(np.random.SeedSequence):
     created = []
 
@@ -595,9 +648,9 @@ def test_report_streams_are_independent(tmp_path, monkeypatch):
     # trials keep (k,); every other stream has its own (purpose, index)
     assert {k for _, k in keys if len(k) == 1} == {(k,) for k in range(50)}
     assert sorted(k for _, k in keys if len(k) != 1) == sorted(
-        [(1, j) for j in range(8)]  # 2 checkpoints x 2 orders x 2 moment kinds
+        [(1, 0)]  # every moment row: one bootstrap of the trials
         + [(2, 0), (3, 0), (3, 1), (4, 0), (4, 1)]
-        + [(5, j) for j in range(6)]  # 2 checkpoints x 2 orders + 2 sourced rows
+        + [(5, 0), (5, 1)]  # one bootstrap per Gronwall process
     )
     assert {e for e, _ in keys} == {7}
 

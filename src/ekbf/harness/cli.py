@@ -1,9 +1,10 @@
 """Command line: simulate, check, verify, forgetting, gronwall, report.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 on a
-configuration problem, 3 when the run itself fails (any other EkbfError,
-e.g. too few samples for an estimator); 2 and 3 print a one-line message
-to stderr.  All file output is deterministic for a fixed
+configuration problem, including a value the command cannot use (moment
+orders above 4, fewer than two chi-square samples), 3 when the run itself
+fails (any other EkbfError, e.g. a diverged filter); 2 and 3 print a
+one-line message to stderr.  All file output is deterministic for a fixed
 (config, seed): CSV cells use 17 significant digits and JSON is emitted
 with sorted keys, so reruns are byte-identical.
 """
@@ -23,13 +24,13 @@ from ..dynamics import make_path_bundle, simulate_coupled, FilterState
 from ..errors import ConfigError, EkbfError
 from .config import SCENARIOS, ExperimentConfig, load_config
 from .estimators import (
-    check_moment_orders,
-    check_sample_count,
+    MAX_MOMENT_ORDER,
     estimate_chi2_laplace,
     estimate_ekf_laplace,
     estimate_event_probability,
     estimate_forgetting_rate,
     estimate_moments,
+    forgetting_curves,
     gronwall_test_process,
     run_ensemble,
     verify_trace_bound,
@@ -110,6 +111,16 @@ def _ensemble(cfg: ExperimentConfig):
     )
 
 
+def _check_moment_orders(cfg: ExperimentConfig) -> None:
+    if any(n > MAX_MOMENT_ORDER for n in cfg.n_orders):
+        raise ConfigError(f"test.n_orders entries above {MAX_MOMENT_ORDER} are too tail-sensitive")
+
+
+def _check_chi2_samples(cfg: ExperimentConfig) -> None:
+    if cfg.n_trials < 2:
+        raise ConfigError("sim.n_trials must be >= 2 for the chi-square Laplace row")
+
+
 def _init_sq(cfg: ExperimentConfig) -> float:
     e = cfg.x0 - cfg.filters[0][0]
     return float(e @ e)
@@ -182,7 +193,7 @@ def _write_trajectory(cfg: ExperimentConfig, path: str) -> None:
 def _cmd_verify(cfg: ExperimentConfig, out: str | None, scenario: str | None) -> int:
     scenario = scenario or cfg.scenario
     if scenario in ("signal-vs-flow", "ekf-vs-signal"):
-        check_moment_orders(cfg.n_orders)
+        _check_moment_orders(cfg)
         result = _ensemble(cfg)
         kind = "signal" if scenario == "signal-vs-flow" else "ekf"
         details = estimate_event_probability(result, cfg.delta_grid, kind, init_sq=_init_sq(cfg))
@@ -192,7 +203,7 @@ def _cmd_verify(cfg: ExperimentConfig, out: str | None, scenario: str | None) ->
             _write_csv(os.path.join(out, "moments.csv"), _MOMENT_COLUMNS, moment_rows)
         details = details + moment_rows
         if scenario == "ekf-vs-signal":
-            lap = dict(estimate_ekf_laplace(result, cfg.eps), mode="ekf")
+            lap = estimate_ekf_laplace(result, cfg.eps)
             if out is not None:
                 _write_csv(os.path.join(out, "laplace.csv"), _LAPLACE_COLUMNS, [lap])
             details.append(lap)
@@ -204,7 +215,8 @@ def _cmd_verify(cfg: ExperimentConfig, out: str | None, scenario: str | None) ->
             _write_csv(os.path.join(out, "trace.csv"), _TRACE_COLUMNS, [dict(row, dt=cfg.dt)])
         return _emit(_summary(scenario, [row]), out, "verify")
     if scenario == "chi2-laplace":
-        row = dict(estimate_chi2_laplace(cfg.filters[0][1], cfg.n_trials, cfg.seed), mode="chi2")
+        _check_chi2_samples(cfg)
+        row = estimate_chi2_laplace(cfg.filters[0][1], cfg.n_trials, cfg.seed)
         if out is not None:
             _write_csv(os.path.join(out, "laplace.csv"), _LAPLACE_COLUMNS, [row])
         return _emit(_summary(scenario, [row]), out, "verify")
@@ -220,23 +232,15 @@ def _cmd_forgetting(cfg: ExperimentConfig, out: str | None) -> int:
     result = _ensemble(cfg)
     report = estimate_forgetting_rate(result, cfg.eps, cfg.alpha)
     if out is not None:
-        alive = ~result.diverged
-        dsq = result.delta_sq[alive] if alive.any() else result.delta_sq
-        exponent = report.get("exponent")
-        curve_rows = []
-        for i, t in enumerate(result.record_times):
-            row = {
-                "t": float(t),
-                "mean_delta_n1": float((dsq[:, i] ** 1).mean()),
-                "mean_delta_n2": float((dsq[:, i] ** 2).mean()),
-            }
-            if exponent is not None:
-                row["mean_delta_pow"] = float((dsq[:, i] ** (exponent / 2.0)).mean())
-            curve_rows.append(row)
+        curves = forgetting_curves(result, report.get("exponent"))
+        rows = [
+            dict({name: float(curve[i]) for name, curve in curves.items()}, t=float(t))
+            for i, t in enumerate(result.record_times)
+        ]
         _write_csv(
             os.path.join(out, "forgetting.csv"),
             ["t", "mean_delta_pow", "mean_delta_n1", "mean_delta_n2"],
-            curve_rows,
+            rows,
         )
     return _emit(_summary("coupled-forgetting", [report]), out, "forgetting")
 
@@ -250,26 +254,25 @@ def _cmd_gronwall(cfg: ExperimentConfig, out: str | None) -> int:
 
 def _cmd_report(cfg: ExperimentConfig, out: str | None) -> int:
     """Full battery: envelopes, events, moments, trace, Laplace, and extras."""
-    check_moment_orders(cfg.n_orders)
-    check_sample_count(cfg.n_trials)  # the chi-square row samples n_trials draws
+    _check_moment_orders(cfg)
+    _check_chi2_samples(cfg)
     _cmd_check(cfg, out)
-    details = []
     result = _ensemble(cfg)
-    details += estimate_event_probability(result, cfg.delta_grid, "signal", init_sq=_init_sq(cfg))
-    details += estimate_event_probability(result, cfg.delta_grid, "ekf", init_sq=_init_sq(cfg))
-    details += estimate_moments(result, cfg.n_orders)
-    details.append(verify_trace_bound(result))
-    details.append(dict(estimate_chi2_laplace(cfg.filters[0][1], cfg.n_trials, cfg.seed), mode="chi2"))
-    details.append(dict(estimate_ekf_laplace(result, cfg.eps), mode="ekf"))
+    events = estimate_event_probability(result, cfg.delta_grid, "signal", init_sq=_init_sq(cfg))
+    events += estimate_event_probability(result, cfg.delta_grid, "ekf", init_sq=_init_sq(cfg))
+    moments = estimate_moments(result, cfg.n_orders)
+    details = events + moments + [
+        verify_trace_bound(result),
+        estimate_chi2_laplace(cfg.filters[0][1], cfg.n_trials, cfg.seed),
+        estimate_ekf_laplace(result, cfg.eps),
+    ]
     if len(cfg.filters) >= 2:
         details.append(estimate_forgetting_rate(result, cfg.eps, cfg.alpha))
     if cfg.gronwall is not None:
         details += gronwall_test_process(**cfg.gronwall_kwargs())
     if out is not None:
-        _write_csv(os.path.join(out, "events.csv"), _EVENT_COLUMNS,
-                   [d for d in details if d.get("paper_ref", "").startswith("event-radius")])
-        _write_csv(os.path.join(out, "moments.csv"), _MOMENT_COLUMNS,
-                   [d for d in details if d.get("paper_ref", "").startswith("moment-envelope")])
+        _write_csv(os.path.join(out, "events.csv"), _EVENT_COLUMNS, events)
+        _write_csv(os.path.join(out, "moments.csv"), _MOMENT_COLUMNS, moments)
     return _emit(_summary("report", details), out, "report")
 
 

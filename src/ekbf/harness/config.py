@@ -200,8 +200,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     n_trials = _int(_get(sim, "n_trials", "sim"), "sim.n_trials")
     seed = _int(_get(sim, "seed", "sim"), "sim.seed")
     record_every = _int(sim.get("record_every", 1), "sim.record_every")
-    if dt <= 0 or T <= 0 or T < dt:
-        raise ConfigError("sim.dt and sim.T must be positive with T >= dt")
+    if not 0 < dt < T:
+        raise ConfigError("sim.T must exceed sim.dt, and sim.dt must be positive")
     if not np.isfinite(T / dt):
         raise ConfigError("sim.T / sim.dt overflows the step count")
     if n_trials < 1:

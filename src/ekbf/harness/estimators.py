@@ -7,22 +7,23 @@ trial draws its noise from an independent stream derived from (seed, trial
 index) through the same drawer as PathBundle, and a row's bits do not
 depend on the batch width, so a single trial re-simulated with
 simulate_coupled reproduces the engine bit for bit and output bytes do not
-depend on chunk size or worker count.  A worker pool (_parallel_map) runs
-the chunks when the model's Jacobian depends on the state, and the two
-Gronwall processes' bootstraps; results are placed by job index.
+depend on chunk size or worker count.  The engine runs its chunks on a
+thread pool when the model's Jacobian depends on the state, and results
+are placed by chunk index; nothing else in the harness starts a thread.
 
 Every other random stream comes from dynamics.stream under its own
 (purpose, index) key, one per sample set: the bootstrap of a sample set
 resamples its units once for every statistic of that set, so all moment
-rows share one stream and each Gronwall process's rows another, made
-before any pool starts.  The chi-square samples and the two Gronwall
-processes each draw from one stream.  No key equals a trial's, so no
-interval reuses the noise of the trials it summarizes.
+rows share one stream and each Gronwall process's rows another.  The
+chi-square samples and the two Gronwall processes each draw from one
+stream.  No key equals a trial's, so no interval reuses the noise of the
+trials it summarizes.
 
 Estimators compare recorded trial statistics against the closed-form
 envelopes from the bounds module and return plain dict rows ready for CSV
 and JSON serialization.  Each row carries a machine-readable `paper_ref`
-slug naming the bound under test.
+slug naming the bound under test.  Both Laplace rows share _laplace_fields;
+the forgetting verdict and forgetting.csv share forgetting_curves.
 """
 
 from __future__ import annotations
@@ -64,12 +65,16 @@ CHUNK = 1024
 DEFAULT_EPS = 0.5
 DEFAULT_ALPHA = 1.1
 
+# Highest moment order n the bootstrap estimates reliably; higher moments
+# are too tail-sensitive.
+MAX_MOMENT_ORDER = 4
+
 
 def worker_count() -> int:
-    """Worker threads of _parallel_map; EKBF_THREADS overrides the CPU count.
+    """Worker threads of run_ensemble's pool; EKBF_THREADS overrides the CPU count.
 
-    The pool runs the Gronwall processes' bootstraps, and the ensemble
-    engine's chunks when every trial carries its own covariance.
+    The pool runs only the engine's chunks, and only when every trial
+    carries its own covariance; everything else runs on the calling thread.
     """
     env = os.environ.get("EKBF_THREADS")
     if env is not None:
@@ -81,28 +86,6 @@ def worker_count() -> int:
             raise InvalidArgument("EKBF_THREADS must be >= 1")
         return w
     return os.cpu_count() or 1
-
-
-def _parallel_map(fn, items) -> list:
-    """fn over items on up to worker_count() threads, results in item order."""
-    items = list(items)
-    w = min(worker_count(), len(items))
-    if w > 1:
-        with ThreadPoolExecutor(max_workers=w) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def check_moment_orders(orders) -> None:
-    """Reject moment orders the bootstrap cannot estimate reliably."""
-    if any(n > 4 for n in orders):
-        raise InvalidArgument("moment orders above 4 are too tail-sensitive")
-
-
-def check_sample_count(n_samples: int) -> None:
-    """Reject sample counts too small for a bootstrap interval."""
-    if n_samples < 2:
-        raise InvalidArgument("need at least two samples")
 
 
 def _sumsq(e: np.ndarray) -> np.ndarray:
@@ -122,7 +105,6 @@ class EnsembleResult:
     """
 
     dt: float
-    steps: int
     n_trials: int
     seed: int
     constants: bounds.ProblemConstants
@@ -202,8 +184,10 @@ def run_ensemble(
     # that Riccati step is enough numpy work between GIL releases for chunks
     # to gain from threads.  A shared Jacobian (linear models) leaves a chunk
     # too little work, and threads only add contention.
-    if np.ndim(model.drift_jacobian(x0[None])) > 2:
-        parts = _parallel_map(run_chunk, spans)
+    workers = min(worker_count(), len(spans)) if np.ndim(model.drift_jacobian(x0[None])) > 2 else 1
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run_chunk, spans))
     else:
         parts = [run_chunk(span) for span in spans]
 
@@ -213,7 +197,6 @@ def run_ensemble(
 
     return EnsembleResult(
         dt=dt,
-        steps=steps,
         n_trials=n_trials,
         seed=seed,
         constants=consts,
@@ -282,9 +265,11 @@ def estimate_moments(result: EnsembleResult, orders) -> list[dict]:
     stationary signal envelope, and the filter-mean-vs-flow moment against
     the time-dependent filter envelope.  A row passes when the bootstrap
     ci_low sits at or below the bound.  Every row is resampled over the
-    same trials, in one bootstrap on the calling thread.
+    same trials, in one bootstrap.  Orders above MAX_MOMENT_ORDER are
+    rejected.
     """
-    check_moment_orders(orders)
+    if any(n > MAX_MOMENT_ORDER for n in orders):
+        raise InvalidArgument(f"moment orders above {MAX_MOMENT_ORDER} are too tail-sensitive")
     c = result.constants
     errors = {"signal": result.signal_err_sq, "filter-mean": result.mean_dev_sq}
     specs = [
@@ -320,33 +305,45 @@ def estimate_moments(result: EnsembleResult, orders) -> list[dict]:
     return rows
 
 
+def _laplace_fields(exponents, keep, rng, bound: float, paper_ref: str) -> dict:
+    """Shared Laplace fields: the bootstrap mean of exp(exponents) over keep against bound.
+
+    Samples outside keep or whose exponential overflows count in n_overflow.
+    """
+    with np.errstate(over="ignore"):
+        vals = np.exp(exponents)
+    keep = keep & np.isfinite(vals)
+    if not keep.any():
+        raise InvalidArgument("all samples overflowed or diverged")
+    est = bootstrap_mean_ci(vals[keep], rng)
+    return {
+        "estimate": est.point,
+        "ci_low": est.ci_low,
+        "ci_high": est.ci_high,
+        "bound": float(bound),
+        "n_overflow": int(np.sum(~keep)),
+        "pass": bool(est.ci_low <= bound),
+        "paper_ref": paper_ref,
+    }
+
+
 def estimate_chi2_laplace(P0, n_samples: int, seed: int) -> dict:
     """Exponential moment of a Gaussian initial error against its ceiling.
 
     Samples Z ~ N(0, P0) and estimates E exp(|Z|^2 / (4 d rho(P0))), which
-    the envelope caps at e regardless of P0.
+    the envelope caps at e regardless of P0.  n_overflow counts non-finite samples.
     """
     P0 = linalg.as_symmetric(np.atleast_2d(np.asarray(P0, dtype=float)))
     d = P0.shape[0]
     rho = linalg.max_eigenvalue(P0)
     if rho <= 0:
         raise InvalidArgument("P0 must have a positive top eigenvalue")
-    check_sample_count(n_samples)
-    chi = 4.0 * d * rho
+    if n_samples < 2:
+        raise InvalidArgument("need at least two samples")
     z = stream(seed, CHI2, 0).standard_normal((n_samples, d)) @ linalg.sym_sqrt(P0).T
-    vals = np.exp(_sumsq(z) / chi)
-    n_overflow = int(np.sum(~np.isfinite(vals)))
-    est = bootstrap_mean_ci(vals[np.isfinite(vals)], stream(seed, CHI2, 1))
-    return {
-        "estimate": est.point,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "bound": float(np.e),
-        "n": n_samples,
-        "n_overflow": n_overflow,
-        "pass": bool(est.ci_low <= np.e),
-        "paper_ref": "initial-error-laplace",
-    }
+    row = _laplace_fields(_sumsq(z) / (4.0 * d * rho), True, stream(seed, CHI2, 1), np.e,
+                          "initial-error-laplace")
+    return dict(row, mode="chi2", n=n_samples)
 
 
 def estimate_ekf_laplace(result: EnsembleResult, eps: float = DEFAULT_EPS) -> dict:
@@ -355,29 +352,17 @@ def estimate_ekf_laplace(result: EnsembleResult, eps: float = DEFAULT_EPS) -> di
     Uses the final checkpoint, exponent coefficient
     (1-eps) * drift_decay / (4 e sigma_sq_limit noise_trace), and the
     closed-form right-hand side with the 1/4 source-to-bracket ratio.
+    n_overflow counts the trials that diverged or are not finite.
     """
     c = result.constants
     coef = (1.0 - eps) * c.drift_decay / (4.0 * np.e * bounds.sigma_sq_limit(c) * c.noise_trace)
-    with np.errstate(over="ignore"):
-        vals = np.exp(coef * result.filter_err_sq[:, -1])
-    finite = np.isfinite(vals) & ~result.diverged
-    n_overflow = int(np.sum(~finite))
-    if not finite.any():
-        raise InvalidArgument("all trials overflowed or diverged")
-    est = bootstrap_mean_ci(vals[finite], stream(result.seed, EKF_LAPLACE_BOOTSTRAP))
-    rhs = bounds.laplace_rhs(eps, 0.25, 1.0)
-    return {
-        "t": float(result.checkpoint_times[-1]),
-        "eps": float(eps),
-        "coefficient": float(coef),
-        "estimate": est.point,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "bound": float(rhs),
-        "n_overflow": n_overflow,
-        "pass": bool(est.ci_low <= rhs),
-        "paper_ref": "filter-error-laplace",
-    }
+    row = _laplace_fields(
+        coef * result.filter_err_sq[:, -1], ~result.diverged,
+        stream(result.seed, EKF_LAPLACE_BOOTSTRAP), bounds.laplace_rhs(eps, 0.25, 1.0),
+        "filter-error-laplace",
+    )
+    return dict(row, mode="ekf", t=float(result.checkpoint_times[-1]), eps=float(eps),
+                coefficient=float(coef))
 
 
 def verify_trace_bound(result: EnsembleResult) -> dict:
@@ -404,17 +389,32 @@ FORGETTING_BURN_IN = 0.2
 TREND_ALPHA = 0.05
 
 
+def forgetting_curves(result: EnsembleResult, exponent: float | None = None) -> dict:
+    """Per record time, the means of delta, delta^2 and (given the exponent) delta^{exponent/2}.
+
+    Means run over surviving trials (all trials when none survived), each a
+    pairwise sum over one contiguous row per record time.
+    """
+    alive = ~result.diverged
+    dsq = np.ascontiguousarray((result.delta_sq[alive] if alive.any() else result.delta_sq).T)
+    curves = {"mean_delta_n1": dsq.mean(axis=1), "mean_delta_n2": (dsq**2).mean(axis=1)}
+    if exponent is not None:
+        curves["mean_delta_pow"] = (dsq ** (exponent / 2.0)).mean(axis=1)
+    return curves
+
+
 def estimate_forgetting_rate(
     result: EnsembleResult, eps: float = DEFAULT_EPS, alpha: float = DEFAULT_ALPHA
 ) -> dict:
     """Fitted decay rate of the coupled filter distance against the envelope.
 
-    Computes m(t) = mean of delta^{exponent/2} over surviving trials, fits
-    its log-slope past the burn-in, and requires the fitted decay rate to
-    reach (1-eps) * rate * exponent / 2 up to the slope's 95% slack.  Also
-    checks that the raw moments mean delta^n, n = 1, 2, show no increasing
-    trend (one-sided Mann-Kendall at 5%).  conditions_hold reports the
-    paper's spectral-gap and small-noise conditions at margin alpha.
+    Takes m(t) = mean of delta^{exponent/2} over surviving trials from
+    forgetting_curves, fits its log-slope past the burn-in, and requires the
+    fitted decay rate to reach (1-eps) * rate * exponent / 2 up to the
+    slope's 95% slack.  Also checks that the raw moments mean delta^n,
+    n = 1, 2, show no increasing trend (one-sided Mann-Kendall at 5%).
+    conditions_hold reports the paper's spectral-gap and small-noise
+    conditions at margin alpha.
     """
     if result.delta_sq is None:
         return {"status": "degenerate_input", "pass": True, "paper_ref": "forgetting-rate"}
@@ -424,15 +424,14 @@ def estimate_forgetting_rate(
     alive = ~result.diverged
     if not alive.any():
         return {"status": "inconclusive", "pass": False, "paper_ref": "forgetting-rate"}
-    dsq = result.delta_sq[alive]
+    curves = forgetting_curves(result, exponent)
     times = result.record_times
-    if float(dsq[:, 0].max(initial=0.0)) == 0.0:
+    if curves["mean_delta_n1"][0] == 0.0:
         return {"status": "degenerate_input", "pass": True, "paper_ref": "forgetting-rate"}
 
-    m_curve = (dsq ** (exponent / 2.0)).mean(axis=0)
     horizon = float(times[-1])
     window = times >= FORGETTING_BURN_IN * horizon
-    fit = fit_decay_rate(times[window], m_curve[window])
+    fit = fit_decay_rate(times[window], curves["mean_delta_pow"][window])
     threshold = (1.0 - eps) * rate * exponent / 2.0
     slack = Z95 * fit.stderr
     rate_ok = fit.rate >= threshold - slack
@@ -440,7 +439,7 @@ def estimate_forgetting_rate(
     trend = {}
     trend_ok = True
     for n in (1, 2):
-        p = increasing_trend_pvalue(times, (dsq**n).mean(axis=0))
+        p = increasing_trend_pvalue(times, curves[f"mean_delta_n{n}"])
         trend[n] = p
         trend_ok &= p >= TREND_ALPHA
 
@@ -488,8 +487,8 @@ def gronwall_test_process(
     checks E(Y_T^{n/2})^{2/n} against the quadrature envelope.  Each
     process draws its (n_paths,) normals one Euler step at a time from its
     own stream, so the noise held at once is one step's.  Each process's
-    rows come from one bootstrap of its paths, keyed by the process index,
-    and the two bootstraps run on the worker pool.
+    rows come from one bootstrap of its paths on the calling thread, keyed
+    by the process index.
     """
     if dt <= 0 or T <= dt:
         raise InvalidArgument("need 0 < dt < T")
@@ -521,16 +520,15 @@ def gronwall_test_process(
         processes.append((0, y0, 0.0, 0.0, [("homogeneous", s, n) for s in cp_idx for n in orders]))
     if u > 0 or v > 0:
         processes.append((1, 0.0, u, v, [("sourced", cp_idx[-1], n) for n in orders]))
-    specs, jobs = [], []
+    specs, estimates = [], []
     for index, y_init, drift_const, bracket_lin, cells in processes:
         snaps = simulate(y_init, drift_const, bracket_lin, index)
         samples = np.empty((len(cells), n_paths))
         for row, (_, s, n) in zip(samples, cells):
             row[:] = snaps[s] ** (n / 2.0)
         specs += cells
-        jobs.append((samples, stream(seed, GRONWALL_BOOTSTRAP, index)))
-    # one bootstrap per process, on the pool: a process's rows share its resamples
-    estimates = [e for ests in _parallel_map(lambda job: bootstrap_mean_ci(*job), jobs) for e in ests]
+        # one bootstrap per process: a process's rows share its resamples
+        estimates += bootstrap_mean_ci(samples, stream(seed, GRONWALL_BOOTSTRAP, index))
 
     rows = []
     for (kind, s, n), est in zip(specs, estimates):

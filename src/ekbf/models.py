@@ -332,7 +332,6 @@ class ObservationModel:
     sensor_gain: float = field(init=False)
     isotropic: bool = field(init=False)
     R2_sqrt: np.ndarray = field(init=False)
-    R2_inv: np.ndarray = field(init=False)
     gain_map: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -359,7 +358,6 @@ class ObservationModel:
         object.__setattr__(self, "sensor_gain", gain)
         object.__setattr__(self, "isotropic", iso)
         object.__setattr__(self, "R2_sqrt", 0.5 * (R2_sqrt + R2_sqrt.T))
-        object.__setattr__(self, "R2_inv", 0.5 * (R2_inv + R2_inv.T))
         object.__setattr__(self, "gain_map", B.T @ R2_inv)
 
     @property

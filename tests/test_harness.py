@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from ekbf import linalg
 from ekbf.dynamics import FilterState, make_path_bundle, simulate_coupled
-from ekbf.errors import ConfigError, InvalidArgument
+from ekbf.errors import ConfigError, DivergedFilter, InvalidArgument
 from ekbf.harness import (
     EstimateWithCI,
     bootstrap_mean_ci,
@@ -380,6 +380,16 @@ def test_linear_engine_runs_on_calling_thread(monkeypatch):
     assert pools == []
 
 
+def test_gronwall_bootstraps_on_calling_thread(monkeypatch):
+    # the two bootstraps never overlapped on the pool; only engine chunks use it
+    pools = _count_pools(monkeypatch)
+    monkeypatch.setenv("EKBF_THREADS", "4")
+    gronwall_test_process(
+        a=1.0, w=0.3, dt=1e-2, T=1.0, n_paths=100, seed=39, orders=(1, 2), u=0.5, v=0.2,
+    )
+    assert pools == []
+
+
 def test_engine_rerun_is_bitwise_identical():
     a = _ou_ensemble(seed=33)
     b = _ou_ensemble(seed=33)
@@ -440,6 +450,7 @@ def test_chi2_laplace_near_gaussian_mgf():
     row = estimate_chi2_laplace(np.array([[1.0]]), 20000, seed=42)
     assert row["estimate"] == pytest.approx(np.sqrt(2.0), abs=0.05)
     assert row["pass"] and row["n_overflow"] == 0
+    assert row["mode"] == "chi2"
 
 
 def test_ekf_laplace_row():
@@ -448,6 +459,7 @@ def test_ekf_laplace_row():
     assert row["bound"] == pytest.approx(1.8826702301384135, rel=1e-12)
     assert row["estimate"] >= 1.0
     assert row["pass"]
+    assert row["mode"] == "ekf"
 
 
 def test_trace_bound_row():
@@ -626,6 +638,20 @@ def test_cli_rejects_bad_gronwall_section_before_running(tmp_path, capsys, comma
     assert len(err) == 1 and err[0].startswith(f"config error: gronwall.{key} ")
 
 
+@pytest.mark.parametrize("command", ["report", "gronwall"])
+def test_cli_rejects_horizon_of_one_step_before_running(tmp_path, capsys, command):
+    # the Gronwall process needs T > dt; a config with T == dt must not load
+    cfg = _base_config()
+    cfg["sim"]["T"] = cfg["sim"]["dt"]
+    cfg["gronwall"] = {"a": 1.0, "w": 0.5, "n_paths": 200}
+    path = _write_cfg(tmp_path, cfg)
+    with mock.patch.object(cli, "run_ensemble", side_effect=AssertionError("simulated")), \
+            mock.patch.object(cli, "gronwall_test_process", side_effect=AssertionError("simulated")):
+        assert run_cli([command, "--config", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: sim.T ")
+
+
 class _RecordedSeedSequence(np.random.SeedSequence):
     created = []
 
@@ -716,6 +742,29 @@ def test_cli_reruns_are_byte_identical(tmp_path):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_forgetting_csv_reproduces_verdict(tmp_path):
+    # the published curve is the one the verdict was fitted on, bit for bit
+    cfg = _base_config(
+        model={"variant": "linear", "A": [[-2.5]], "R1": [[0.01]]},
+        init={"x0": [0.0], "filters": [[[1.0], [[1.0]]], [[-1.0], [[0.1]]]]},
+    )
+    cfg["sim"].update(n_trials=300, record_every=2)
+    out = tmp_path / "out"
+    run_cli(["forgetting", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+    row = json.loads((out / "forgetting.json").read_text())["details"][0]
+    lines = (out / "forgetting.csv").read_text().splitlines()
+    columns = lines[0].split(",")
+    curve = {name: np.array([float(line.split(",")[j]) for line in lines[1:]])
+             for j, name in enumerate(columns)}
+    assert row["status"] == "ok"
+    t = curve["t"]
+    window = t >= estimators.FORGETTING_BURN_IN * t[-1]
+    fit = fit_decay_rate(t[window], curve["mean_delta_pow"][window])
+    assert (fit.rate, fit.stderr) == (row["fitted_rate"], row["rate_stderr"])
+    assert increasing_trend_pvalue(t, curve["mean_delta_n1"]) == row["trend_pvalue_n1"]
+    assert increasing_trend_pvalue(t, curve["mean_delta_n2"]) == row["trend_pvalue_n2"]
+
+
 def test_cli_exit_codes(tmp_path):
     assert run_cli(["check", "--config", str(tmp_path / "missing.json")]) == 2
     mangled = tmp_path / "mangled.json"
@@ -727,12 +776,11 @@ def test_cli_exit_codes(tmp_path):
 
 
 def test_cli_runtime_error_exits_three(tmp_path, capsys):
-    # one trial is a valid config, but the chi-square check needs two samples
-    cfg = _base_config()
-    cfg["sim"]["n_trials"] = 1
-    path = _write_cfg(tmp_path, cfg)
-    assert run_cli(["report", "--config", path]) == 3
-    assert capsys.readouterr().err.splitlines() == ["error: need at least two samples"]
+    # a failure of the run itself, not of a config value
+    path = _write_cfg(tmp_path, _base_config())
+    with mock.patch.object(cli, "run_ensemble", side_effect=DivergedFilter("filter blew up")):
+        assert run_cli(["report", "--config", path]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: filter blew up"]
 
 
 @pytest.mark.parametrize("argv", [["report"], ["verify", "--scenario", "chi2-laplace"]])
@@ -741,8 +789,10 @@ def test_cli_rejects_single_trial_before_simulating(tmp_path, capsys, argv):
     cfg["sim"]["n_trials"] = 1
     path = _write_cfg(tmp_path, cfg)
     with mock.patch.object(cli, "run_ensemble", side_effect=AssertionError("simulated")):
-        assert run_cli(argv + ["--config", path]) == 3
-    assert capsys.readouterr().err.splitlines() == ["error: need at least two samples"]
+        assert run_cli(argv + ["--config", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: sim.n_trials must be >= 2 for the chi-square Laplace row"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -758,9 +808,9 @@ def test_cli_rejects_high_moment_orders_before_simulating(tmp_path, capsys, argv
     cfg["test"]["n_orders"] = [1, 5]
     path = _write_cfg(tmp_path, cfg)
     with mock.patch.object(cli, "run_ensemble", side_effect=AssertionError("simulated")):
-        assert run_cli(argv + ["--config", path]) == 3
+        assert run_cli(argv + ["--config", path]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: moment orders above 4 are too tail-sensitive"
+        "config error: test.n_orders entries above 4 are too tail-sensitive"
     ]
 
 

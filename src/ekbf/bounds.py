@@ -250,6 +250,10 @@ def lyapunov_rate(c: ProblemConstants):
       rate = jac_decay * (1 - 2 (jac_lip/jac_decay)(noise_trace/jac_decay)
                             - g (1 - 3 g / 4)),   g = sqrt(sensor_gain/jac_decay)
       exponent = sqrt(jac_decay / sensor_gain) / 2.
+
+    Under the spectral-gap condition the rate keeps the floor
+    jac_decay (1/2 - 2 jac_lip noise_trace / jac_decay^2) and the exponent
+    exceeds 1; test_lyapunov_rate_keeps_unconditional_floor checks both.
     """
     _need_stable(c)
     if c.sensor_gain <= 0.0:
@@ -261,12 +265,6 @@ def lyapunov_rate(c: ProblemConstants):
         - g * (1.0 - 0.75 * g)
     )
     exponent = 0.5 * np.sqrt(c.jac_decay / c.sensor_gain)
-    report = check_conditions(c, alpha=1.0 + 1e-9)
-    if report.spectral_gap:
-        # under the spectral-gap condition the rate keeps a guaranteed floor
-        floor = c.jac_decay * (0.5 - 2.0 * c.jac_lip * c.noise_trace / c.jac_decay**2)
-        assert rate >= floor - 1e-12 * max(1.0, abs(floor))
-        assert exponent > 1.0
     return float(rate), float(exponent)
 
 

@@ -22,7 +22,11 @@ trials it summarizes.
 Estimators compare recorded trial statistics against the closed-form
 envelopes from the bounds module and return plain dict rows ready for CSV
 and JSON serialization.  Each row carries a machine-readable `paper_ref`
-slug naming the bound under test.  Both Laplace rows share _laplace_fields;
+slug naming the bound under test, its `pass` verdict and, where an exact
+value is known, its `oracle` and `oracle_pass`.  Every field of a CSV-bound
+row is named in ROW_FIELDS, with one meaning per name; a row leaves out the
+fields it has no value for, and never fills them with NaN or a verdict.
+The forgetting row is JSON-only.  Both Laplace rows share _laplace_fields;
 the forgetting verdict and forgetting.csv share forgetting_curves.
 """
 
@@ -51,7 +55,7 @@ from ..dynamics import (
     stream,
     trial_rng,
 )
-from ..errors import InvalidArgument
+from ..errors import ConfigError, InvalidArgument
 from .stats import Z95, bootstrap_mean_ci, fit_decay_rate, increasing_trend_pvalue, wilson_interval
 
 # Trials are processed in fixed chunks, which bounds the noise and state
@@ -69,21 +73,31 @@ DEFAULT_ALPHA = 1.1
 # are too tail-sensitive.
 MAX_MOMENT_ORDER = 4
 
+# Every field a CSV-bound check row may carry, in column order: a check
+# CSV's columns are the names its rows carry, in this order.  n is a moment
+# order, n_samples a sample count, n_trials an ensemble size.
+ROW_FIELDS = (
+    "mode", "t", "n", "kind", "delta", "eps", "coefficient", "n_samples", "n_trials", "dt",
+    "estimate", "frequency", "max_violation", "ci_low", "ci_high", "oracle", "threshold",
+    "bound", "oracle_pass", "n_overflow", "pass", "radius", "n_diverged", "paper_ref",
+)
+
 
 def worker_count() -> int:
     """Worker threads of run_ensemble's pool; EKBF_THREADS overrides the CPU count.
 
     The pool runs only the engine's chunks, and only when every trial
     carries its own covariance; everything else runs on the calling thread.
+    A bad EKBF_THREADS is outside input, so it is a ConfigError.
     """
     env = os.environ.get("EKBF_THREADS")
     if env is not None:
         try:
             w = int(env)
         except ValueError as exc:
-            raise InvalidArgument(f"EKBF_THREADS must be an integer, got {env!r}") from exc
+            raise ConfigError(f"EKBF_THREADS must be an integer, got {env!r}") from exc
         if w < 1:
-            raise InvalidArgument("EKBF_THREADS must be >= 1")
+            raise ConfigError("EKBF_THREADS must be >= 1")
         return w
     return os.cpu_count() or 1
 
@@ -343,7 +357,7 @@ def estimate_chi2_laplace(P0, n_samples: int, seed: int) -> dict:
     z = stream(seed, CHI2, 0).standard_normal((n_samples, d)) @ linalg.sym_sqrt(P0).T
     row = _laplace_fields(_sumsq(z) / (4.0 * d * rho), True, stream(seed, CHI2, 1), np.e,
                           "initial-error-laplace")
-    return dict(row, mode="chi2", n=n_samples)
+    return dict(row, mode="chi2", n_samples=n_samples)
 
 
 def estimate_ekf_laplace(result: EnsembleResult, eps: float = DEFAULT_EPS) -> dict:
@@ -377,6 +391,7 @@ def verify_trace_bound(result: EnsembleResult) -> dict:
         "max_violation": violation,
         "threshold": threshold,
         "n_trials": result.n_trials,
+        "dt": result.dt,
         "n_diverged": int(result.diverged.sum()),
         "pass": bool(violation <= threshold),
         "paper_ref": "trace-envelope",
@@ -484,7 +499,8 @@ def gronwall_test_process(
     E Y^{n/2} against the exact geometric closed form and against the
     homogeneous envelope.  When u or v is positive, also runs the sourced
     variant dY = (-a Y + u) dt + sqrt(v Y + w Y^2) dN from Y_0 = 0 and
-    checks E(Y_T^{n/2})^{2/n} against the quadrature envelope.  Each
+    checks E(Y_T^{n/2})^{2/n} against the quadrature envelope; those rows
+    carry no oracle, since no exact value is computed for them.  Each
     process draws its (n_paths,) normals one Euler step at a time from its
     own stream, so the noise held at once is one step's.  Each process's
     rows come from one bootstrap of its paths on the calling thread, keyed
@@ -533,41 +549,19 @@ def gronwall_test_process(
     rows = []
     for (kind, s, n), est in zip(specs, estimates):
         m, t = n / 2.0, s * dt
+        row = {"t": float(t), "n": int(n), "kind": kind}
         if kind == "homogeneous":
             oracle = y0**m * np.exp(-m * a * t + m * (m - 1.0) * w * t / 2.0)
-            envelope = y0**m * np.exp(0.5 * (-n * a + n * (n - 1.0) * w / 2.0) * t)
-            rows.append(
-                {
-                    "t": float(t),
-                    "n": int(n),
-                    "kind": "homogeneous",
-                    "estimate": est.point,
-                    "ci_low": est.ci_low,
-                    "ci_high": est.ci_high,
-                    "oracle": float(oracle),
-                    "bound": float(envelope),
-                    "oracle_pass": bool(est.ci_low <= oracle <= est.ci_high),
-                    "pass": bool(est.ci_low <= envelope),
-                    "paper_ref": "gronwall-envelope",
-                }
-            )
+            bound = y0**m * np.exp(0.5 * (-n * a + n * (n - 1.0) * w / 2.0) * t)
+            point, low, high = est.point, est.ci_low, est.ci_high
+            row.update(oracle=float(oracle), oracle_pass=bool(low <= oracle <= high),
+                       paper_ref="gronwall-envelope")
         else:
-            rhs = bounds.gronwall_moment_rhs(n, grid[: s + 1], a, w, u, v)
-            point = est.point ** (2.0 / n)
-            low = est.ci_low ** (2.0 / n)
-            rows.append(
-                {
-                    "t": float(t),
-                    "n": int(n),
-                    "kind": "sourced",
-                    "estimate": point,
-                    "ci_low": low,
-                    "ci_high": est.ci_high ** (2.0 / n),
-                    "oracle": float("nan"),
-                    "bound": float(rhs),
-                    "oracle_pass": True,
-                    "pass": bool(low <= rhs),
-                    "paper_ref": "gronwall-sourced-envelope",
-                }
-            )
+            # the sourced envelope bounds (E Y^{n/2})^{2/n}
+            bound = bounds.gronwall_moment_rhs(n, grid[: s + 1], a, w, u, v)
+            point, low, high = (x ** (2.0 / n) for x in (est.point, est.ci_low, est.ci_high))
+            row["paper_ref"] = "gronwall-sourced-envelope"
+        row.update({"estimate": point, "ci_low": low, "ci_high": high, "bound": float(bound),
+                    "pass": bool(low <= bound)})
+        rows.append(row)
     return rows

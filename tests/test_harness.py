@@ -437,7 +437,7 @@ def test_bootstrap_rows_invariant_to_worker_count(monkeypatch):
             a=1.0, w=0.3, dt=1e-2, T=1.0, n_paths=300, seed=37, orders=(1, 2),
             u=0.5, v=0.2, checkpoints=[0.25, 0.5, 1.0],
         )
-        # JSON keeps every float exactly and compares the sourced rows' NaN oracle
+        # JSON keeps every float exactly
         return json.dumps([moments, gronwall], sort_keys=True)
 
     monkeypatch.setenv("EKBF_THREADS", "1")
@@ -514,6 +514,9 @@ def test_gronwall_sourced_rows():
     sourced = [r for r in rows if r["kind"] == "sourced"]
     assert len(sourced) == 1
     assert sourced[0]["pass"]
+    # no exact value is computed for the sourced process: its row carries no
+    # oracle at all rather than a NaN one with an invented verdict
+    assert "oracle" not in sourced[0] and "oracle_pass" not in sourced[0]
 
 
 # ------------------------------------------------------------ config and CLI
@@ -729,11 +732,16 @@ def test_cli_reruns_are_byte_identical(tmp_path):
     path = _write_cfg(tmp_path, _base_config())
     bank = _base_config()
     bank["init"] = {"x0": [0.0], "filters": [[[1.0], [[1.0]]], [[-1.0], [[0.1]]]]}
+    bank["gronwall"] = {"a": 1.0, "w": 0.5, "u": 0.3, "v": 0.2, "n_paths": 200}
     bank_path = _write_cfg(tmp_path, bank, "bank.json")
+    report_files = ("events.csv", "moments.csv", "laplace.csv", "trace.csv", "gronwall.csv",
+                    "bounds.json", "report.json")
     for command, cfg_path, names in (
         ("verify", path, ("events.csv", "moments.csv", "verify.json")),
         ("simulate", path, ("ensemble.csv", "trajectory.csv", "simulate.json")),
         ("forgetting", bank_path, ("forgetting.csv", "forgetting.json")),
+        ("gronwall", bank_path, ("gronwall.csv", "gronwall.json")),
+        ("report", bank_path, report_files),
     ):
         out_a, out_b = tmp_path / command / "a", tmp_path / command / "b"
         run_cli([command, "--config", cfg_path, "--out", str(out_a)])
@@ -827,10 +835,104 @@ def test_emit_returns_one_when_any_check_fails(tmp_path, capsys):
     assert summary["pass"] is False
     code = _emit(summary, str(tmp_path), "verify")
     assert code == 1
-    assert "FAIL (1/2 checks)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL (1/2 checks)" in out
+    assert "oracle" not in out  # no row carries an oracle
     on_disk = json.loads((tmp_path / "verify.json").read_text())
     assert on_disk["pass"] is False
+    assert on_disk["oracle_pass"] is True
     assert on_disk["paper_refs"] == ["event-radius-filter"]
+
+
+def test_emit_shows_oracle_misses_but_exits_on_pass_alone(tmp_path, capsys):
+    # the bound holds while the simulated moment misses its exact value: the
+    # line and the summary show it, and the exit code still reads pass alone
+    from ekbf.harness.cli import _emit, _summary
+
+    details = [{"t": 1.0, "n": 2, "kind": "homogeneous", "oracle": 0.5, "oracle_pass": False,
+                "pass": True, "paper_ref": "gronwall-envelope"}]
+    assert _emit(_summary("gronwall-test", details), str(tmp_path), "gronwall") == 0
+    assert capsys.readouterr().out == "gronwall-test: PASS (1/1 checks); oracle FAIL (0/1)\n"
+    on_disk = json.loads((tmp_path / "gronwall.json").read_text())
+    assert on_disk["pass"] is True and on_disk["oracle_pass"] is False
+
+
+def _strict_json(path):
+    def refuse(name):
+        raise ValueError(f"{path.name} holds {name}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def _csv_header(path):
+    return path.read_text().splitlines()[0].split(",")
+
+
+def test_check_csv_columns_are_the_fields_their_rows_carry(tmp_path):
+    # one rule for every check CSV: the columns are the ROW_FIELDS names that
+    # the file's JSON rows carry, in that order; nothing dropped or invented
+    cfg = _base_config()
+    cfg["test"]["n_orders"] = [1, 2]
+    cfg["gronwall"] = {"a": 1.0, "w": 0.5, "u": 0.3, "v": 0.2, "n_paths": 200}
+    path = _write_cfg(tmp_path, cfg)
+    runs = {
+        "report": (["report"], "report.json"),
+        "chi2": (["verify", "--scenario", "chi2-laplace"], "verify.json"),
+        "trace": (["verify", "--scenario", "trace-bound"], "verify.json"),
+    }
+    for name, (argv, summary) in runs.items():
+        out = tmp_path / name
+        assert run_cli(argv + ["--config", path, "--out", str(out)]) in (0, 1)
+        families = {}
+        for row in _strict_json(out / summary)["details"]:
+            if row["paper_ref"] in cli._CSV_STEMS:
+                families.setdefault(cli._CSV_STEMS[row["paper_ref"]], []).append(row)
+        written = {p.stem for p in out.glob("*.csv")}
+        assert written == set(families), name
+        for stem, rows in families.items():
+            keys = set().union(*rows)
+            assert keys <= set(estimators.ROW_FIELDS), (name, stem)
+            header = _csv_header(out / f"{stem}.csv")
+            assert header == [f for f in estimators.ROW_FIELDS if f in keys], (name, stem)
+    assert set(_csv_header(tmp_path / "chi2" / "laplace.csv")) >= {"mode", "n_samples"}
+    assert "dt" in _strict_json(tmp_path / "trace" / "verify.json")["details"][0]
+    assert {p.name for p in (tmp_path / "report").glob("*.csv")} == {
+        "events.csv", "moments.csv", "laplace.csv", "trace.csv", "gronwall.csv"
+    }
+
+
+def test_report_writes_the_same_check_files_as_each_command(tmp_path):
+    cfg = _base_config()
+    cfg["gronwall"] = {"a": 1.0, "w": 0.5, "u": 0.3, "v": 0.2, "n_paths": 200}
+    path = _write_cfg(tmp_path, cfg)
+    for argv, name in (
+        (["report"], "report"),
+        (["verify", "--scenario", "trace-bound"], "trace"),
+        (["gronwall"], "gronwall"),
+    ):
+        run_cli(argv + ["--config", path, "--out", str(tmp_path / name)])
+    for stem in ("trace", "gronwall"):
+        report = (tmp_path / "report" / f"{stem}.csv").read_bytes()
+        assert report == (tmp_path / stem / f"{stem}.csv").read_bytes(), stem
+    # no row invents a NaN oracle, so both summaries are strict JSON
+    _strict_json(tmp_path / "gronwall" / "gronwall.json")
+    _strict_json(tmp_path / "report" / "report.json")
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("command", ["simulate", "gronwall"])
+def test_cli_rejects_bad_thread_count_before_running(tmp_path, capsys, monkeypatch, value, command):
+    # a linear ensemble and the Gronwall process never start a pool, so the
+    # variable must be checked once at start, not where a pool is built
+    cfg = _base_config()
+    cfg["gronwall"] = {"a": 1.0, "w": 0.5, "n_paths": 200}
+    path = _write_cfg(tmp_path, cfg)
+    monkeypatch.setenv("EKBF_THREADS", value)
+    with mock.patch.object(cli, "run_ensemble", side_effect=AssertionError("simulated")), \
+            mock.patch.object(cli, "gronwall_test_process", side_effect=AssertionError("simulated")):
+        assert run_cli([command, "--config", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: EKBF_THREADS ")
 
 
 def test_cli_simulate_and_gronwall(tmp_path):

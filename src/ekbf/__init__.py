@@ -14,7 +14,6 @@ from .bounds import (
     bounds_report,
     check_conditions,
     ekf_radius,
-    event_control_radius,
     lyapunov_rate,
     moment_bound_xhat,
     problem_constants,
@@ -28,22 +27,17 @@ from .dynamics import (
     Stepper,
     TrialRecord,
     deterministic_flow,
-    fixed_point,
     make_path_bundle,
     simulate_coupled,
-    simulate_signal,
-    step_ekf,
     trial_rng,
 )
 from .errors import (
     ConfigError,
     DimensionMismatch,
-    DivergedFilter,
     EkbfError,
     InvalidArgument,
     InvalidMatrix,
     ModelNotContractive,
-    NoFixedPoint,
     NotPD,
     NotPSD,
     NotReducible,
@@ -57,7 +51,6 @@ from .models import (
     QuadraticCubicModel,
     RegularityConstants,
     TransformedModel,
-    canonical_change_of_basis,
     lipschitz_empirical_check,
     observation_params,
 )
@@ -69,7 +62,6 @@ __all__ = [
     "ConditionReport",
     "ConfigError",
     "DimensionMismatch",
-    "DivergedFilter",
     "EkbfError",
     "FilterState",
     "InteractingModel",
@@ -77,7 +69,6 @@ __all__ = [
     "InvalidMatrix",
     "LinearModel",
     "ModelNotContractive",
-    "NoFixedPoint",
     "NotPD",
     "NotPSD",
     "NotReducible",
@@ -92,12 +83,9 @@ __all__ = [
     "TrialRecord",
     "UnstableStep",
     "bounds_report",
-    "canonical_change_of_basis",
     "check_conditions",
     "deterministic_flow",
     "ekf_radius",
-    "event_control_radius",
-    "fixed_point",
     "lipschitz_empirical_check",
     "lyapunov_rate",
     "make_path_bundle",
@@ -107,8 +95,6 @@ __all__ = [
     "signal_moment_bound",
     "signal_radius",
     "simulate_coupled",
-    "simulate_signal",
-    "step_ekf",
     "trial_rng",
     "varpi",
 ]

@@ -10,7 +10,7 @@ The constants bundle:
   jac_lip      Lipschitz constant of the Jacobian
   drift_decay  one-sided monotonicity rate of the drift (>= jac_decay/2)
   noise_trace  trace of the signal noise covariance
-  sensor_gain  spectral norm of B^T R2^{-1} B for an isotropic sensor
+  sensor_gain  spectral norm of B^T R2^{-1} B
   prior_trace  trace of the initial filter covariance
   prior_norm   spectral norm of the initial filter covariance
   dim          signal dimension
@@ -108,20 +108,24 @@ def sigma_pi(c: ProblemConstants, t):
 
     Returns (sigma_sq_t, pi_t, pi_limit) where
       pi_t     = tau_t^2 * sensor_gain / noise_trace,
-      pi_limit = (sensor_gain / jac_decay) * (noise_trace / jac_decay),
+      pi_limit = pi_limit(c), the limit of pi_t as t grows,
       sigma_sq_t = 1 + 2 * pi_t.
     """
     tau = tau_t(c, t)
     pi_t = np.square(tau) * c.sensor_gain / c.noise_trace
-    pi_limit = (c.sensor_gain / c.jac_decay) * (c.noise_trace / c.jac_decay)
     sigma_sq = 1.0 + 2.0 * pi_t
-    return sigma_sq, pi_t, pi_limit
+    return sigma_sq, pi_t, pi_limit(c)
+
+
+def pi_limit(c: ProblemConstants) -> float:
+    """Long-time ratio (sensor_gain / jac_decay) * (noise_trace / jac_decay)."""
+    _need_stable(c)
+    return (c.sensor_gain / c.jac_decay) * (c.noise_trace / c.jac_decay)
 
 
 def sigma_sq_limit(c: ProblemConstants) -> float:
     """Long-time fluctuation factor 1 + 2 * pi_limit."""
-    _need_stable(c)
-    return 1.0 + 2.0 * (c.sensor_gain / c.jac_decay) * (c.noise_trace / c.jac_decay)
+    return 1.0 + 2.0 * pi_limit(c)
 
 
 def varpi(delta: float) -> float:
@@ -133,13 +137,6 @@ def varpi(delta: float) -> float:
     if delta < 0:
         raise InvalidArgument("delta must be non-negative")
     return (_E**2 / np.sqrt(2.0)) * (0.5 + delta + np.sqrt(delta))
-
-
-def event_control_radius(z_sq: float, delta: float) -> float:
-    """Radius z_sq * varpi(delta) for a process with moment scale z_sq."""
-    if z_sq < 0:
-        raise InvalidArgument("z_sq must be non-negative")
-    return z_sq * varpi(delta)
 
 
 def chi(c: ProblemConstants) -> float:
@@ -172,7 +169,7 @@ def decay_ramp(drift_decay: float, jac_decay: float, t) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def ekf_radius(c: ProblemConstants, delta: float, t, init_sq: float, prior_trace: float):
+def ekf_radius(c: ProblemConstants, delta: float, t, init_sq: float):
     """High-probability squared radius of the filter mean around the signal.
 
     Three additive parts: a steady fluctuation floor, the forgotten initial
@@ -184,13 +181,13 @@ def ekf_radius(c: ProblemConstants, delta: float, t, init_sq: float, prior_trace
     """
     _need_stable(c)
     _need_monotone(c)
-    if init_sq < 0 or prior_trace < 0:
-        raise InvalidArgument("init_sq and prior_trace must be non-negative")
+    if init_sq < 0:
+        raise InvalidArgument("init_sq must be non-negative")
     w = varpi(delta)
     floor = 4.0 * w * (c.noise_trace / c.drift_decay) * sigma_sq_limit(c)
     t = np.asarray(t, dtype=float)
     forget = 2.0 * np.exp(-c.jac_decay * t) * init_sq
-    transient = 8.0 * w * decay_ramp(c.drift_decay, c.jac_decay, t) * c.sensor_gain * prior_trace**2
+    transient = 8.0 * w * decay_ramp(c.drift_decay, c.jac_decay, t) * c.sensor_gain * c.prior_trace**2
     out = floor + forget + transient
     return float(out) if out.ndim == 0 else out
 
@@ -227,7 +224,7 @@ def check_conditions(c: ProblemConstants, alpha: float) -> ConditionReport:
             * alpha
             * np.sqrt(c.sensor_gain / c.jac_decay)
             * (c.noise_trace / c.drift_decay)
-            * (1.0 + 2.0 * (c.noise_trace / c.jac_decay) * (c.sensor_gain / c.jac_decay))
+            * sigma_sq_limit(c)
         )
     else:
         lhs = np.inf
@@ -425,7 +422,7 @@ def bounds_report(
         chi_normalizer=chi_norm,
         signal_radii=[signal_radius(c, d) for d in delta_grid],
         ekf_radii=[
-            [float(ekf_radius(c, d, t, init_sq, c.prior_trace)) for t in t_grid]
+            [float(ekf_radius(c, d, t, init_sq)) for t in t_grid]
             for d in delta_grid
         ],
         conditions=check_conditions(c, alpha),

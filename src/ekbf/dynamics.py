@@ -30,14 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DimensionMismatch,
-    DivergedFilter,
-    InvalidArgument,
-    NoFixedPoint,
-    NotReducible,
-    UnstableStep,
-)
+from .errors import DimensionMismatch, InvalidArgument, UnstableStep
 from .models import ObservationModel
 
 # Canonical noise protocol: standard normals are drawn in blocks of this many
@@ -136,11 +129,7 @@ def check_step_size(model, dt: float) -> None:
     """Reject step sizes that make the explicit covariance update stiff."""
     if dt <= 0.0:
         raise InvalidArgument("dt must be positive")
-    try:
-        consts = model.regularity_constants()
-    except NotReducible:
-        # transported models may not expose rates; the caller takes the risk
-        return
+    consts = model.regularity_constants()
     if dt * consts.jac_decay >= 0.5:
         raise UnstableStep(
             f"dt * jac_decay = {dt * consts.jac_decay:.3f} >= 0.5; reduce the step"
@@ -220,22 +209,6 @@ class Stepper:
         return new_x, new_P, healthy
 
 
-def simulate_signal(model, x0, bundle: PathBundle) -> np.ndarray:
-    """Integrate the state equation along one increment bundle.
-
-    Returns the path including the initial point, shape (steps + 1, dim).
-    """
-    x0 = linalg.as_vector(x0, model.dim)
-    stepper = Stepper(model, bundle.dt)
-    path = np.empty((bundle.steps + 1, model.dim))
-    path[0] = x0
-    x = x0
-    for k in range(bundle.steps):
-        x = stepper.signal_step(x, bundle.dW[k])
-        path[k + 1] = x
-    return path
-
-
 def deterministic_flow(model, x0, dt: float, steps: int) -> np.ndarray:
     """Integrate the noise-free flow with RK4; batched over leading dims of x0.
 
@@ -251,18 +224,6 @@ def deterministic_flow(model, x0, dt: float, steps: int) -> np.ndarray:
         x = stepper.flow_step(x)
         path[k + 1] = x
     return path
-
-
-def step_ekf(model, obs: ObservationModel, state: FilterState, dy, dt: float) -> FilterState:
-    """Advance one filter by one step; raises DivergedFilter on blow-up."""
-    stepper = Stepper(model, dt, obs)
-    dy = np.asarray(dy, dtype=float)
-    new_x, new_P, ok = stepper.filter_step(
-        state.mean[np.newaxis], state.cov[np.newaxis], dy[np.newaxis]
-    )
-    if not bool(ok[0]):
-        raise DivergedFilter("filter state left the admissible region")
-    return FilterState(mean=new_x[0], cov=new_P[0], t=state.t + dt)
 
 
 def initial_bank(filters, d: int):
@@ -400,35 +361,3 @@ def simulate_coupled(
         diverged=~active,
     )
 
-
-def fixed_point(model, x0=None, max_iter: int = 200, tol: float = 1e-10) -> np.ndarray:
-    """Zero of the drift field via damped Newton iteration.
-
-    The drift families here are strongly monotone, so the zero is unique and
-    Newton with backtracking is reliable; failure to converge within max_iter
-    raises NoFixedPoint.
-    """
-    consts = model.regularity_constants()  # raises if the model is not contractive
-    assert consts.drift_decay > 0.0
-    d = model.dim
-    x = np.zeros(d) if x0 is None else linalg.as_vector(x0, d).copy()
-    for _ in range(max_iter):
-        f = model.drift(x)
-        n0 = float(np.linalg.norm(f))
-        if n0 <= tol:
-            return x
-        J = model.drift_jacobian(x)
-        try:
-            step = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError as exc:
-            raise NoFixedPoint(f"singular Jacobian at iterate {x}") from exc
-        lam = 1.0
-        while lam >= 2.0**-20:
-            trial = x + lam * step
-            if np.linalg.norm(model.drift(trial)) <= (1.0 - 0.25 * lam) * n0:
-                break
-            lam *= 0.5
-        else:
-            raise NoFixedPoint("backtracking stalled without residual decrease")
-        x = trial
-    raise NoFixedPoint(f"no convergence after {max_iter} iterations")

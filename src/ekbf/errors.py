@@ -26,19 +26,11 @@ class ModelNotContractive(EkbfError):
 
 
 class NotReducible(EkbfError):
-    """Observation pair cannot be brought to the canonical isotropic form."""
+    """Basis change is not conformal, so regularity constants do not transport."""
 
 
 class UnstableStep(EkbfError):
     """Step size too large for the model's stiffness (dt * jac_decay >= 0.5)."""
-
-
-class DivergedFilter(EkbfError):
-    """Filter state left the admissible region (non-finite or norm beyond guard)."""
-
-
-class NoFixedPoint(EkbfError):
-    """Damped Newton iteration failed to locate a drift zero."""
 
 
 class NotStable(EkbfError):

@@ -9,12 +9,15 @@ every row and `oracle_pass` over the rows that carry one.
 Exit codes: 0 when every check passes, 1 when any check fails, 2 on a
 configuration problem, including a value the command cannot use (moment
 orders above 4, fewer than two chi-square samples, a bad EKBF_THREADS), 3
-when the run itself fails (any other EkbfError, e.g. a diverged filter); 2
-and 3 print a one-line message to stderr.  The code reads `pass` alone: an
-oracle miss is printed, not failed, since the oracles are continuous-time
-values that ignore the Euler scheme's bias.  All file output is
-deterministic for a fixed (config, seed): CSV cells use 17 significant
-digits and JSON is emitted with sorted keys, so reruns are byte-identical.
+when the run itself fails (any other EkbfError, e.g. a Laplace row whose
+every sample overflowed or diverged; a diverged filter freezes and is
+counted, not raised); 2 and 3 print a one-line message to stderr.
+check prints the envelope report as JSON; every other command prints one
+verdict line and nothing else.  The code reads `pass` alone: an oracle miss
+is printed, not failed, since the oracles are continuous-time values that
+ignore the Euler scheme's bias.  All file output is deterministic for a
+fixed (config, seed): CSV cells use 17 significant digits and JSON is
+emitted with sorted keys, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -140,16 +143,21 @@ def _init_sq(cfg: ExperimentConfig) -> float:
     return float(e @ e)
 
 
-def _cmd_check(cfg: ExperimentConfig, out: str | None) -> int:
+def _write_bounds(cfg: ExperimentConfig, out: str | None) -> str:
+    """The envelope report as JSON text, also written to bounds.json under out."""
     c = bounds.problem_constants(cfg.model, cfg.obs, cfg.filters[0][1])
     report = bounds.bounds_report(
         c, cfg.checkpoints, cfg.delta_grid, alpha=cfg.alpha, init_sq=_init_sq(cfg)
     )
     text = report.to_json() + "\n"
-    sys.stdout.write(text)
     if out is not None:
         with open(os.path.join(out, "bounds.json"), "w", encoding="utf-8") as fh:
             fh.write(text)
+    return text
+
+
+def _cmd_check(cfg: ExperimentConfig, out: str | None) -> int:
+    sys.stdout.write(_write_bounds(cfg, out))
     return 0
 
 
@@ -256,7 +264,7 @@ def _cmd_report(cfg: ExperimentConfig, out: str | None) -> int:
     """Full battery: envelopes, events, moments, trace, Laplace, and extras."""
     _check_moment_orders(cfg)
     _check_chi2_samples(cfg)
-    _cmd_check(cfg, out)
+    _write_bounds(cfg, out)
     result = _ensemble(cfg)
     details = estimate_event_probability(result, cfg.delta_grid, "signal", init_sq=_init_sq(cfg))
     details += estimate_event_probability(result, cfg.delta_grid, "ekf", init_sq=_init_sq(cfg))

@@ -250,7 +250,7 @@ def estimate_event_probability(
             if kind == "signal":
                 radius = bounds.signal_radius(c, delta)
             else:
-                radius = bounds.ekf_radius(c, delta, t, init_sq, c.prior_trace)
+                radius = bounds.ekf_radius(c, delta, t, init_sq)
             ok = (err[:, i] <= radius) & ~result.diverged
             est = wilson_interval(int(ok.sum()), result.n_trials)
             threshold = 1.0 - np.exp(-delta)

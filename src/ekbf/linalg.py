@@ -1,8 +1,11 @@
 """Small dense symmetric-matrix kernel used by the filter, model, and bound code.
 
-Everything operates on plain numpy arrays.  Scalar entry points (max_eigenvalue,
-sym_spectral_abscissa, ...) validate a single matrix; the *_stack helpers accept
-leading batch dimensions and are what the trial engine calls in its inner loop.
+Everything operates on plain numpy arrays.  The scalar entry points take one
+matrix or vector and validate it: as_vector, as_square and as_symmetric return
+it as float64, and max_eigenvalue, min_eigenvalue, sym_spectral_abscissa and
+sym_sqrt compute from it.  The batched helpers matvec, symmetrize_stack,
+psd_project_stack and opnorm_sym_stack accept leading batch dimensions and are
+what the trial engine calls in its inner loop.
 
 Conventions:
   * matrices are at most MAX_DIM x MAX_DIM,
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, InvalidMatrix, NotPD, NotPSD
+from .errors import DimensionMismatch, InvalidArgument, InvalidMatrix, NotPSD
 
 MAX_DIM = 64
 EIG_ZERO_BAND = 1e-10
@@ -83,27 +86,6 @@ def sym_spectral_abscissa(M) -> float:
     return float(np.linalg.eigvalsh(A + A.T)[-1])
 
 
-def frobenius_inner(A, B) -> float:
-    """Frobenius inner product sum_ij A_ij B_ij."""
-    X = np.asarray(A, dtype=float)
-    Y = np.asarray(B, dtype=float)
-    if X.shape != Y.shape:
-        raise DimensionMismatch(f"shape mismatch {X.shape} vs {Y.shape}")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-        raise InvalidMatrix("non-finite entries")
-    return float(np.sum(X * Y))
-
-
-def psd_project(M) -> np.ndarray:
-    """Nearest positive semi-definite matrix in Frobenius norm.
-
-    Symmetrizes, then clips negative eigenvalues at zero.  This is the exact
-    Frobenius-nearest PSD point for a symmetric input.
-    """
-    A = as_symmetric(M)
-    return psd_project_stack(A[np.newaxis])[0]
-
-
 def sym_sqrt(M) -> np.ndarray:
     """Symmetric PSD square root.
 
@@ -117,17 +99,6 @@ def sym_sqrt(M) -> np.ndarray:
         raise NotPSD(f"matrix has eigenvalue {w[0]:.3e} below the PSD tolerance")
     w = np.clip(w, 0.0, None)
     R = (V * np.sqrt(w)) @ V.T
-    return 0.5 * (R + R.T)
-
-
-def sym_sqrt_inv(M) -> np.ndarray:
-    """Inverse symmetric square root of a positive definite matrix."""
-    A = as_symmetric(M)
-    w, V = np.linalg.eigh(A)
-    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
-    if w[0] <= EIG_ZERO_BAND * scale:
-        raise NotPD(f"matrix is not positive definite (min eigenvalue {w[0]:.3e})")
-    R = (V / np.sqrt(w)) @ V.T
     return 0.5 * (R + R.T)
 
 

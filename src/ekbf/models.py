@@ -39,7 +39,6 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    DimensionMismatch,
     InvalidArgument,
     InvalidMatrix,
     ModelNotContractive,
@@ -282,9 +281,8 @@ class InteractingModel:
 class TransformedModel:
     """A base model conjugated by an invertible linear map y = T x.
 
-    drift'(y) = T drift(T^{-1} y); used by the canonical change of basis that
-    normalizes the sensor.  Regularity constants transport only when T is a
-    positive multiple of an orthogonal matrix.
+    drift'(y) = T drift(T^{-1} y).  Regularity constants transport only when
+    T is a positive multiple of an orthogonal matrix.
     """
 
     base: object
@@ -330,7 +328,6 @@ class ObservationModel:
     R2: np.ndarray
     S: np.ndarray = field(init=False)
     sensor_gain: float = field(init=False)
-    isotropic: bool = field(init=False)
     R2_sqrt: np.ndarray = field(init=False)
     gain_map: np.ndarray = field(init=False)
 
@@ -349,14 +346,10 @@ class ObservationModel:
         S = B.T @ R2_inv @ B
         S = 0.5 * (S + S.T)
         gain = float(np.linalg.eigvalsh(S)[-1])
-        iso = bool(
-            np.linalg.norm(S - gain * np.eye(S.shape[0])) <= 1e-10 * max(1.0, gain)
-        )
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "R2", R2)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "sensor_gain", gain)
-        object.__setattr__(self, "isotropic", iso)
         object.__setattr__(self, "R2_sqrt", 0.5 * (R2_sqrt + R2_sqrt.T))
         object.__setattr__(self, "gain_map", B.T @ R2_inv)
 
@@ -372,31 +365,6 @@ class ObservationModel:
 def observation_params(B, R2) -> ObservationModel:
     """Build an ObservationModel, deriving S = B^T R2^{-1} B and its gain."""
     return ObservationModel(B=B, R2=R2)
-
-
-def canonical_change_of_basis(model, obs: ObservationModel):
-    """Rescale coordinates so the sensor becomes dY = X dt + dV.
-
-    Requires B square and invertible.  Returns (model', obs') where obs' has
-    B = R2 = I (so its gain matrix is the identity and sensor_gain == 1) and
-    model' is the drift conjugated by T = R2^{-1/2} B with noise T R1 T^T.
-    """
-    B = obs.B
-    if B.shape[0] != B.shape[1]:
-        raise NotReducible("change of basis needs a square sensor matrix")
-    d = B.shape[0]
-    if np.linalg.matrix_rank(B) < d:
-        raise NotReducible("sensor matrix is singular")
-    T = linalg.sym_sqrt_inv(obs.R2) @ B
-    T_inv = np.linalg.inv(T)
-    R1_new = T @ model.R1 @ T.T
-    R1_new = 0.5 * (R1_new + R1_new.T)
-    if isinstance(model, LinearModel):
-        new_model = LinearModel(A=T @ model.A @ T_inv, R1=R1_new)
-    else:
-        new_model = TransformedModel(base=model, T=T, T_inv=T_inv, R1=R1_new)
-    new_obs = observation_params(np.eye(d), np.eye(d))
-    return new_model, new_obs
 
 
 def lipschitz_empirical_check(

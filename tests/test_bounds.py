@@ -41,10 +41,6 @@ def test_varpi_frozen_values():
         bounds.varpi(-0.1)
 
 
-def test_event_control_radius():
-    assert bounds.event_control_radius(2.0, 1.0) == pytest.approx(26.124258370608395)
-
-
 def test_tau_frozen_and_vectorized():
     # prior trace 1, noise trace 1, rate 2: at t = ln(2)/2 the value is exactly 1
     assert bounds.tau_t(OU_C, np.log(2.0) / 2.0) == pytest.approx(1.0, rel=1e-12)
@@ -75,11 +71,11 @@ def test_signal_radius_frozen():
 
 def test_ekf_radius_floor_and_decay():
     # with a deterministic prior the radius is the pure fluctuation floor
-    floor = bounds.ekf_radius(OU_C0, 1.0, 50.0, 0.0, 0.0)
+    floor = bounds.ekf_radius(OU_C0, 1.0, 50.0, 0.0)
     assert floor == pytest.approx(4.0 * 13.062129185304197 * 1.5, rel=1e-9)
     # with an initial mean offset the radius decreases monotonically in time
     ts = np.linspace(0.0, 10.0, 200)
-    vals = bounds.ekf_radius(OU_C0, 1.0, ts, 3.0, 0.0)
+    vals = bounds.ekf_radius(OU_C0, 1.0, ts, 3.0)
     assert np.all(np.diff(vals) <= 1e-12)
     assert vals[-1] == pytest.approx(floor, rel=1e-6)
 
@@ -275,9 +271,7 @@ def test_envelopes_monotone(c, deltas, times, orders, init_sq):
     assert bounds.varpi(lo) <= bounds.varpi(hi)
     assert bounds.signal_radius(c, lo) <= bounds.signal_radius(c, hi)
     for t in times:
-        assert bounds.ekf_radius(c, lo, t, init_sq, c.prior_trace) <= bounds.ekf_radius(
-            c, hi, t, init_sq, c.prior_trace
-        )
+        assert bounds.ekf_radius(c, lo, t, init_sq) <= bounds.ekf_radius(c, hi, t, init_sq)
     # the covariance trace envelope only relaxes toward its limit
     early, late = times
     assert bounds.tau_t(c, late) <= bounds.tau_t(c, early)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from ekbf import linalg
 from ekbf.dynamics import FilterState, make_path_bundle, simulate_coupled
-from ekbf.errors import ConfigError, DivergedFilter, InvalidArgument
+from ekbf.errors import ConfigError, InvalidArgument
 from ekbf.harness import (
     EstimateWithCI,
     bootstrap_mean_ci,
@@ -717,6 +718,17 @@ def test_cli_check_prints_json(tmp_path, capsys):
     assert "rate" in blob and "conditions" in blob
 
 
+def test_cli_report_prints_only_its_verdict(tmp_path, capsys):
+    path = _write_cfg(tmp_path, _base_config())
+    run_cli(["check", "--config", path, "--out", str(tmp_path / "check")])
+    capsys.readouterr()
+    run_cli(["report", "--config", path, "--out", str(tmp_path / "report")])
+    verdict = r"report: (PASS|FAIL) \(\d+/\d+ checks\)(; oracle (PASS|FAIL) \(\d+/\d+\))?\n"
+    assert re.fullmatch(verdict, capsys.readouterr().out)
+    bounds_json = (tmp_path / "report" / "bounds.json").read_bytes()
+    assert bounds_json == (tmp_path / "check" / "bounds.json").read_bytes()
+
+
 def test_cli_verify_writes_documented_columns(tmp_path):
     path = _write_cfg(tmp_path, _base_config())
     out = tmp_path / "out"
@@ -786,9 +798,10 @@ def test_cli_exit_codes(tmp_path):
 def test_cli_runtime_error_exits_three(tmp_path, capsys):
     # a failure of the run itself, not of a config value
     path = _write_cfg(tmp_path, _base_config())
-    with mock.patch.object(cli, "run_ensemble", side_effect=DivergedFilter("filter blew up")):
+    failure = InvalidArgument("all samples overflowed or diverged")
+    with mock.patch.object(cli, "run_ensemble", side_effect=failure):
         assert run_cli(["report", "--config", path]) == 3
-    assert capsys.readouterr().err.splitlines() == ["error: filter blew up"]
+    assert capsys.readouterr().err.splitlines() == ["error: all samples overflowed or diverged"]
 
 
 @pytest.mark.parametrize("argv", [["report"], ["verify", "--scenario", "chi2-laplace"]])

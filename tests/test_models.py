@@ -11,7 +11,7 @@ from ekbf.models import (
     ObservationModel,
     QuadraticCubicModel,
     RegularityConstants,
-    canonical_change_of_basis,
+    TransformedModel,
     lipschitz_empirical_check,
     observation_params,
 )
@@ -244,42 +244,30 @@ def test_observation_model_derived_fields():
     obs = observation_params(np.array([[2.0]]), np.array([[0.5]]))
     assert obs.S[0, 0] == pytest.approx(8.0)
     assert obs.sensor_gain == pytest.approx(8.0)
-    assert obs.isotropic
     assert obs.gain_map[0, 0] == pytest.approx(4.0)
     wide = observation_params(np.array([[1.0, 0.0]]), np.array([[1.0]]))
     assert wide.obs_dim == 1 and wide.state_dim == 2
-    assert not wide.isotropic
 
 
-def test_change_of_basis_linear_exact():
-    model = LinearModel(-np.eye(2), 0.5 * np.eye(2))
-    obs = observation_params(2.0 * np.eye(2), np.eye(2))
-    new_model, new_obs = canonical_change_of_basis(model, obs)
-    assert isinstance(new_model, LinearModel)
-    assert np.allclose(new_model.A, -np.eye(2))
-    assert np.allclose(new_model.R1, 2.0 * np.eye(2))
-    assert np.allclose(new_obs.B, np.eye(2))
-    assert new_obs.sensor_gain == pytest.approx(1.0)
+def _transformed(model, T):
+    """model conjugated by y = T x, its noise carried to T R1 T^T."""
+    return TransformedModel(base=model, T=T, T_inv=np.linalg.inv(T), R1=T @ model.R1 @ T.T)
 
 
 def test_change_of_basis_nonlinear_scales_lipschitz():
     model = _qc()
-    obs = observation_params(2.0 * np.eye(2), np.eye(2))
-    new_model, new_obs = canonical_change_of_basis(model, obs)
+    new_model = _transformed(model, 2.0 * np.eye(2))
     consts = new_model.regularity_constants()
     assert consts.jac_decay == pytest.approx(0.5)
     assert consts.jac_lip == pytest.approx(1.0)  # divided by the scale factor 2
-    assert new_obs.sensor_gain == pytest.approx(1.0)
     # drift conjugation: A'(z) = T A(T^{-1} z)
     z = np.array([0.4, -1.2])
     assert np.allclose(new_model.drift(z), 2.0 * model.drift(z / 2.0))
 
 
 def test_change_of_basis_rejects_bad_sensors():
-    model = _qc()
-    with pytest.raises(NotReducible):
-        canonical_change_of_basis(model, observation_params(np.array([[1.0, 0.0]]), np.eye(1)))
-    skewed = canonical_change_of_basis(model, observation_params(np.diag([1.0, 2.0]), np.eye(2)))[0]
+    # a non-conformal T stretches one axis more than the other
+    skewed = _transformed(_qc(), np.diag([1.0, 2.0]))
     with pytest.raises(NotReducible):
         skewed.regularity_constants()
 

@@ -6,9 +6,9 @@ PASS/FAIL, so each one is written directly from its algebraic definition and
 pinned by frozen-value tests.
 
 The constants bundle:
-  jac_decay    decay rate of the symmetrized drift Jacobian (conservative)
+  jac_decay    decay rate of the symmetrized drift Jacobian (conservative), > 0
   jac_lip      Lipschitz constant of the Jacobian
-  drift_decay  one-sided monotonicity rate of the drift (>= jac_decay/2)
+  drift_decay  one-sided monotonicity rate of the drift (>= jac_decay/2), > 0
   noise_trace  trace of the signal noise covariance
   sensor_gain  spectral norm of B^T R2^{-1} B
   prior_trace  trace of the initial filter covariance
@@ -61,6 +61,9 @@ class ProblemConstants:
             raise InvalidArgument("noise_trace must be positive")
         if self.dim < 1:
             raise InvalidArgument("dim must be at least 1")
+        # the one stability check: no envelope below tests a rate again
+        if self.jac_decay <= 0.0 or self.drift_decay <= 0.0:
+            raise NotStable("jac_decay and drift_decay must be positive")
 
 
 def problem_constants(model, obs, P0) -> ProblemConstants:
@@ -79,23 +82,12 @@ def problem_constants(model, obs, P0) -> ProblemConstants:
     )
 
 
-def _need_stable(c: ProblemConstants):
-    if c.jac_decay <= 0.0:
-        raise NotStable("jac_decay must be positive")
-
-
-def _need_monotone(c: ProblemConstants):
-    if c.drift_decay <= 0.0:
-        raise NotStable("drift_decay must be positive")
-
-
 def tau_t(c: ProblemConstants, t) -> np.ndarray | float:
     """Trace envelope of the filter covariance at time t.
 
     exp(-jac_decay * t) * prior_trace + noise_trace / jac_decay.
     Vectorized over t.
     """
-    _need_stable(c)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise InvalidArgument("t must be non-negative")
@@ -119,7 +111,6 @@ def sigma_pi(c: ProblemConstants, t):
 
 def pi_limit(c: ProblemConstants) -> float:
     """Long-time ratio (sensor_gain / jac_decay) * (noise_trace / jac_decay)."""
-    _need_stable(c)
     return (c.sensor_gain / c.jac_decay) * (c.noise_trace / c.jac_decay)
 
 
@@ -152,7 +143,6 @@ def chi(c: ProblemConstants) -> float:
 
 def signal_radius(c: ProblemConstants, delta: float) -> float:
     """High-probability squared radius of the signal around the noise-free flow."""
-    _need_monotone(c)
     return varpi(delta) * c.noise_trace / c.drift_decay
 
 
@@ -179,8 +169,6 @@ def ekf_radius(c: ProblemConstants, delta: float, t, init_sq: float):
       + 2 exp(-jac_decay t) init_sq
       + 8 varpi(delta) ramp(t) sensor_gain prior_trace^2
     """
-    _need_stable(c)
-    _need_monotone(c)
     if init_sq < 0:
         raise InvalidArgument("init_sq must be non-negative")
     w = varpi(delta)
@@ -214,23 +202,18 @@ def check_conditions(c: ProblemConstants, alpha: float) -> ConditionReport:
     """
     if alpha <= 1.0:
         raise InvalidArgument("alpha must exceed 1")
-    contractive = c.jac_decay > 0.0
     gap_rhs = max(np.sqrt(2.0 * c.jac_lip * c.noise_trace), 4.0 * c.sensor_gain)
-    spectral_gap = contractive and c.jac_decay > gap_rhs
-    if contractive and c.drift_decay > 0.0:
-        lhs = (
-            4.0
-            * _E
-            * alpha
-            * np.sqrt(c.sensor_gain / c.jac_decay)
-            * (c.noise_trace / c.drift_decay)
-            * sigma_sq_limit(c)
-        )
-    else:
-        lhs = np.inf
+    lhs = (
+        4.0
+        * _E
+        * alpha
+        * np.sqrt(c.sensor_gain / c.jac_decay)
+        * (c.noise_trace / c.drift_decay)
+        * sigma_sq_limit(c)
+    )
     return ConditionReport(
-        contractive=contractive,
-        spectral_gap=bool(spectral_gap),
+        contractive=True,  # ProblemConstants holds jac_decay > 0
+        spectral_gap=bool(c.jac_decay > gap_rhs),
         spectral_gap_lhs=float(c.jac_decay),
         spectral_gap_rhs=float(gap_rhs),
         small_noise=bool(lhs < 1.0),
@@ -252,7 +235,6 @@ def lyapunov_rate(c: ProblemConstants):
     jac_decay (1/2 - 2 jac_lip noise_trace / jac_decay^2) and the exponent
     exceeds 1; test_lyapunov_rate_keeps_unconditional_floor checks both.
     """
-    _need_stable(c)
     if c.sensor_gain <= 0.0:
         raise NotStable("sensor_gain must be positive for the forgetting rate")
     g = np.sqrt(c.sensor_gain / c.jac_decay)
@@ -267,7 +249,6 @@ def lyapunov_rate(c: ProblemConstants):
 
 def signal_moment_bound(c: ProblemConstants, n: float) -> float:
     """Envelope of E(|signal - flow|^{2n})^{1/n}: (n - 1/2) noise_trace / drift_decay."""
-    _need_monotone(c)
     if n < 1:
         raise InvalidArgument("moment order must be >= 1")
     return (n - 0.5) * c.noise_trace / c.drift_decay
@@ -279,8 +260,6 @@ def moment_bound_xhat(c: ProblemConstants, n: float, t) -> np.ndarray | float:
     (2n - 1) * [ (noise_trace/drift_decay) sigma_sq_limit/2
                  + ramp(t) sensor_gain prior_trace^2 ].
     """
-    _need_stable(c)
-    _need_monotone(c)
     if n < 1:
         raise InvalidArgument("moment order must be >= 1")
     base = (c.noise_trace / c.drift_decay) * sigma_sq_limit(c) / 2.0

@@ -1,17 +1,21 @@
 """Command line: simulate, check, verify, forgetting, gronwall, report.
 
-_emit writes every command's summary JSON and, by one rule, its check
-CSVs: _CSV_STEMS names the file of each row's paper_ref, and a file's
-columns are the estimators.ROW_FIELDS its rows carry, in that order, a
-cell left empty where a row lacks the field.  _summary takes `pass` over
-every row and `oracle_pass` over the rows that carry one.
+verify, forgetting and gronwall each run the slice of one check battery
+(_run_checks) that config.SCENARIOS names; report runs every check that
+applies, so its rows and files are the union of its commands'.  _emit
+writes every command's summary JSON and, by one rule, its check CSVs:
+_CSV_STEMS names the file of each row's paper_ref, and a file's columns are
+the estimators.ROW_FIELDS its rows carry, in that order, a cell left empty
+where a row lacks the field.  _summary takes `pass` over every row and
+`oracle_pass` over the rows that carry one.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 on a
 configuration problem, including a value the command cannot use (moment
-orders above 4, fewer than two chi-square samples, a bad EKBF_THREADS), 3
-when the run itself fails (any other EkbfError, e.g. a Laplace row whose
-every sample overflowed or diverged; a diverged filter freezes and is
-counted, not raised); 2 and 3 print a one-line message to stderr.
+orders above 4, fewer than two chi-square samples, a prior with no positive
+eigenvalue under the chi-square row, a bad EKBF_THREADS), 3 when the run
+itself fails (any other EkbfError, e.g. a Laplace row whose every sample
+overflowed or diverged; a diverged filter freezes and is counted, not
+raised); 2 and 3 print a one-line message to stderr.
 check prints the envelope report as JSON; every other command prints one
 verdict line and nothing else.  The code reads `pass` alone: an oracle miss
 is printed, not failed, since the oracles are continuous-time values that
@@ -30,7 +34,7 @@ import sys
 
 import numpy as np
 
-from .. import bounds
+from .. import bounds, linalg
 from ..dynamics import make_path_bundle, simulate_coupled, FilterState
 from ..errors import ConfigError, EkbfError
 from .config import SCENARIOS, ExperimentConfig, load_config
@@ -128,16 +132,6 @@ def _ensemble(cfg: ExperimentConfig):
     )
 
 
-def _check_moment_orders(cfg: ExperimentConfig) -> None:
-    if any(n > MAX_MOMENT_ORDER for n in cfg.n_orders):
-        raise ConfigError(f"test.n_orders entries above {MAX_MOMENT_ORDER} are too tail-sensitive")
-
-
-def _check_chi2_samples(cfg: ExperimentConfig) -> None:
-    if cfg.n_trials < 2:
-        raise ConfigError("sim.n_trials must be >= 2 for the chi-square Laplace row")
-
-
 def _init_sq(cfg: ExperimentConfig) -> float:
     e = cfg.x0 - cfg.filters[0][0]
     return float(e @ e)
@@ -154,11 +148,6 @@ def _write_bounds(cfg: ExperimentConfig, out: str | None) -> str:
         with open(os.path.join(out, "bounds.json"), "w", encoding="utf-8") as fh:
             fh.write(text)
     return text
-
-
-def _cmd_check(cfg: ExperimentConfig, out: str | None) -> int:
-    sys.stdout.write(_write_bounds(cfg, out))
-    return 0
 
 
 def _cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
@@ -212,34 +201,21 @@ def _write_trajectory(cfg: ExperimentConfig, path: str) -> None:
     _write_csv(path, cols, rows)
 
 
-def _cmd_verify(cfg: ExperimentConfig, out: str | None, scenario: str | None) -> int:
-    scenario = scenario or cfg.scenario
-    if scenario in ("signal-vs-flow", "ekf-vs-signal"):
-        _check_moment_orders(cfg)
-        result = _ensemble(cfg)
-        kind = "signal" if scenario == "signal-vs-flow" else "ekf"
-        details = estimate_event_probability(result, cfg.delta_grid, kind, init_sq=_init_sq(cfg))
-        details += estimate_moments(result, cfg.n_orders)
-        if scenario == "ekf-vs-signal":
-            details.append(estimate_ekf_laplace(result, cfg.eps))
-        return _emit(_summary(scenario, details), out, "verify")
-    if scenario == "trace-bound":
-        row = verify_trace_bound(_ensemble(cfg))
-        return _emit(_summary(scenario, [row]), out, "verify")
-    if scenario == "chi2-laplace":
-        _check_chi2_samples(cfg)
-        row = estimate_chi2_laplace(cfg.filters[0][1], cfg.n_trials, cfg.seed)
-        return _emit(_summary(scenario, [row]), out, "verify")
-    handled = "verify handles signal-vs-flow, ekf-vs-signal, trace-bound, chi2-laplace"
-    if scenario in SCENARIOS:
-        raise ConfigError(f"scenario {scenario!r} has its own subcommand; {handled}")
-    raise ConfigError(f"unknown scenario {scenario!r}; {handled}")
+# The preconditions of each check, (check, broken(cfg), message); those of
+# every selected check are tested before anything runs.
+_PRECONDITIONS = (
+    ("moments", lambda cfg: any(n > MAX_MOMENT_ORDER for n in cfg.n_orders),
+     f"test.n_orders entries above {MAX_MOMENT_ORDER} are too tail-sensitive"),
+    ("chi2", lambda cfg: cfg.n_trials < 2, "sim.n_trials must be >= 2 for the chi-square Laplace row"),
+    ("chi2", lambda cfg: linalg.max_eigenvalue(cfg.filters[0][1]) <= 0,
+     "init.P0 (or init.filters[0].cov) must have a positive top eigenvalue for the chi-square Laplace row"),
+    ("forgetting", lambda cfg: len(cfg.filters) < 2,
+     "forgetting needs init.filters with at least two entries"),
+)
 
 
-def _cmd_forgetting(cfg: ExperimentConfig, out: str | None) -> int:
-    if len(cfg.filters) < 2:
-        raise ConfigError("forgetting needs init.filters with at least two entries")
-    result = _ensemble(cfg)
+def _forgetting(cfg: ExperimentConfig, result, out: str | None) -> dict:
+    """The forgetting row; its curves also go to forgetting.csv under out."""
     report = estimate_forgetting_rate(result, cfg.eps, cfg.alpha)
     if out is not None:
         curves = forgetting_curves(result, report.get("exponent"))
@@ -252,33 +228,48 @@ def _cmd_forgetting(cfg: ExperimentConfig, out: str | None) -> int:
             ["t", "mean_delta_pow", "mean_delta_n1", "mean_delta_n2"],
             rows,
         )
-    return _emit(_summary("coupled-forgetting", [report]), out, "forgetting")
+    return report
 
 
-def _cmd_gronwall(cfg: ExperimentConfig, out: str | None) -> int:
-    rows = gronwall_test_process(**cfg.gronwall_kwargs())
-    return _emit(_summary("gronwall-test", rows), out, "gronwall")
+def _run_checks(cfg: ExperimentConfig, out: str | None, command: str, scenario: str) -> int:
+    """Run a scenario's slice of the battery, or under report every check that applies."""
+    init_sq, deltas = _init_sq(cfg), cfg.delta_grid
+    # The rows of every check, in report's row order.  Each lambda looks its
+    # estimator up when called, so a name patched on this module is seen.
+    battery = {
+        "events-signal": lambda r: estimate_event_probability(r, deltas, "signal", init_sq=init_sq),
+        "events-ekf": lambda r: estimate_event_probability(r, deltas, "ekf", init_sq=init_sq),
+        "moments": lambda r: estimate_moments(r, cfg.n_orders),
+        "trace": lambda r: [verify_trace_bound(r)],
+        "chi2": lambda r: [estimate_chi2_laplace(cfg.filters[0][1], cfg.n_trials, cfg.seed)],
+        "ekf-laplace": lambda r: [estimate_ekf_laplace(r, cfg.eps)],
+        "forgetting": lambda r: [_forgetting(cfg, r, out)],
+        "gronwall": lambda r: gronwall_test_process(**cfg.gronwall_kwargs()),
+    }
+    skip = {"forgetting": len(cfg.filters) < 2, "gronwall": cfg.gronwall is None}
+    names = [n for n in battery if not skip.get(n)] if command == "report" else SCENARIOS[scenario][1]
+    for name, broken, message in _PRECONDITIONS:
+        if name in names and broken(cfg):
+            raise ConfigError(message)
+    if command == "report":
+        _write_bounds(cfg, out)
+    # chi2 and gronwall draw their own samples; every other check reads the ensemble
+    result = _ensemble(cfg) if set(names) - {"chi2", "gronwall"} else None
+    details = [row for n in battery if n in names for row in battery[n](result)]
+    return _emit(_summary(scenario, details), out, command)
 
 
-def _cmd_report(cfg: ExperimentConfig, out: str | None) -> int:
-    """Full battery: envelopes, events, moments, trace, Laplace, and extras."""
-    _check_moment_orders(cfg)
-    _check_chi2_samples(cfg)
-    _write_bounds(cfg, out)
-    result = _ensemble(cfg)
-    details = estimate_event_probability(result, cfg.delta_grid, "signal", init_sq=_init_sq(cfg))
-    details += estimate_event_probability(result, cfg.delta_grid, "ekf", init_sq=_init_sq(cfg))
-    details += estimate_moments(result, cfg.n_orders)
-    details += [
-        verify_trace_bound(result),
-        estimate_chi2_laplace(cfg.filters[0][1], cfg.n_trials, cfg.seed),
-        estimate_ekf_laplace(result, cfg.eps),
-    ]
-    if len(cfg.filters) >= 2:
-        details.append(estimate_forgetting_rate(result, cfg.eps, cfg.alpha))
-    if cfg.gronwall is not None:
-        details += gronwall_test_process(**cfg.gronwall_kwargs())
-    return _emit(_summary("report", details), out, "report")
+def _scenario(cfg: ExperimentConfig, command: str, override: str | None) -> str:
+    """The scenario a checking command runs: verify's is chosen, the others' are fixed."""
+    if command != "verify":
+        return next((s for s, (cmd, _) in SCENARIOS.items() if cmd == command), "report")
+    scenario = override or cfg.scenario
+    verified = ", ".join(s for s, (cmd, _) in SCENARIOS.items() if cmd == "verify")
+    if scenario not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {scenario!r}; verify handles {verified}")
+    if SCENARIOS[scenario][0] != "verify":
+        raise ConfigError(f"scenario {scenario!r} has its own subcommand; verify handles {verified}")
+    return scenario
 
 
 def run_cli(argv) -> int:
@@ -308,16 +299,12 @@ def run_cli(argv) -> int:
         if args.out is not None:
             os.makedirs(args.out, exist_ok=True)
         if args.command == "check":
-            return _cmd_check(cfg, args.out)
+            sys.stdout.write(_write_bounds(cfg, args.out))
+            return 0
         if args.command == "simulate":
             return _cmd_simulate(cfg, args.out)
-        if args.command == "verify":
-            return _cmd_verify(cfg, args.out, args.scenario)
-        if args.command == "forgetting":
-            return _cmd_forgetting(cfg, args.out)
-        if args.command == "gronwall":
-            return _cmd_gronwall(cfg, args.out)
-        return _cmd_report(cfg, args.out)
+        scenario = _scenario(cfg, args.command, getattr(args, "scenario", None))
+        return _run_checks(cfg, args.out, args.command, scenario)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

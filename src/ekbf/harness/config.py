@@ -4,7 +4,7 @@ A config file has four required sections (model, obs, sim, init), an
 optional test section with estimator knobs, and an optional gronwall
 section for the synthetic test process.  Anything malformed raises
 ConfigError with the dotted path of the offending key; the CLI maps that
-to exit code 2.
+to exit code 2.  SCENARIOS maps each scenario to its command and checks.
 """
 
 from __future__ import annotations
@@ -19,14 +19,16 @@ from ..errors import ConfigError, EkbfError
 from ..models import LinearModel, ObservationModel, QuadraticCubicModel
 from .estimators import DEFAULT_ALPHA, DEFAULT_EPS
 
-SCENARIOS = (
-    "signal-vs-flow",
-    "ekf-vs-signal",
-    "coupled-forgetting",
-    "trace-bound",
-    "gronwall-test",
-    "chi2-laplace",
-)
+# Each scenario: the command that runs it and the checks it selects, named
+# as in cli's battery.  report runs every check; verify runs one scenario.
+SCENARIOS = {
+    "signal-vs-flow": ("verify", ("events-signal", "moments")),
+    "ekf-vs-signal": ("verify", ("events-ekf", "moments", "ekf-laplace")),
+    "coupled-forgetting": ("forgetting", ("forgetting",)),
+    "trace-bound": ("verify", ("trace",)),
+    "gronwall-test": ("gronwall", ("gronwall",)),
+    "chi2-laplace": ("verify", ("chi2",)),
+}
 
 _DEFAULT_DELTAS = (0.5, 1.0, 2.0, 4.0)
 _DEFAULT_ORDERS = (1, 2)
@@ -251,7 +253,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if alpha <= 1.0:
         raise ConfigError("test.alpha must exceed 1")
     scenario = test.get("scenario", "ekf-vs-signal")
-    if scenario not in SCENARIOS:
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise ConfigError(f"test.scenario must be one of {', '.join(SCENARIOS)}")
     checkpoints = _items(test, "checkpoints", _DEFAULT_CHECKPOINTS, _num, "test")
     checkpoints = [t for t in checkpoints if t <= T] or [T]

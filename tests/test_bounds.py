@@ -220,9 +220,11 @@ def test_problem_constants_from_models():
 
 
 def test_ops_reject_unstable_constants():
-    shaky = bounds.ProblemConstants(-1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1)
+    # the bundle itself refuses a non-positive rate, so no envelope sees one
     with pytest.raises(NotStable):
-        bounds.tau_t(shaky, 1.0)
+        bounds.ProblemConstants(-1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1)
+    with pytest.raises(NotStable):
+        bounds.ProblemConstants(2.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1)
 
 
 def test_bounds_report_serializes():

@@ -816,6 +816,26 @@ def test_cli_rejects_single_trial_before_simulating(tmp_path, capsys, argv):
     ]
 
 
+@pytest.mark.parametrize("argv", [["report"], ["verify", "--scenario", "chi2-laplace"]])
+@pytest.mark.parametrize(
+    "init",
+    [
+        {"x0": [0.0], "xhat0": [0.0], "P0": [[0.0]]},
+        {"x0": [0.0], "filters": [[[0.0], [[0.0]]], [[1.0], [[1.0]]]]},
+    ],
+)
+def test_cli_rejects_zero_prior_before_simulating(tmp_path, capsys, argv, init):
+    # the chi-square row normalizes by the prior's top eigenvalue, so a zero
+    # prior is a config error found before the ensemble runs
+    path = _write_cfg(tmp_path, _base_config(init=init))
+    with mock.patch.object(cli, "run_ensemble", side_effect=AssertionError("simulated")):
+        assert run_cli(argv + ["--config", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: init.P0 (or init.filters[0].cov) must have a positive top eigenvalue"
+        " for the chi-square Laplace row"
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -914,22 +934,40 @@ def test_check_csv_columns_are_the_fields_their_rows_carry(tmp_path):
     }
 
 
+def _csv_rows(path):
+    """The data rows of a check CSV, each without its empty cells."""
+    header, *lines = path.read_text().splitlines()
+    return [{k: v for k, v in zip(header.split(","), line.split(",")) if v} for line in lines]
+
+
 def test_report_writes_the_same_check_files_as_each_command(tmp_path):
-    cfg = _base_config()
+    # report runs every check, so every row and check file of each checking
+    # command reappears unchanged under report
+    cfg = _base_config(init={"x0": [0.0], "filters": [[[0.5], [[1.0]]], [[-0.5], [[0.5]]]]})
     cfg["gronwall"] = {"a": 1.0, "w": 0.5, "u": 0.3, "v": 0.2, "n_paths": 200}
     path = _write_cfg(tmp_path, cfg)
-    for argv, name in (
-        (["report"], "report"),
-        (["verify", "--scenario", "trace-bound"], "trace"),
-        (["gronwall"], "gronwall"),
-    ):
-        run_cli(argv + ["--config", path, "--out", str(tmp_path / name)])
-    for stem in ("trace", "gronwall"):
-        report = (tmp_path / "report" / f"{stem}.csv").read_bytes()
-        assert report == (tmp_path / stem / f"{stem}.csv").read_bytes(), stem
-    # no row invents a NaN oracle, so both summaries are strict JSON
-    _strict_json(tmp_path / "gronwall" / "gronwall.json")
-    _strict_json(tmp_path / "report" / "report.json")
+    report = tmp_path / "report"
+    run_cli(["report", "--config", path, "--out", str(report)])
+    report_rows = _strict_json(report / "report.json")["details"]
+    scenarios = ("signal-vs-flow", "ekf-vs-signal", "trace-bound", "chi2-laplace")
+    runs = [["verify", "--scenario", s] for s in scenarios] + [["forgetting"], ["gronwall"]]
+    written, union = set(), []
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"run{i}"
+        run_cli(argv + ["--config", path, "--out", str(out)])
+        rows = _strict_json(out / f"{argv[0]}.json")["details"]
+        assert rows and all(row in report_rows for row in rows), argv
+        union += rows
+        for csv_path in out.glob("*.csv"):
+            written.add(csv_path.name)
+            mine, theirs = csv_path.read_bytes(), (report / csv_path.name).read_bytes()
+            if csv_path.name in ("events.csv", "laplace.csv"):
+                # under report these files also hold the other event or Laplace check
+                assert all(r in _csv_rows(report / csv_path.name) for r in _csv_rows(csv_path)), argv
+            else:
+                assert mine == theirs, (argv, csv_path.name)
+    assert written == {p.name for p in report.glob("*.csv")}
+    assert all(row in union for row in report_rows)
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

@@ -63,18 +63,22 @@ def stream(seed: int, purpose: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(purpose, index)))
 
 
-def draw_increments(gens, steps: int, dt: float, signal_dim: int, obs_dim: int):
+def draw_increments(gens, steps: int, dt: float, dW_buf: np.ndarray, dV_buf: np.ndarray):
     """Yield (start, dW, dV) noise blocks, one generator per trial.
 
-    dW has shape (m, nb, signal_dim) and dV shape (m, nb, obs_dim), with
-    variance dt per coordinate.  In every block each generator draws its
-    signal block first, then its observation block.
+    dW_buf (m_max, nb_max, signal_dim) and dV_buf (m_max, nb_max, obs_dim)
+    hold at least len(gens) trials and min(NOISE_BLOCK, steps) steps.  Each
+    block is drawn into them: dW and dV are views of shape (m, nb, dim),
+    with variance dt per coordinate, valid until the next block is drawn.
+    In every block each generator draws its signal block first, then its
+    observation block.
     """
-    root = np.sqrt(dt)
+    m, root = len(gens), np.sqrt(dt)
+    if any(b.shape[0] < m or b.shape[1] < min(NOISE_BLOCK, steps) for b in (dW_buf, dV_buf)):
+        raise DimensionMismatch("noise buffers hold fewer trials or steps than a block")
     for start in range(0, steps, NOISE_BLOCK):
         nb = min(NOISE_BLOCK, steps - start)
-        dW = np.empty((len(gens), nb, signal_dim))
-        dV = np.empty((len(gens), nb, obs_dim))
+        dW, dV = dW_buf[:m, :nb], dV_buf[:m, :nb]
         for j, g in enumerate(gens):
             g.standard_normal(dW[j].shape, out=dW[j])
             g.standard_normal(dV[j].shape, out=dV[j])
@@ -110,9 +114,12 @@ def make_path_bundle(
         raise InvalidArgument("steps must be positive")
     if dt <= 0.0:
         raise InvalidArgument("dt must be positive")
-    blocks = list(draw_increments([trial_rng(seed, trial)], steps, dt, signal_dim, obs_dim))
-    dW = np.concatenate([b[1][0] for b in blocks])
-    dV = np.concatenate([b[2][0] for b in blocks])
+    dW, dV = np.empty((steps, signal_dim)), np.empty((steps, obs_dim))
+    nb = min(NOISE_BLOCK, steps)
+    bufs = np.empty((1, nb, signal_dim)), np.empty((1, nb, obs_dim))
+    for start, w, v in draw_increments([trial_rng(seed, trial)], steps, dt, *bufs):
+        dW[start : start + w.shape[1]] = w[0]
+        dV[start : start + v.shape[1]] = v[0]
     return PathBundle(dt=dt, steps=steps, dW=dW, dV=dV)
 
 

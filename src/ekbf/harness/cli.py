@@ -11,17 +11,18 @@ where a row lacks the field.  _summary takes `pass` over every row and
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 on a
 configuration problem, including a value the command cannot use (moment
-orders above 4, fewer than two chi-square samples, a prior with no positive
-eigenvalue under the chi-square row, a bad EKBF_THREADS), 3 when the run
-itself fails (any other EkbfError, e.g. a Laplace row whose every sample
-overflowed or diverged; a diverged filter freezes and is counted, not
-raised); 2 and 3 print a one-line message to stderr.
+orders above 4, fewer than two chi-square samples, a prior that is not
+symmetric PSD, or one with no positive eigenvalue under the chi-square
+row), 3 when the run itself fails (any other EkbfError, e.g. a Laplace row
+whose every sample overflowed or diverged; a diverged filter freezes and is
+counted, not raised); 2 and 3 print a one-line message to stderr.
 check prints the envelope report as JSON; every other command prints one
 verdict line and nothing else.  The code reads `pass` alone: an oracle miss
 is printed, not failed, since the oracles are continuous-time values that
 ignore the Euler scheme's bias.  All file output is deterministic for a
 fixed (config, seed): CSV cells use 17 significant digits and JSON is
-emitted with sorted keys, so reruns are byte-identical.
+emitted with sorted keys, so reruns are byte-identical.  No command starts
+a thread: every ensemble chunk runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .estimators import (
     gronwall_test_process,
     run_ensemble,
     verify_trace_bound,
-    worker_count,
 )
 
 # The check CSV of each paper_ref; rows of any other ref (the forgetting
@@ -294,7 +294,6 @@ def run_cli(argv) -> int:
 
     try:
         args = parser.parse_args(argv)
-        worker_count()  # a bad EKBF_THREADS is a config error before anything runs
         cfg = load_config(args.config)
         if args.out is not None:
             os.makedirs(args.out, exist_ok=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import linalg
 from ..dynamics import check_step_size, record_grid
 from ..errors import ConfigError, EkbfError
 from ..models import LinearModel, ObservationModel, QuadraticCubicModel
@@ -92,6 +93,16 @@ def _mat(value, path: str) -> np.ndarray:
         arr = arr.reshape(1, 1)
     if arr.ndim != 2:
         raise ConfigError(f"{path} must be a matrix")
+    return arr
+
+
+def _cov(value, path: str) -> np.ndarray:
+    """A filter covariance: symmetric and PSD up to linalg's tolerances (zero is valid)."""
+    arr = _mat(value, path)
+    try:
+        linalg.sym_sqrt(arr)
+    except _REJECTED as exc:
+        raise ConfigError(f"{path} must be symmetric positive semidefinite: {exc}") from exc
     return arr
 
 
@@ -230,11 +241,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise ConfigError(f"init.filters[{i}] must be a [mean, cov] pair")
             filters.append(
-                (_vec(entry[0], f"init.filters[{i}].mean"), _mat(entry[1], f"init.filters[{i}].cov"))
+                (_vec(entry[0], f"init.filters[{i}].mean"), _cov(entry[1], f"init.filters[{i}].cov"))
             )
     else:
         filters = [
-            (_vec(_get(init, "xhat0", "init"), "init.xhat0"), _mat(_get(init, "P0", "init"), "init.P0"))
+            (_vec(_get(init, "xhat0", "init"), "init.xhat0"), _cov(_get(init, "P0", "init"), "init.P0"))
         ]
     for mean, cov in filters:
         if mean.size != model.dim or cov.shape != (model.dim, model.dim):

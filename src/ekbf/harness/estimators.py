@@ -7,9 +7,10 @@ trial draws its noise from an independent stream derived from (seed, trial
 index) through the same drawer as PathBundle, and a row's bits do not
 depend on the batch width, so a single trial re-simulated with
 simulate_coupled reproduces the engine bit for bit and output bytes do not
-depend on chunk size or worker count.  The engine runs its chunks on a
-thread pool when the model's Jacobian depends on the state, and results
-are placed by chunk index; nothing else in the harness starts a thread.
+depend on chunk size.  Every chunk runs on the calling thread, in order,
+and draws its noise blocks into one pair of buffers that the run allocates
+once; nothing in the package starts a thread.  A trial counts as diverged
+when filter 0 or 1 froze, since no estimator reads any other filter.
 
 Every other random stream comes from dynamics.stream under its own
 (purpose, index) key, one per sample set: the bootstrap of a sample set
@@ -32,8 +33,6 @@ the forgetting verdict and forgetting.csv share forgetting_curves.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +44,7 @@ from ..dynamics import (
     GRONWALL_BOOTSTRAP,
     GRONWALL_PATHS,
     MOMENT_BOOTSTRAP,
+    NOISE_BLOCK,
     Stepper,
     advance,
     bank_delta_sq,
@@ -55,7 +55,7 @@ from ..dynamics import (
     stream,
     trial_rng,
 )
-from ..errors import ConfigError, InvalidArgument
+from ..errors import InvalidArgument
 from .stats import Z95, bootstrap_mean_ci, fit_decay_rate, increasing_trend_pvalue, wilson_interval
 
 # Trials are processed in fixed chunks, which bounds the noise and state
@@ -83,25 +83,6 @@ ROW_FIELDS = (
 )
 
 
-def worker_count() -> int:
-    """Worker threads of run_ensemble's pool; EKBF_THREADS overrides the CPU count.
-
-    The pool runs only the engine's chunks, and only when every trial
-    carries its own covariance; everything else runs on the calling thread.
-    A bad EKBF_THREADS is outside input, so it is a ConfigError.
-    """
-    env = os.environ.get("EKBF_THREADS")
-    if env is not None:
-        try:
-            w = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"EKBF_THREADS must be an integer, got {env!r}") from exc
-        if w < 1:
-            raise ConfigError("EKBF_THREADS must be >= 1")
-        return w
-    return os.cpu_count() or 1
-
-
 def _sumsq(e: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", e, e)
 
@@ -116,6 +97,7 @@ class EnsembleResult:
     initial mean.  trace_gap_max is the per-trial maximum over the full step
     grid of tr(P_t) minus the trace envelope.  delta_sq holds the squared
     joint distance between the first two filters on the record grid.
+    diverged marks the trials where filter 0 or 1 froze.
     """
 
     dt: float
@@ -169,8 +151,7 @@ def run_ensemble(
     flows = deterministic_flow(model, np.stack([x0, means0[0]]), dt, steps)
     flow_x0, flow_xh0 = flows[:, 0], flows[:, 1]
 
-    def run_chunk(span):
-        lo, hi = span
+    def run_chunk(lo, hi, noise):
         m = hi - lo
         sig_err = np.empty((m, cp.size))
         fil_err = np.empty((m, cp.size))
@@ -188,22 +169,16 @@ def run_ensemble(
             if with_delta and rec_pos[s] >= 0:
                 dsq[:, rec_pos[s]] = bank_delta_sq(xh, P)
 
-        gens = [trial_rng(seed, k) for k in range(lo, hi)]
-        blocks = draw_increments(gens, steps, dt, d, obs.obs_dim)
-        diverged = ~advance(stepper, x0, means0, covs0, m, blocks, record).all(axis=0)
+        blocks = draw_increments([trial_rng(seed, k) for k in range(lo, hi)], steps, dt, *noise)
+        # only filters 0 and 1 are read, so only they mark a trial diverged
+        diverged = ~advance(stepper, x0, means0, covs0, m, blocks, record)[:2].all(axis=0)
         return sig_err, fil_err, dev_err, gap, diverged, dsq
 
-    spans = [(lo, min(lo + CHUNK, n_trials)) for lo in range(0, n_trials, CHUNK)]
-    # A Jacobian with batch axes gives every trial its own covariance, and
-    # that Riccati step is enough numpy work between GIL releases for chunks
-    # to gain from threads.  A shared Jacobian (linear models) leaves a chunk
-    # too little work, and threads only add contention.
-    workers = min(worker_count(), len(spans)) if np.ndim(model.drift_jacobian(x0[None])) > 2 else 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, spans))
-    else:
-        parts = [run_chunk(span) for span in spans]
+    # one pair of noise buffers serves every chunk and block of the run
+    shape = (min(CHUNK, n_trials), min(NOISE_BLOCK, steps))
+    noise = [np.empty(shape + (d,)), np.empty(shape + (obs.obs_dim,))]
+    parts = [run_chunk(lo, min(lo + CHUNK, n_trials), noise) for lo in range(0, n_trials, CHUNK)]
+    del noise  # released before the chunk results are joined
 
     sig_err, fil_err, dev_err, gap, diverged, dsq = (
         None if col[0] is None else np.concatenate(col) for col in zip(*parts)
@@ -236,7 +211,8 @@ def estimate_event_probability(
     kind selects the error process: "signal" compares the signal to the
     noise-free flow against the signal radius; "ekf" compares the filter
     mean to the signal against the filter radius.  Diverged trials count as
-    event failures.  A row passes when the Wilson interval reaches the
+    failures of the filter event; the signal event depends on no filter, so
+    it ignores them.  A row passes when the Wilson interval reaches the
     1 - exp(-delta) threshold.
     """
     if kind not in ("signal", "ekf"):
@@ -244,6 +220,7 @@ def estimate_event_probability(
     c = result.constants
     err = result.signal_err_sq if kind == "signal" else result.filter_err_sq
     slug = "event-radius-signal" if kind == "signal" else "event-radius-filter"
+    alive = ~result.diverged if kind == "ekf" else True
     rows = []
     for i, t in enumerate(result.checkpoint_times):
         for delta in delta_grid:
@@ -251,7 +228,7 @@ def estimate_event_probability(
                 radius = bounds.signal_radius(c, delta)
             else:
                 radius = bounds.ekf_radius(c, delta, t, init_sq)
-            ok = (err[:, i] <= radius) & ~result.diverged
+            ok = (err[:, i] <= radius) & alive
             est = wilson_interval(int(ok.sum()), result.n_trials)
             threshold = 1.0 - np.exp(-delta)
             passed = est.ci_high >= threshold

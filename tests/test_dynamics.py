@@ -17,7 +17,7 @@ from ekbf.dynamics import (
     simulate_coupled,
     trial_rng,
 )
-from ekbf.errors import UnstableStep
+from ekbf.errors import DimensionMismatch, UnstableStep
 from ekbf.models import LinearModel, QuadraticCubicModel, observation_params
 
 OU = LinearModel(np.array([[-1.0]]), np.array([[1.0]]))
@@ -43,6 +43,26 @@ def test_path_bundle_reproducible_and_blocked():
         n = min(NOISE_BLOCK, 5000 - start)
         assert np.array_equal(b1.dW[start : start + n], rng.standard_normal((n, 2)) * root)
         assert np.array_equal(b1.dV[start : start + n], rng.standard_normal((n, 1)) * root)
+
+
+def test_draw_increments_fills_the_given_buffers():
+    # every block is a view of the buffers, the last one shorter; a buffer
+    # with too few trials or steps is refused rather than drawn short
+    steps = NOISE_BLOCK + 10
+    dW_buf, dV_buf = np.empty((3, NOISE_BLOCK, 2)), np.empty((3, NOISE_BLOCK, 1))
+    gens = [trial_rng(9, k) for k in range(2)]
+    shapes = []
+    for start, dW, dV in draw_increments(gens, steps, 0.01, dW_buf, dV_buf):
+        assert np.shares_memory(dW, dW_buf) and np.shares_memory(dV, dV_buf)
+        shapes.append((start, dW.shape, dV.shape))
+    assert shapes == [(0, (2, NOISE_BLOCK, 2), (2, NOISE_BLOCK, 1)),
+                      (NOISE_BLOCK, (2, 10, 2), (2, 10, 1))]
+    bundle = make_path_bundle(seed=9, trial=1, steps=steps, dt=0.01, signal_dim=2, obs_dim=1)
+    assert np.array_equal(dW_buf[1, :10], bundle.dW[NOISE_BLOCK:])
+    with pytest.raises(DimensionMismatch):
+        next(draw_increments(gens, steps, 0.01, dW_buf[:1], dV_buf))
+    with pytest.raises(DimensionMismatch):
+        next(draw_increments(gens, steps, 0.01, dW_buf, dV_buf[:, :100]))
 
 
 def test_ou_variance_matches_closed_form():
@@ -179,7 +199,7 @@ def test_covariance_psd_and_finite_after_every_step(data):
 
     gens = [trial_rng(draw(st.integers(0, 2**32 - 1), label="seed"), k) for k in range(m)]
     with np.errstate(over="ignore", invalid="ignore"):  # blown-up rows freeze
-        blocks = draw_increments(gens, 40, dt, 2, 2)
+        blocks = draw_increments(gens, 40, dt, np.empty((m, 40, 2)), np.empty((m, 40, 2)))
         advance(stepper, np.zeros(2), means0, P0, m, blocks, check)
     assert steps_seen == list(range(41))  # step 0 is checked too
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -334,61 +335,27 @@ def test_linear_engine_projects_one_covariance_per_filter(monkeypatch, frozen):
     res = run_ensemble(
         LIN2, OBS2_SKEW, np.zeros(2), filters, 0.01, steps, m, 44, checkpoint_steps=[steps],
     )
-    assert res.diverged.all() == frozen
+    # the frozen third filter is read by no estimator, so no trial is diverged
+    assert not res.diverged.any()
     assert rows == ([n_f] + [n_f * m] * (steps - 1) if frozen else [n_f] * steps)
 
 
-def _count_pools(monkeypatch) -> list:
-    """Record the worker count of every thread pool the estimators start; chunks of four trials."""
-    pools = []
-    pool = estimators.ThreadPoolExecutor
+def test_no_command_starts_a_thread(tmp_path, monkeypatch):
+    # every chunk of a state-dependent model runs on the calling thread too
+    def refuse(self):
+        raise AssertionError(f"a thread was started: {self!r}")
 
-    def counting(max_workers):
-        pools.append(max_workers)
-        return pool(max_workers=max_workers)
-
-    monkeypatch.setattr(estimators, "ThreadPoolExecutor", counting)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     monkeypatch.setattr(estimators, "CHUNK", 4)
-    return pools
-
-
-def test_engine_invariant_to_worker_count(monkeypatch):
-    # a state-dependent Jacobian gives every trial its own covariance, and
-    # the engine then runs its chunks on the pool
-    pools = _count_pools(monkeypatch)
-
-    def run():
-        return run_ensemble(
-            QC2_SKEW, OBS2_SKEW, np.zeros(2), [(np.zeros(2), 0.5 * np.eye(2))], 0.01, 40, 11, 32,
-            checkpoint_steps=[20, 40],
-        )
-
-    monkeypatch.setenv("EKBF_THREADS", "1")
-    serial = run()
-    monkeypatch.setenv("EKBF_THREADS", "4")
-    threaded = run()
-    assert pools == [3]  # three chunks of at most four trials
-    assert np.array_equal(serial.filter_err_sq, threaded.filter_err_sq)
-    assert np.array_equal(serial.signal_err_sq, threaded.signal_err_sq)
-    assert np.array_equal(serial.trace_gap_max, threaded.trace_gap_max)
-
-
-def test_linear_engine_runs_on_calling_thread(monkeypatch):
-    # one shared covariance per filter leaves a chunk too little work for threads
-    pools = _count_pools(monkeypatch)
-    monkeypatch.setenv("EKBF_THREADS", "4")
-    _ou_ensemble(n_trials=11, steps=10, seed=32)
-    assert pools == []
-
-
-def test_gronwall_bootstraps_on_calling_thread(monkeypatch):
-    # the two bootstraps never overlapped on the pool; only engine chunks use it
-    pools = _count_pools(monkeypatch)
-    monkeypatch.setenv("EKBF_THREADS", "4")
-    gronwall_test_process(
-        a=1.0, w=0.3, dt=1e-2, T=1.0, n_paths=100, seed=39, orders=(1, 2), u=0.5, v=0.2,
+    cfg = _base_config(
+        init={"x0": [0.0, 0.0], "filters": [[[0.0, 0.0], [[0.5, 0.0], [0.0, 0.5]]],
+                                            [[1.0, -0.5], [[1.0, 0.0], [0.0, 1.0]]]]},
+        **QC2_CONFIG,
     )
-    assert pools == []
+    cfg["sim"]["n_trials"] = 11
+    cfg["gronwall"] = {"a": 1.0, "w": 0.5, "u": 0.3, "v": 0.2, "n_paths": 200}
+    path = _write_cfg(tmp_path, cfg)
+    assert run_cli(["report", "--config", path, "--out", str(tmp_path / "out")]) in (0, 1)
 
 
 def test_engine_rerun_is_bitwise_identical():
@@ -427,24 +394,6 @@ def test_moment_rows_structure():
     assert all(r["bound"] > 0 for r in rows)
     with pytest.raises(InvalidArgument):
         estimate_moments(res, [5])
-
-
-def test_bootstrap_rows_invariant_to_worker_count(monkeypatch):
-    res = _ou_ensemble(n_trials=300, steps=100, seed=36)
-
-    def rows():
-        moments = estimate_moments(res, [1, 2, 3])
-        gronwall = gronwall_test_process(
-            a=1.0, w=0.3, dt=1e-2, T=1.0, n_paths=300, seed=37, orders=(1, 2),
-            u=0.5, v=0.2, checkpoints=[0.25, 0.5, 1.0],
-        )
-        # JSON keeps every float exactly
-        return json.dumps([moments, gronwall], sort_keys=True)
-
-    monkeypatch.setenv("EKBF_THREADS", "1")
-    serial = rows()
-    monkeypatch.setenv("EKBF_THREADS", "4")
-    assert rows() == serial
 
 
 def test_chi2_laplace_near_gaussian_mgf():
@@ -535,6 +484,14 @@ def _base_config(**overrides):
     return cfg
 
 
+# the model and sensor sections of a two-dimensional quadratic-cubic config
+QC2_CONFIG = {
+    "model": {"variant": "quadratic_cubic", "Q1": [[1.0, 0.0], [0.0, 1.0]],
+              "Q2": [[1.0, 0.0], [0.0, 1.0]], "R1": [[0.5, 0.0], [0.0, 0.5]]},
+    "obs": {"B": [[1.0, 0.0], [0.0, 1.0]], "R2": [[1.0, 0.0], [0.0, 1.0]]},
+}
+
+
 def test_config_round_trip():
     cfg = config_from_dict(_base_config())
     assert cfg.steps == 100
@@ -615,6 +572,7 @@ def test_config_fuzz_raises_only_config_error(case, value):
         ("test", "delta_grid", 1.0),
         ("test", "n_orders", 2),
         ("test", "checkpoints", 5),
+        ("init", "P0", [[-1.0]]),
     ],
 )
 def test_cli_rejects_bad_values_as_config_errors(tmp_path, capsys, section, key, value):
@@ -625,6 +583,27 @@ def test_cli_rejects_bad_values_as_config_errors(tmp_path, capsys, section, key,
         assert run_cli(["report", "--config", path]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {section}.{key} ")
+
+
+@pytest.mark.parametrize("argv", [["check"], ["verify", "--scenario", "trace-bound"], ["forgetting"]])
+@pytest.mark.parametrize(
+    "init, named",
+    [
+        ({"x0": [0.0, 0.0], "xhat0": [0.0, 0.0], "P0": [[1.0, 0.5], [0.0, 1.0]]}, "init.P0"),
+        # eigenvalues 3 and -1: the first step's projection would hide it
+        ({"x0": [0.0, 0.0], "xhat0": [0.0, 0.0], "P0": [[1.0, 2.0], [2.0, 1.0]]}, "init.P0"),
+        ({"x0": [0.0, 0.0], "filters": [[[0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]],
+                                         [[1.0, 0.0], [[1.0, 0.5], [0.0, 1.0]]]]},
+         "init.filters[1].cov"),
+    ],
+)
+def test_cli_rejects_filter_covariance_not_symmetric_psd(tmp_path, capsys, argv, init, named):
+    # refused as the config loads, whichever command runs; a zero prior stays valid
+    path = _write_cfg(tmp_path, _base_config(init=init, **QC2_CONFIG))
+    with mock.patch.object(cli, "run_ensemble", side_effect=AssertionError("simulated")):
+        assert run_cli(argv + ["--config", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {named} must be symmetric positive")
 
 
 @pytest.mark.parametrize("command", ["report", "gronwall"])
@@ -804,6 +783,24 @@ def test_cli_runtime_error_exits_three(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: all samples overflowed or diverged"]
 
 
+@pytest.mark.parametrize(
+    "argv", [["report"], ["forgetting"], ["verify", "--scenario", "signal-vs-flow"]]
+)
+def test_filter_no_check_reads_fails_no_row(tmp_path, capsys, argv):
+    # the third filter trips the divergence guard at step 1; no estimator
+    # reads it, so it marks no trial diverged and every row passes
+    init = {"x0": [0.0], "filters": [[[0.0], [[1.0]]], [[1.0], [[0.5]]], [[5e8], [[1.0]]]]}
+    cfg = _base_config(init=init)
+    cfg["sim"]["T"] = 2.0
+    cfg["sim"]["n_trials"] = 100
+    path = _write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--config", path, "--out", str(out)]) == 0
+    rows = _strict_json(out / f"{argv[0]}.json")["details"]
+    assert all(row.get("n_diverged", 0) == row.get("n_overflow", 0) == 0 for row in rows)
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv", [["report"], ["verify", "--scenario", "chi2-laplace"]])
 def test_cli_rejects_single_trial_before_simulating(tmp_path, capsys, argv):
     cfg = _base_config()
@@ -968,22 +965,6 @@ def test_report_writes_the_same_check_files_as_each_command(tmp_path):
                 assert mine == theirs, (argv, csv_path.name)
     assert written == {p.name for p in report.glob("*.csv")}
     assert all(row in union for row in report_rows)
-
-
-@pytest.mark.parametrize("value", ["abc", "0"])
-@pytest.mark.parametrize("command", ["simulate", "gronwall"])
-def test_cli_rejects_bad_thread_count_before_running(tmp_path, capsys, monkeypatch, value, command):
-    # a linear ensemble and the Gronwall process never start a pool, so the
-    # variable must be checked once at start, not where a pool is built
-    cfg = _base_config()
-    cfg["gronwall"] = {"a": 1.0, "w": 0.5, "n_paths": 200}
-    path = _write_cfg(tmp_path, cfg)
-    monkeypatch.setenv("EKBF_THREADS", value)
-    with mock.patch.object(cli, "run_ensemble", side_effect=AssertionError("simulated")), \
-            mock.patch.object(cli, "gronwall_test_process", side_effect=AssertionError("simulated")):
-        assert run_cli([command, "--config", path]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("config error: EKBF_THREADS ")
 
 
 def test_cli_simulate_and_gronwall(tmp_path):

@@ -8,15 +8,9 @@ closed-form envelope tau_t.
 
 import numpy as np
 
-from ekbf import (
-    FilterState,
-    LinearModel,
-    bounds,
-    make_path_bundle,
-    observation_params,
-    problem_constants,
-    simulate_coupled,
-)
+from ekbf import bounds
+from ekbf.dynamics import FilterState, make_path_bundle, simulate_coupled
+from ekbf.models import LinearModel, observation_params
 
 DT = 0.01
 STEPS = 1000
@@ -30,9 +24,9 @@ def main():
     filters = [FilterState(np.zeros(1), np.ones((1, 1)))]
 
     paths = make_path_bundle(SEED, 0, STEPS, DT, model.dim, obs.obs_dim)
-    rec = simulate_coupled(model, obs, x0, filters, paths)
+    rec = simulate_coupled(model, obs, x0, filters, paths, record_every=1)
 
-    consts = problem_constants(model, obs, np.ones((1, 1)))
+    consts = bounds.problem_constants(model, obs, np.ones((1, 1)))
     times = DT * np.arange(STEPS + 1)
     envelope = bounds.tau_t(consts, times)
 

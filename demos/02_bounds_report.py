@@ -10,13 +10,8 @@ output use `ekbf check --config ...` instead.
 
 import numpy as np
 
-from ekbf import (
-    LinearModel,
-    QuadraticCubicModel,
-    bounds_report,
-    observation_params,
-    problem_constants,
-)
+from ekbf.bounds import bounds_report, problem_constants
+from ekbf.models import LinearModel, QuadraticCubicModel, observation_params
 
 T_GRID = [0.0, 1.0, 2.0, 5.0, 10.0]
 DELTA_GRID = [0.5, 1.0, 2.0, 4.0]

@@ -8,8 +8,8 @@ stayed inside its radius.  The observed frequency should dominate
 
 import numpy as np
 
-from ekbf import LinearModel, observation_params
-from ekbf.harness import estimate_event_probability, run_ensemble
+from ekbf.harness.estimators import estimate_event_probability, run_ensemble
+from ekbf.models import LinearModel, observation_params
 
 DELTAS = (0.5, 1.0, 2.0, 4.0)
 

@@ -7,8 +7,8 @@ of the gap between the two filters should beat the certified rate.
 
 import numpy as np
 
-from ekbf import LinearModel, observation_params
-from ekbf.harness import estimate_forgetting_rate, run_ensemble
+from ekbf.harness.estimators import estimate_forgetting_rate, run_ensemble
+from ekbf.models import LinearModel, observation_params
 
 
 def main():
@@ -25,7 +25,7 @@ def main():
         checkpoint_steps=[steps],
         record_steps=range(0, steps + 1, 10),
     )
-    report = estimate_forgetting_rate(res)
+    report = estimate_forgetting_rate(res, eps=0.5, alpha=1.1)
 
     print("status            %s" % report["status"])
     print("conditions hold   %s" % report["conditions_hold"])

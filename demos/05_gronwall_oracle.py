@@ -8,7 +8,7 @@ envelope implied by the moment inequality (with and without source terms).
 
 import numpy as np
 
-from ekbf.harness import gronwall_test_process
+from ekbf.harness.estimators import gronwall_test_process
 
 
 def show(rows, title):
@@ -25,13 +25,15 @@ def show(rows, title):
 
 def main():
     homogeneous = gronwall_test_process(
-        a=1.0, w=0.5, dt=1e-3, T=2.0, n_paths=10_000, seed=3, orders=(1, 2)
+        a=1.0, w=0.5, y0=1.0, u=0.0, v=0.0, dt=1e-3, T=2.0, n_paths=10_000, seed=3,
+        orders=(1, 2),
     )
     show([r for r in homogeneous if r["kind"] == "homogeneous"],
          "pure decay (a=1, w=0.5): moments shrink below exp(-n(a - (n-1)w/2)t/2)")
 
     sourced = gronwall_test_process(
-        a=1.0, w=0.5, u=0.3, v=0.2, dt=1e-3, T=2.0, n_paths=10_000, seed=3, orders=(1, 2)
+        a=1.0, w=0.5, y0=1.0, u=0.3, v=0.2, dt=1e-3, T=2.0, n_paths=10_000, seed=3,
+        orders=(1, 2),
     )
     show([r for r in sourced if r["kind"] == "sourced"],
          "with drift/diffusion sources (u=0.3, v=0.2): quadrature envelope")

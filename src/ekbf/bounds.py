@@ -371,7 +371,7 @@ def bounds_report(
     c: ProblemConstants,
     t_grid,
     delta_grid,
-    alpha: float = 1.0 + 1e-9,
+    alpha: float,
     init_sq: float = 0.0,
 ) -> BoundsReport:
     """Evaluate every envelope on the given grids."""

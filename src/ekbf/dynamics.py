@@ -125,11 +125,10 @@ def make_path_bundle(
 
 @dataclass
 class FilterState:
-    """Mean, covariance, and clock of one filter."""
+    """Mean and covariance of one filter."""
 
     mean: np.ndarray
     cov: np.ndarray
-    t: float = 0.0
 
 
 def check_step_size(model, dt: float) -> None:
@@ -320,7 +319,7 @@ def simulate_coupled(
     x0,
     filters: Sequence[FilterState],
     bundle: PathBundle,
-    record_every: int = 1,
+    record_every: int,
 ) -> TrialRecord:
     """Run one signal/observation path and a bank of filters on it.
 

@@ -1,43 +1,1 @@
 """Monte Carlo harness: estimators, statistics, config, and the command line."""
-
-from .config import ExperimentConfig, config_from_dict, load_config
-from .estimators import (
-    EnsembleResult,
-    estimate_chi2_laplace,
-    estimate_ekf_laplace,
-    estimate_event_probability,
-    estimate_forgetting_rate,
-    estimate_moments,
-    gronwall_test_process,
-    run_ensemble,
-    verify_trace_bound,
-)
-from .stats import (
-    EstimateWithCI,
-    FitResult,
-    bootstrap_mean_ci,
-    fit_decay_rate,
-    increasing_trend_pvalue,
-    wilson_interval,
-)
-
-__all__ = [
-    "EnsembleResult",
-    "EstimateWithCI",
-    "ExperimentConfig",
-    "FitResult",
-    "bootstrap_mean_ci",
-    "config_from_dict",
-    "estimate_chi2_laplace",
-    "estimate_ekf_laplace",
-    "estimate_event_probability",
-    "estimate_forgetting_rate",
-    "estimate_moments",
-    "fit_decay_rate",
-    "gronwall_test_process",
-    "increasing_trend_pvalue",
-    "load_config",
-    "run_ensemble",
-    "verify_trace_bound",
-    "wilson_interval",
-]

@@ -12,10 +12,11 @@ where a row lacks the field.  _summary takes `pass` over every row and
 Exit codes: 0 when every check passes, 1 when any check fails, 2 on a
 configuration problem, including a value the command cannot use (moment
 orders above 4, fewer than two chi-square samples, a prior that is not
-symmetric PSD, or one with no positive eigenvalue under the chi-square
-row), 3 when the run itself fails (any other EkbfError, e.g. a Laplace row
-whose every sample overflowed or diverged; a diverged filter freezes and is
-counted, not raised); 2 and 3 print a one-line message to stderr.
+symmetric PSD, one with no positive eigenvalue under the chi-square row, or
+a record grid with fewer than 3 times past the forgetting burn-in), 3 when
+the run itself fails (any other EkbfError, e.g. a Laplace row whose every
+sample overflowed or diverged; a diverged filter freezes and is counted,
+not raised); 2 and 3 print a one-line message to stderr.
 check prints the envelope report as JSON; every other command prints one
 verdict line and nothing else.  The code reads `pass` alone: an oracle miss
 is printed, not failed, since the oracles are continuous-time values that
@@ -47,6 +48,7 @@ from .estimators import (
     estimate_event_probability,
     estimate_forgetting_rate,
     estimate_moments,
+    fit_window,
     forgetting_curves,
     gronwall_test_process,
     run_ensemble,
@@ -211,6 +213,8 @@ _PRECONDITIONS = (
      "init.P0 (or init.filters[0].cov) must have a positive top eigenvalue for the chi-square Laplace row"),
     ("forgetting", lambda cfg: len(cfg.filters) < 2,
      "forgetting needs init.filters with at least two entries"),
+    ("forgetting", lambda cfg: fit_window(np.asarray(cfg.record_steps()) * cfg.dt).sum() < 3,
+     "sim.record_every leaves fewer than 3 record times past the forgetting burn-in"),
 )
 
 

@@ -63,12 +63,6 @@ from .stats import Z95, bootstrap_mean_ci, fit_decay_rate, increasing_trend_pval
 # per-trial and rows are width-independent).
 CHUNK = 1024
 
-# Defaults of test.eps and test.alpha.  eps = 0.5 leaves headroom for Monte
-# Carlo noise in the Laplace and forgetting-rate checks; alpha > 1 is the
-# margin of the small-noise condition.
-DEFAULT_EPS = 0.5
-DEFAULT_ALPHA = 1.1
-
 # Highest moment order n the bootstrap estimates reliably; higher moments
 # are too tail-sensitive.
 MAX_MOMENT_ORDER = 4
@@ -337,7 +331,7 @@ def estimate_chi2_laplace(P0, n_samples: int, seed: int) -> dict:
     return dict(row, mode="chi2", n_samples=n_samples)
 
 
-def estimate_ekf_laplace(result: EnsembleResult, eps: float = DEFAULT_EPS) -> dict:
+def estimate_ekf_laplace(result: EnsembleResult, eps: float) -> dict:
     """Exponential moment of the late-time filter error against its ceiling.
 
     Uses the final checkpoint, exponent coefficient
@@ -381,6 +375,11 @@ FORGETTING_BURN_IN = 0.2
 TREND_ALPHA = 0.05
 
 
+def fit_window(times) -> np.ndarray:
+    """Mask of the record times at or past the burn-in: the forgetting fit's points."""
+    return times >= FORGETTING_BURN_IN * times[-1]
+
+
 def forgetting_curves(result: EnsembleResult, exponent: float | None = None) -> dict:
     """Per record time, the means of delta, delta^2 and (given the exponent) delta^{exponent/2}.
 
@@ -395,9 +394,7 @@ def forgetting_curves(result: EnsembleResult, exponent: float | None = None) -> 
     return curves
 
 
-def estimate_forgetting_rate(
-    result: EnsembleResult, eps: float = DEFAULT_EPS, alpha: float = DEFAULT_ALPHA
-) -> dict:
+def estimate_forgetting_rate(result: EnsembleResult, eps: float, alpha: float) -> dict:
     """Fitted decay rate of the coupled filter distance against the envelope.
 
     Takes m(t) = mean of delta^{exponent/2} over surviving trials from
@@ -421,8 +418,7 @@ def estimate_forgetting_rate(
     if curves["mean_delta_n1"][0] == 0.0:
         return {"status": "degenerate_input", "pass": True, "paper_ref": "forgetting-rate"}
 
-    horizon = float(times[-1])
-    window = times >= FORGETTING_BURN_IN * horizon
+    window = fit_window(times)
     fit = fit_decay_rate(times[window], curves["mean_delta_pow"][window])
     threshold = (1.0 - eps) * rate * exponent / 2.0
     slack = Z95 * fit.stderr
@@ -463,25 +459,24 @@ def gronwall_test_process(
     T: float,
     n_paths: int,
     seed: int,
-    orders=(1, 2),
-    y0: float = 1.0,
-    u: float = 0.0,
-    v: float = 0.0,
-    checkpoints=None,
+    orders,
+    y0: float,
+    u: float,
+    v: float,
 ) -> list[dict]:
     """Scalar squared-norm test process against the moment envelopes.
 
     Simulates dY = -a Y dt + sqrt(w) Y dN from Y_0 = y0 (Y standing for the
-    squared norm) and checks, per order n and checkpoint, the empirical
-    E Y^{n/2} against the exact geometric closed form and against the
-    homogeneous envelope.  When u or v is positive, also runs the sourced
-    variant dY = (-a Y + u) dt + sqrt(v Y + w Y^2) dN from Y_0 = 0 and
-    checks E(Y_T^{n/2})^{2/n} against the quadrature envelope; those rows
-    carry no oracle, since no exact value is computed for them.  Each
-    process draws its (n_paths,) normals one Euler step at a time from its
-    own stream, so the noise held at once is one step's.  Each process's
-    rows come from one bootstrap of its paths on the calling thread, keyed
-    by the process index.
+    squared norm) and checks, per order n at the checkpoints T/2 and T, the
+    empirical E Y^{n/2} against the exact geometric closed form and against
+    the homogeneous envelope.  When u or v is positive, also runs the
+    sourced variant dY = (-a Y + u) dt + sqrt(v Y + w Y^2) dN from Y_0 = 0
+    and checks E(Y_T^{n/2})^{2/n} at T against the quadrature envelope;
+    those rows carry no oracle, since no exact value is computed for them.
+    Each process draws its (n_paths,) normals one Euler step at a time from
+    its own stream, so the noise held at once is one step's.  Each
+    process's rows come from one bootstrap of its paths on the calling
+    thread, keyed by the process index.
     """
     if dt <= 0 or T <= dt:
         raise InvalidArgument("need 0 < dt < T")
@@ -491,9 +486,7 @@ def gronwall_test_process(
         raise InvalidArgument("need at least two paths")
     steps = int(round(T / dt))
     grid = np.arange(steps + 1) * dt
-    if checkpoints is None:
-        checkpoints = [0.5 * T, T]
-    cp_idx = sorted({min(steps, max(1, int(round(t / dt)))) for t in checkpoints})
+    cp_idx = sorted({max(1, int(round(0.5 * T / dt))), steps})
 
     def simulate(y_init, drift_const, bracket_lin, index):
         rng = stream(seed, GRONWALL_PATHS, index)

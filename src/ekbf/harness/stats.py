@@ -29,6 +29,8 @@ from ..errors import InvalidArgument
 
 # two-sided 95% normal quantile
 Z95 = 1.959963984540054
+# values at or below this are numerically dead and left out of decay fits
+FIT_FLOOR = 1e-12
 
 BOOTSTRAP_RESAMPLES = 1000
 # resample rows drawn and gathered at a time
@@ -40,30 +42,27 @@ _EXACT_MAX_N = 33
 
 @dataclass(frozen=True)
 class EstimateWithCI:
-    """Point estimate with a 95% interval and the method that produced it."""
+    """Point estimate with a 95% interval."""
 
     point: float
     ci_low: float
     ci_high: float
-    n: int
-    method: str
 
     def __post_init__(self):
         if not (self.ci_low <= self.point <= self.ci_high):
             raise InvalidArgument(
                 f"interval [{self.ci_low}, {self.ci_high}] does not contain {self.point}"
             )
-        if self.n < 1:
-            raise InvalidArgument("n must be positive")
 
 
-def wilson_interval(successes: int, n: int, z: float = Z95) -> EstimateWithCI:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> EstimateWithCI:
+    """Wilson 95% score interval for a binomial proportion."""
     if n < 1:
         raise InvalidArgument("n must be positive")
     if not (0 <= successes <= n):
         raise InvalidArgument("successes must lie in [0, n]")
     p = successes / n
+    z = Z95
     denom = n + z * z
     center = (successes + 0.5 * z * z) / denom
     half = z * np.sqrt(successes * (n - successes) / n + 0.25 * z * z) / denom
@@ -72,7 +71,7 @@ def wilson_interval(successes: int, n: int, z: float = Z95) -> EstimateWithCI:
     # the score interval always contains the sample proportion
     low = min(low, p)
     high = max(high, p)
-    return EstimateWithCI(point=p, ci_low=low, ci_high=high, n=n, method="Wilson")
+    return EstimateWithCI(point=p, ci_low=low, ci_high=high)
 
 
 def bootstrap_mean_ci(samples, rng: np.random.Generator, n_resamples: int = BOOTSTRAP_RESAMPLES):
@@ -109,15 +108,7 @@ def bootstrap_mean_ci(samples, rng: np.random.Generator, n_resamples: int = BOOT
     out = []
     for point, row in zip(points, means):
         low, high = np.percentile(row, [2.5, 97.5])
-        out.append(
-            EstimateWithCI(
-                point=point,
-                ci_low=min(float(low), point),
-                ci_high=max(float(high), point),
-                n=n,
-                method="bootstrap",
-            )
-        )
+        out.append(EstimateWithCI(point, min(float(low), point), max(float(high), point)))
     return out if samples.ndim == 2 else out[0]
 
 
@@ -231,16 +222,16 @@ class FitResult:
     n_used: int
 
 
-def fit_decay_rate(times, values, floor: float = 1e-12) -> FitResult:
+def fit_decay_rate(times, values) -> FitResult:
     """Fit the exponential decay rate of a positive series by OLS on logs.
 
-    Points at or below `floor` are dropped (they are numerically dead).
+    Points at or below FIT_FLOOR are dropped.
     Returns the decay rate (positive = decaying) and the standard error of
     the fitted slope.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    mask = values > floor
+    mask = values > FIT_FLOOR
     n = int(mask.sum())
     if n < 3:
         raise InvalidArgument("fewer than 3 usable points above the floor")

@@ -12,7 +12,7 @@ import pytest
 
 from ekbf import bounds
 from ekbf.dynamics import Stepper, deterministic_flow
-from ekbf.harness import (
+from ekbf.harness.estimators import (
     estimate_chi2_laplace,
     estimate_event_probability,
     estimate_forgetting_rate,
@@ -172,7 +172,7 @@ def test_criterion_6_forgetting_rate():
         model, obs, np.zeros(1), filters, 1e-3, steps, 1000, 20240806,
         [steps], record_steps=range(0, steps + 1, 10),
     )
-    report = estimate_forgetting_rate(res)
+    report = estimate_forgetting_rate(res, eps=0.5, alpha=1.1)
     elapsed = time.perf_counter() - start
     ok = (
         report["status"] == "ok"
@@ -197,7 +197,8 @@ def test_criterion_7_gronwall_oracle():
     stay under the homogeneous envelope."""
     start = time.perf_counter()
     rows = gronwall_test_process(
-        a=1.0, w=0.5, dt=1e-3, T=2.0, n_paths=10_000, seed=20240812, orders=(1, 2)
+        a=1.0, w=0.5, dt=1e-3, T=2.0, n_paths=10_000, seed=20240812, orders=(1, 2),
+        y0=1.0, u=0.0, v=0.0,
     )
     n2 = [r for r in rows if r["n"] == 2]
     ok = all(r["oracle_pass"] and r["pass"] for r in n2) and all(r["pass"] for r in rows)

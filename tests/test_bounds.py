@@ -236,7 +236,7 @@ def test_bounds_report_serializes():
     assert blob["conditions"]["alpha"] == 1.1
     assert blob["rate"] is not None and blob["exponent"] is not None
     # deterministic prior: no chi normalizer, emitted as null
-    r0 = bounds.bounds_report(OU_C0, [1.0], [1.0])
+    r0 = bounds.bounds_report(OU_C0, [1.0], [1.0], alpha=1.0 + 1e-9)
     assert json.loads(r0.to_json())["chi_normalizer"] is None
 
 

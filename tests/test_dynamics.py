@@ -143,7 +143,7 @@ def test_trace_stays_under_envelope_single_trial():
     obs = observation_params(np.eye(2), np.eye(2))
     bundle = make_path_bundle(seed=3, trial=0, steps=1000, dt=0.005, signal_dim=2, obs_dim=2)
     state = FilterState(mean=np.zeros(2), cov=0.5 * np.eye(2))
-    rec = simulate_coupled(model, obs, np.zeros(2), [state], bundle)
+    rec = simulate_coupled(model, obs, np.zeros(2), [state], bundle, record_every=1)
     lam = model.regularity_constants().jac_decay
     tr_R1 = float(np.trace(model.R1))
     tau = np.exp(-lam * rec.full_times) * 1.0 + tr_R1 / lam
@@ -154,7 +154,7 @@ def test_divergence_guard_freezes_and_flags():
     bundle = make_path_bundle(seed=11, trial=0, steps=50, dt=0.01, signal_dim=1, obs_dim=1)
     bad = FilterState(mean=np.array([5e8]), cov=np.array([[1.0]]))
     good = FilterState(mean=np.array([0.0]), cov=np.array([[1.0]]))
-    rec = simulate_coupled(OU, OBS1, np.zeros(1), [good, bad], bundle)
+    rec = simulate_coupled(OU, OBS1, np.zeros(1), [good, bad], bundle, record_every=1)
     assert list(rec.diverged) == [False, True]
     # the diverged filter froze at its initial state
     assert np.all(rec.means[1] == 5e8)

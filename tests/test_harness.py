@@ -16,24 +16,26 @@ from hypothesis import given, settings, strategies as st
 from ekbf import linalg
 from ekbf.dynamics import FilterState, make_path_bundle, simulate_coupled
 from ekbf.errors import ConfigError, InvalidArgument
-from ekbf.harness import (
-    EstimateWithCI,
-    bootstrap_mean_ci,
-    config_from_dict,
+from ekbf.harness import cli, estimators, stats
+from ekbf.harness.cli import run_cli
+from ekbf.harness.config import config_from_dict
+from ekbf.harness.estimators import (
     estimate_chi2_laplace,
     estimate_ekf_laplace,
     estimate_event_probability,
     estimate_forgetting_rate,
     estimate_moments,
-    fit_decay_rate,
     gronwall_test_process,
-    increasing_trend_pvalue,
     run_ensemble,
     verify_trace_bound,
+)
+from ekbf.harness.stats import (
+    EstimateWithCI,
+    bootstrap_mean_ci,
+    fit_decay_rate,
+    increasing_trend_pvalue,
     wilson_interval,
 )
-from ekbf.harness import cli, estimators, stats
-from ekbf.harness.cli import run_cli
 from ekbf.models import LinearModel, QuadraticCubicModel, observation_params
 
 OU = LinearModel(np.array([[-1.0]]), np.array([[1.0]]))
@@ -91,7 +93,6 @@ def test_bootstrap_ci_deterministic_and_covering():
     b = bootstrap_mean_ci(x, np.random.default_rng(11))
     assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
     assert a.ci_low <= 2.0 <= a.ci_high
-    assert a.method == "bootstrap"
 
 
 def _whole_matrix_interval(samples, seed, n_resamples):
@@ -154,7 +155,7 @@ def test_one_bootstrap_per_sample_set(monkeypatch):
     calls.clear()
     gronwall_test_process(
         a=1.0, w=0.3, dt=1e-2, T=1.0, n_paths=100, seed=39, orders=(1, 2),
-        u=0.5, v=0.2, checkpoints=[0.5, 1.0],
+        y0=1.0, u=0.5, v=0.2,
     )
     assert sorted(calls) == [(2, 100), (4, 100)]  # sourced rows, homogeneous rows
 
@@ -167,7 +168,7 @@ def test_bootstrap_rejects_nonpositive_resamples(n_resamples):
 
 def test_estimate_with_ci_invariant():
     with pytest.raises(InvalidArgument):
-        EstimateWithCI(point=1.0, ci_low=1.1, ci_high=1.2, n=10, method="bootstrap")
+        EstimateWithCI(point=1.0, ci_low=1.1, ci_high=1.2)
 
 
 def test_trend_pvalue_directions():
@@ -368,7 +369,7 @@ def test_engine_rerun_is_bitwise_identical():
 def test_empty_filter_bank_rejected():
     bundle = make_path_bundle(seed=1, trial=0, steps=5, dt=0.01, signal_dim=1, obs_dim=1)
     with pytest.raises(InvalidArgument, match="at least one filter"):
-        simulate_coupled(OU, OBS1, np.zeros(1), [], bundle)
+        simulate_coupled(OU, OBS1, np.zeros(1), [], bundle, record_every=1)
     with pytest.raises(InvalidArgument, match="at least one filter"):
         run_ensemble(OU, OBS1, np.zeros(1), [], 0.01, 5, 2, 1, [5])
 
@@ -422,7 +423,7 @@ def test_trace_bound_row():
 def test_forgetting_degenerate_on_identical_inits():
     filters = [(np.zeros(1), np.ones((1, 1))), (np.zeros(1), np.ones((1, 1)))]
     res = _ou_ensemble(n_trials=20, steps=50, seed=38, filters=filters, record=range(0, 51, 5))
-    report = estimate_forgetting_rate(res)
+    report = estimate_forgetting_rate(res, eps=0.5, alpha=1.1)
     assert report["status"] == "degenerate_input"
     assert report["pass"]
 
@@ -434,7 +435,7 @@ def test_forgetting_runs_on_distinct_inits():
         model, OBS1, np.zeros(1), filters, 1e-3, 2000, 100, 39,
         checkpoint_steps=[2000], record_steps=range(0, 2001, 20),
     )
-    report = estimate_forgetting_rate(res)
+    report = estimate_forgetting_rate(res, eps=0.5, alpha=1.1)
     assert report["status"] == "ok"
     assert report["conditions_hold"]
     assert report["fitted_rate"] > 0.0
@@ -442,7 +443,9 @@ def test_forgetting_runs_on_distinct_inits():
 
 
 def test_gronwall_deterministic_case():
-    rows = gronwall_test_process(a=1.0, w=0.0, dt=1e-3, T=1.0, n_paths=50, seed=40, orders=(2,))
+    rows = gronwall_test_process(
+        a=1.0, w=0.0, dt=1e-3, T=1.0, n_paths=50, seed=40, orders=(2,), y0=1.0, u=0.0, v=0.0
+    )
     final = [r for r in rows if r["t"] == pytest.approx(1.0)][0]
     # no bracket: every path equals the Euler product, which sits just under e^{-t}
     assert final["estimate"] == pytest.approx(np.exp(-1.0), rel=2e-3)
@@ -450,7 +453,9 @@ def test_gronwall_deterministic_case():
 
 
 def test_gronwall_stochastic_case_matches_oracle():
-    rows = gronwall_test_process(a=1.0, w=0.5, dt=1e-3, T=1.0, n_paths=4000, seed=41, orders=(2,))
+    rows = gronwall_test_process(
+        a=1.0, w=0.5, dt=1e-3, T=1.0, n_paths=4000, seed=41, orders=(2,), y0=1.0, u=0.0, v=0.0
+    )
     final = [r for r in rows if r["t"] == pytest.approx(1.0)][0]
     assert final["oracle"] == pytest.approx(np.exp(-1.0), rel=1e-12)
     assert final["oracle_pass"]
@@ -459,7 +464,7 @@ def test_gronwall_stochastic_case_matches_oracle():
 
 def test_gronwall_sourced_rows():
     rows = gronwall_test_process(
-        a=1.0, w=0.3, dt=1e-3, T=1.0, n_paths=2000, seed=43, orders=(2,), u=0.5, v=0.2
+        a=1.0, w=0.3, dt=1e-3, T=1.0, n_paths=2000, seed=43, orders=(2,), y0=1.0, u=0.5, v=0.2
     )
     sourced = [r for r in rows if r["kind"] == "sourced"]
     assert len(sourced) == 1
@@ -516,6 +521,13 @@ def test_config_trims_checkpoints_to_horizon():
         _base_config(test={"checkpoints": [0.5, 5.0, 10.0], "delta_grid": [1.0]})
     )
     assert cfg.checkpoints == [0.5]
+
+
+@pytest.mark.parametrize("checkpoints", [[-1.0, 0.5], [-0.001, 0.5]])
+def test_config_rejects_negative_checkpoints(checkpoints):
+    # -0.001 would round to step 0 at dt = 0.01; it is refused all the same
+    with pytest.raises(ConfigError, match="test.checkpoints entries must be non-negative"):
+        config_from_dict(_base_config(test={"checkpoints": checkpoints}))
 
 
 def _fuzz_bases():
@@ -689,6 +701,25 @@ def test_cli_imports_without_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_config_loads_without_estimators():
+    # config.py is the one home of the run defaults, so loading a config
+    # imports no estimator, through a package facade or otherwise
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "import ekbf.harness.config as config\n"
+        "config.load_config(sys.argv[1])\n"
+        "print('ekbf.harness.estimators' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "demos" / "configs" / "forgetting.json")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_check_prints_json(tmp_path, capsys):
     path = _write_cfg(tmp_path, _base_config())
     assert run_cli(["check", "--config", path]) == 0
@@ -850,6 +881,29 @@ def test_cli_rejects_high_moment_orders_before_simulating(tmp_path, capsys, argv
     assert capsys.readouterr().err.splitlines() == [
         "config error: test.n_orders entries above 4 are too tail-sensitive"
     ]
+
+
+@pytest.mark.parametrize("command", ["forgetting", "report"])
+def test_cli_rejects_record_grid_too_coarse_for_the_forgetting_fit(tmp_path, capsys, command):
+    # T = 1, dt = 0.01, burn-in 0.2: every 50 steps leaves the record times
+    # 0.5 and 1 to fit, every 40 steps leaves 0.4, 0.8 and 1
+    cfg = _base_config(
+        model={"variant": "linear", "A": [[-2.5]], "R1": [[0.01]]},
+        init={"x0": [0.0], "filters": [[[1.0], [[1.0]]], [[-1.0], [[0.1]]]]},
+    )
+    cfg["sim"]["record_every"] = 50
+    path = _write_cfg(tmp_path, cfg)
+    with mock.patch.object(cli, "run_ensemble", side_effect=AssertionError("simulated")):
+        assert run_cli([command, "--config", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: sim.record_every leaves fewer than 3 record times past the forgetting burn-in"
+    ]
+    cfg["sim"]["record_every"] = 40
+    path = _write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", path, "--out", str(out)]) in (0, 1)
+    rows = json.loads((out / f"{command}.json").read_text())["details"]
+    assert [r["n_fit_points"] for r in rows if r["paper_ref"] == "forgetting-rate"] == [3]
 
 
 def test_emit_returns_one_when_any_check_fails(tmp_path, capsys):

@@ -17,28 +17,27 @@ T_GRID = [0.0, 1.0, 2.0, 5.0, 10.0]
 DELTA_GRID = [0.5, 1.0, 2.0, 4.0]
 
 
-def show(name, consts):
-    report = bounds_report(consts, t_grid=T_GRID, delta_grid=DELTA_GRID, alpha=1.1)
-    c = report.constants
+def show(name, c):
+    report = bounds_report(c, t_grid=T_GRID, delta_grid=DELTA_GRID, alpha=1.1)
     print("== %s ==" % name)
     print("constants: jac decay %g, jac lipschitz %g, one-sided decay %g, tr(R1) %g, sensor gain %g"
           % (c.jac_decay, c.jac_lip, c.drift_decay, c.noise_trace, c.sensor_gain))
-    cond = report.conditions
+    cond = report["conditions"]
     print("spectral gap %s (%.3f vs %.3f needed), small noise %s (lhs %.3f)"
-          % (cond.spectral_gap, cond.spectral_gap_lhs, cond.spectral_gap_rhs,
-             cond.small_noise, cond.small_noise_lhs))
-    if cond.spectral_gap and cond.small_noise and report.rate is not None:
-        print("forgetting certificate: rate %.4f, moment exponent %.4f" % (report.rate, report.exponent))
+          % (cond["spectral_gap"], cond["spectral_gap_lhs"], cond["spectral_gap_rhs"],
+             cond["small_noise"], cond["small_noise_lhs"]))
+    if cond["spectral_gap"] and cond["small_noise"] and report["rate"] is not None:
+        print("forgetting certificate: rate %.4f, moment exponent %.4f" % (report["rate"], report["exponent"]))
     else:
         print("no forgetting certificate at these constants")
     print()
     print("%8s %12s %12s" % ("t", "tau_t", "sigma^2_t"))
-    for t, tau, s2 in zip(report.t_grid, report.tau, report.sigma_sq_t):
+    for t, tau, s2 in zip(report["t_grid"], report["tau"], report["sigma_sq_t"]):
         print("%8.1f %12.6f %12.6f" % (t, tau, s2))
     print()
     print("filter error radius by (delta, t):")
-    print("%8s" % "delta" + "".join("%12.1f" % t for t in report.t_grid))
-    for d, row in zip(report.delta_grid, report.ekf_radii):
+    print("%8s" % "delta" + "".join("%12.1f" % t for t in report["t_grid"]))
+    for d, row in zip(report["delta_grid"], report["ekf_radii"]):
         print("%8.1f" % d + "".join("%12.3f" % r for r in row))
     print()
 

@@ -1,9 +1,9 @@
 """Closed-form stability, concentration, and forgetting envelopes.
 
-Every function here is a deterministic formula in a small set of problem
-constants; nothing simulates.  The Monte Carlo harness imports these to decide
-PASS/FAIL, so each one is written directly from its algebraic definition and
-pinned by frozen-value tests.
+Every function here is a closed-form formula in a small set of problem
+constants; nothing simulates, integrates numerically or writes a file.  The
+Monte Carlo harness imports these to decide PASS/FAIL, so each one is written
+directly from its algebraic definition and pinned by frozen-value tests.
 
 The constants bundle:
   jac_decay    decay rate of the symmetrized drift Jacobian (conservative), > 0
@@ -18,7 +18,6 @@ The constants bundle:
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -95,20 +94,6 @@ def tau_t(c: ProblemConstants, t) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def sigma_pi(c: ProblemConstants, t):
-    """Fluctuation factors of the filter error.
-
-    Returns (sigma_sq_t, pi_t, pi_limit) where
-      pi_t     = tau_t^2 * sensor_gain / noise_trace,
-      pi_limit = pi_limit(c), the limit of pi_t as t grows,
-      sigma_sq_t = 1 + 2 * pi_t.
-    """
-    tau = tau_t(c, t)
-    pi_t = np.square(tau) * c.sensor_gain / c.noise_trace
-    sigma_sq = 1.0 + 2.0 * pi_t
-    return sigma_sq, pi_t, pi_limit(c)
-
-
 def pi_limit(c: ProblemConstants) -> float:
     """Long-time ratio (sensor_gain / jac_decay) * (noise_trace / jac_decay)."""
     return (c.sensor_gain / c.jac_decay) * (c.noise_trace / c.jac_decay)
@@ -180,21 +165,8 @@ def ekf_radius(c: ProblemConstants, delta: float, t, init_sq: float):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Checkable sufficient conditions for exponential forgetting."""
-
-    contractive: bool
-    spectral_gap: bool
-    spectral_gap_lhs: float
-    spectral_gap_rhs: float
-    small_noise: bool
-    small_noise_lhs: float
-    alpha: float
-
-
-def check_conditions(c: ProblemConstants, alpha: float) -> ConditionReport:
-    """Evaluate the two sufficient conditions behind the forgetting rate.
+def check_conditions(c: ProblemConstants, alpha: float) -> dict:
+    """The two sufficient conditions behind the forgetting rate, with their sides.
 
     spectral gap:  jac_decay > max(sqrt(2 jac_lip noise_trace), 4 sensor_gain)
     small noise:   4 e alpha sqrt(sensor_gain/jac_decay) (noise_trace/drift_decay)
@@ -211,15 +183,15 @@ def check_conditions(c: ProblemConstants, alpha: float) -> ConditionReport:
         * (c.noise_trace / c.drift_decay)
         * sigma_sq_limit(c)
     )
-    return ConditionReport(
-        contractive=True,  # ProblemConstants holds jac_decay > 0
-        spectral_gap=bool(c.jac_decay > gap_rhs),
-        spectral_gap_lhs=float(c.jac_decay),
-        spectral_gap_rhs=float(gap_rhs),
-        small_noise=bool(lhs < 1.0),
-        small_noise_lhs=float(lhs),
-        alpha=float(alpha),
-    )
+    return {
+        "contractive": True,  # ProblemConstants holds jac_decay > 0
+        "spectral_gap": bool(c.jac_decay > gap_rhs),
+        "spectral_gap_lhs": float(c.jac_decay),
+        "spectral_gap_rhs": float(gap_rhs),
+        "small_noise": bool(lhs < 1.0),
+        "small_noise_lhs": float(lhs),
+        "alpha": float(alpha),
+    }
 
 
 def lyapunov_rate(c: ProblemConstants):
@@ -268,45 +240,26 @@ def moment_bound_xhat(c: ProblemConstants, n: float, t) -> np.ndarray | float:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def gronwall_moment_rhs(n: float, times, a, w, u, v) -> float:
-    """Quadrature of the sourced moment envelope for a quadratic process.
+def gronwall_moment_rhs(n: float, T: float, a: float, w: float, u: float, v: float) -> float:
+    """Sourced moment envelope of a quadratic process, in closed form.
 
-    For d|X|^2 <= (-a_t |X|^2 + U_t) dt + dM_t with bracket rate
-    V_t |X|^2 + W_t |X|^4 and X_0 = 0, the n-th moment obeys
+    For d|X|^2 <= (-a |X|^2 + u) dt + dM_t with bracket rate
+    v |X|^2 + w |X|^4 and X_0 = 0, the n-th moment obeys
 
-      E(|X_T|^n)^{2/n} <= int_0^T exp(-[ int_s^T (a_r - (n-1) w_r / 2) dr
-                                         + (n-1)/2 int_0^s w_r dr ])
-                                  * (u_s + (n-1)/2 v_s) ds.
+      E(|X_T|^n)^{2/n} <= int_0^T exp(-(a - h w)(T - s) - h w s) (u + h v) ds,
 
-    times must be an increasing grid starting at 0; a, w, u, v are scalars or
-    arrays on that grid.  Returns the bound at times[-1] via trapezoid rule.
+    h = (n - 1)/2.  The integral is (u + h v) ramp(T) with
+    ramp(T) = (e^{-h w T} - e^{-(a - h w) T}) / (a - 2 h w), which decay_ramp
+    evaluates, its limit T e^{-h w T} at a = 2 h w included.  The factor
+    e^{-h w T} makes the bound decay in T while E Y_T -> u/a, so it falls
+    below the truth at large T (ROADMAP item 1).
     """
     if n < 1:
         raise InvalidArgument("moment order must be >= 1")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise InvalidArgument("times must be a grid with at least two points")
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-        raise InvalidArgument("times must increase from 0")
-    a = np.broadcast_to(np.asarray(a, dtype=float), times.shape)
-    w = np.broadcast_to(np.asarray(w, dtype=float), times.shape)
-    u = np.broadcast_to(np.asarray(u, dtype=float), times.shape)
-    v = np.broadcast_to(np.asarray(v, dtype=float), times.shape)
-    if np.any(w < 0) or np.any(u < 0) or np.any(v < 0):
+    if w < 0 or u < 0 or v < 0:
         raise InvalidArgument("w, u, v must be non-negative")
-    half = 0.5 * (n - 1.0)
-    lam = a - half * w
-    cum_lam = _cumulative_trapezoid(lam, times)
-    cum_w = _cumulative_trapezoid(w, times)
-    # int_s^T lam dr = cum_lam[-1] - cum_lam[s]
-    exponent = -(cum_lam[-1] - cum_lam) - half * cum_w
-    integrand = np.exp(exponent) * (u + half * v)
-    return float(np.trapezoid(integrand, times))
-
-
-def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral of y over the grid t, starting at 0."""
-    return np.concatenate(([0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)))
+    h = 0.5 * (n - 1.0)
+    return float((u + h * v) * decay_ramp(h * w, a - h * w, T))
 
 
 def laplace_rhs(eps: float, u_a: float, v_a: float) -> float:
@@ -335,49 +288,12 @@ def laplace_time_avg_rhs(eps: float, a: float, v: float, integral_u: float) -> f
     return float(np.exp(0.5 * (a / v) * (eps / (1.0 + np.sqrt(1.0 - eps))) * integral_u))
 
 
-@dataclass
-class BoundsReport:
-    """All envelopes evaluated on caller-supplied grids, JSON-serializable."""
-
-    constants: ProblemConstants
-    t_grid: list
-    delta_grid: list
-    alpha: float
-    init_sq: float
-    tau: list
-    pi_t: list
-    sigma_sq_t: list
-    pi_limit: float
-    sigma_sq_limit: float
-    varpi_values: list
-    chi_normalizer: float | None
-    signal_radii: list
-    ekf_radii: list
-    conditions: ConditionReport
-    rate: float | None
-    exponent: float | None
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["constants"] = asdict(self.constants)
-        d["conditions"] = asdict(self.conditions)
-        return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def bounds_report(
-    c: ProblemConstants,
-    t_grid,
-    delta_grid,
-    alpha: float,
-    init_sq: float = 0.0,
-) -> BoundsReport:
-    """Evaluate every envelope on the given grids."""
+def bounds_report(c: ProblemConstants, t_grid, delta_grid, alpha: float, init_sq: float = 0.0) -> dict:
+    """Every envelope on the given grids as plain data; pi_t = tau_t^2 sensor_gain / noise_trace."""
     t_grid = [float(t) for t in np.asarray(t_grid, dtype=float)]
     delta_grid = [float(d) for d in np.asarray(delta_grid, dtype=float)]
-    sig, pi, pi_lim = sigma_pi(c, t_grid)
+    tau = np.atleast_1d(tau_t(c, t_grid))
+    pi_t = np.square(tau) * c.sensor_gain / c.noise_trace
     try:
         chi_norm = chi(c)
     except InvalidArgument:
@@ -386,25 +302,22 @@ def bounds_report(
         rate, exponent = lyapunov_rate(c)
     except NotStable:
         rate, exponent = None, None
-    return BoundsReport(
-        constants=c,
-        t_grid=t_grid,
-        delta_grid=delta_grid,
-        alpha=alpha,
-        init_sq=init_sq,
-        tau=[float(x) for x in np.atleast_1d(tau_t(c, t_grid))],
-        pi_t=[float(x) for x in np.atleast_1d(pi)],
-        sigma_sq_t=[float(x) for x in np.atleast_1d(sig)],
-        pi_limit=float(pi_lim),
-        sigma_sq_limit=sigma_sq_limit(c),
-        varpi_values=[varpi(d) for d in delta_grid],
-        chi_normalizer=chi_norm,
-        signal_radii=[signal_radius(c, d) for d in delta_grid],
-        ekf_radii=[
-            [float(ekf_radius(c, d, t, init_sq)) for t in t_grid]
-            for d in delta_grid
-        ],
-        conditions=check_conditions(c, alpha),
-        rate=rate,
-        exponent=exponent,
-    )
+    return {
+        "constants": asdict(c),
+        "t_grid": t_grid,
+        "delta_grid": delta_grid,
+        "alpha": alpha,
+        "init_sq": init_sq,
+        "tau": [float(x) for x in tau],
+        "pi_t": [float(x) for x in pi_t],
+        "sigma_sq_t": [float(x) for x in 1.0 + 2.0 * pi_t],
+        "pi_limit": pi_limit(c),
+        "sigma_sq_limit": sigma_sq_limit(c),
+        "varpi_values": [varpi(d) for d in delta_grid],
+        "chi_normalizer": chi_norm,
+        "signal_radii": [signal_radius(c, d) for d in delta_grid],
+        "ekf_radii": [[float(ekf_radius(c, d, t, init_sq)) for t in t_grid] for d in delta_grid],
+        "conditions": check_conditions(c, alpha),
+        "rate": rate,
+        "exponent": exponent,
+    }

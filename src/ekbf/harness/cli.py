@@ -3,27 +3,30 @@
 verify, forgetting and gronwall each run the slice of one check battery
 (_run_checks) that config.SCENARIOS names; report runs every check that
 applies, so its rows and files are the union of its commands'.  _emit
-writes every command's summary JSON and, by one rule, its check CSVs:
-_CSV_STEMS names the file of each row's paper_ref, and a file's columns are
-the estimators.ROW_FIELDS its rows carry, in that order, a cell left empty
-where a row lacks the field.  _summary takes `pass` over every row and
-`oracle_pass` over the rows that carry one.
+writes every checking command's summary JSON and, by one rule, its check
+CSVs: _CSV_STEMS names the file of each row's paper_ref, and a file's
+columns are the estimators.ROW_FIELDS its rows carry, in that order, a
+cell left empty where a row lacks the field.  _summary takes `pass` over
+every row and `oracle_pass` over the rows that carry one.
 
-Exit codes: 0 when every check passes, 1 when any check fails, 2 on a
-configuration problem, including a value the command cannot use (moment
-orders above 4, fewer than two chi-square samples, a prior that is not
-symmetric PSD, one with no positive eigenvalue under the chi-square row, or
-a record grid with fewer than 3 times past the forgetting burn-in), 3 when
-the run itself fails (any other EkbfError, e.g. a Laplace row whose every
-sample overflowed or diverged; a diverged filter freezes and is counted,
-not raised); 2 and 3 print a one-line message to stderr.
-check prints the envelope report as JSON; every other command prints one
-verdict line and nothing else.  The code reads `pass` alone: an oracle miss
-is printed, not failed, since the oracles are continuous-time values that
-ignore the Euler scheme's bias.  All file output is deterministic for a
-fixed (config, seed): CSV cells use 17 significant digits and JSON is
-emitted with sorted keys, so reruns are byte-identical.  No command starts
-a thread: every ensemble chunk runs on the calling thread.
+Exit codes: 0 when every check passes (check and simulate, which make no
+check, exit 0), 1 when any check fails, 2 on a configuration problem,
+including a value the command cannot use (moment orders above 4, fewer
+than two chi-square samples, a prior that is not symmetric PSD, one with
+no positive eigenvalue under the chi-square row, or a record grid with
+fewer than 3 times past the forgetting burn-in), 3 when the run itself
+fails (any other EkbfError, e.g. a Laplace row whose every sample
+overflowed or diverged; a diverged filter freezes and is counted, not
+raised); 2 and 3 print a one-line message to stderr.  check prints
+bounds.bounds_report's plain data as JSON, the text it also writes to
+bounds.json; simulate prints one line of trial and diverged counts, with
+no verdict; every other command prints one verdict line and nothing else.
+The code reads `pass` alone: an oracle miss is printed, not failed, since
+the oracles are continuous-time values that ignore the Euler scheme's
+bias.  All file output is deterministic for a fixed (config, seed): CSV
+cells use 17 significant digits and JSON is emitted with sorted keys, so
+reruns are byte-identical.  No command starts a thread: every ensemble
+chunk runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .estimators import (
 )
 
 # The check CSV of each paper_ref; rows of any other ref (the forgetting
-# row, the simulate summary) go to the JSON summary only.
+# row) go to the JSON summary only.
 _CSV_STEMS = {
     "event-radius-signal": "events", "event-radius-filter": "events",
     "moment-envelope-signal": "moments", "moment-envelope-filter-mean": "moments",
@@ -145,7 +148,7 @@ def _write_bounds(cfg: ExperimentConfig, out: str | None) -> str:
     report = bounds.bounds_report(
         c, cfg.checkpoints, cfg.delta_grid, alpha=cfg.alpha, init_sq=_init_sq(cfg)
     )
-    text = report.to_json() + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out is not None:
         with open(os.path.join(out, "bounds.json"), "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -153,27 +156,24 @@ def _write_bounds(cfg: ExperimentConfig, out: str | None) -> str:
 
 
 def _cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
+    """Run the ensemble, write its summary and one trajectory under out; print a count."""
     result = _ensemble(cfg)
-    rows = []
-    for i, t in enumerate(result.checkpoint_times):
-        rows.append(
+    n_diverged = int(result.diverged.sum())
+    if out is not None:
+        rows = [
             {
                 "t": float(t),
                 "mean_signal_err_sq": float(result.signal_err_sq[:, i].mean()),
                 "mean_filter_err_sq": float(result.filter_err_sq[:, i].mean()),
                 "mean_dev_sq": float(result.mean_dev_sq[:, i].mean()),
-                "n_diverged": int(result.diverged.sum()),
+                "n_diverged": n_diverged,
             }
-        )
-    if out is not None:
-        _write_csv(
-            os.path.join(out, "ensemble.csv"),
-            ["t", "mean_signal_err_sq", "mean_filter_err_sq", "mean_dev_sq", "n_diverged"],
-            rows,
-        )
+            for i, t in enumerate(result.checkpoint_times)
+        ]
+        _write_csv(os.path.join(out, "ensemble.csv"), list(rows[0]), rows)
         _write_trajectory(cfg, os.path.join(out, "trajectory.csv"))
-    summary = _summary("simulate", [dict(r, **{"pass": True, "paper_ref": "ensemble-summary"}) for r in rows])
-    return _emit(summary, out, "simulate")
+    print(f"simulate: {cfg.n_trials} trials, {n_diverged} diverged")
+    return 0
 
 
 def _write_trajectory(cfg: ExperimentConfig, path: str) -> None:

@@ -117,6 +117,14 @@ def _items(section: dict, key: str, default, parse, path: str) -> list:
     return [parse(x, f"{path}.{key}") for x in value]
 
 
+def _grid(test: dict, key: str, default, parse) -> list:
+    """A test grid that selects rows: empty would select none, a repeat would count one twice."""
+    values = _items(test, key, default, parse, "test")
+    if not values or len(set(values)) < len(values):
+        raise ConfigError(f"test.{key} must be a non-empty list without repeats")
+    return values
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment: built model objects plus run and test settings."""
@@ -168,6 +176,8 @@ def _gronwall_section(section) -> dict:
             raise ConfigError(f"gronwall.{key} must be non-negative")
     if g["n_paths"] < 2:
         raise ConfigError("gronwall.n_paths must be >= 2")
+    if g["y0"] == g["u"] == g["v"] == 0:
+        raise ConfigError("gronwall.y0, gronwall.u and gronwall.v are all 0, which starts no process")
     return g
 
 
@@ -251,10 +261,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     test = raw.get("test", {})
     if not isinstance(test, dict):
         raise ConfigError("config.test must be an object")
-    delta_grid = _items(test, "delta_grid", _DEFAULT_DELTAS, _num, "test")
+    delta_grid = _grid(test, "delta_grid", _DEFAULT_DELTAS, _num)
     if any(d < 0 for d in delta_grid):
         raise ConfigError("test.delta_grid entries must be non-negative")
-    n_orders = _items(test, "n_orders", _DEFAULT_ORDERS, _int, "test")
+    n_orders = _grid(test, "n_orders", _DEFAULT_ORDERS, _int)
     if any(n < 1 for n in n_orders):
         raise ConfigError("test.n_orders entries must be >= 1")
     alpha = _num(test.get("alpha", DEFAULT_ALPHA), "test.alpha")

@@ -440,7 +440,7 @@ def estimate_forgetting_rate(result: EnsembleResult, eps: float, alpha: float) -
         "theory_rate": float(rate),
         "exponent": float(exponent),
         "eps": float(eps),
-        "conditions_hold": bool(conditions.spectral_gap and conditions.small_noise),
+        "conditions_hold": bool(conditions["spectral_gap"] and conditions["small_noise"]),
         "trend_pvalue_n1": float(trend[1]),
         "trend_pvalue_n2": float(trend[2]),
         "n_alive": int(alive.sum()),
@@ -471,8 +471,9 @@ def gronwall_test_process(
     empirical E Y^{n/2} against the exact geometric closed form and against
     the homogeneous envelope.  When u or v is positive, also runs the
     sourced variant dY = (-a Y + u) dt + sqrt(v Y + w Y^2) dN from Y_0 = 0
-    and checks E(Y_T^{n/2})^{2/n} at T against the quadrature envelope;
-    those rows carry no oracle, since no exact value is computed for them.
+    and checks E(Y_T^{n/2})^{2/n} at T against the closed-form envelope
+    bounds.gronwall_moment_rhs; those rows carry no oracle, since no exact
+    value is computed for them.
     Each process draws its (n_paths,) normals one Euler step at a time from
     its own stream, so the noise held at once is one step's.  Each
     process's rows come from one bootstrap of its paths on the calling
@@ -485,7 +486,6 @@ def gronwall_test_process(
     if n_paths < 2:
         raise InvalidArgument("need at least two paths")
     steps = int(round(T / dt))
-    grid = np.arange(steps + 1) * dt
     cp_idx = sorted({max(1, int(round(0.5 * T / dt))), steps})
 
     def simulate(y_init, drift_const, bracket_lin, index):
@@ -528,7 +528,7 @@ def gronwall_test_process(
                        paper_ref="gronwall-envelope")
         else:
             # the sourced envelope bounds (E Y^{n/2})^{2/n}
-            bound = bounds.gronwall_moment_rhs(n, grid[: s + 1], a, w, u, v)
+            bound = bounds.gronwall_moment_rhs(n, t, a, w, u, v)
             point, low, high = (x ** (2.0 / n) for x in (est.point, est.ci_low, est.ci_high))
             row["paper_ref"] = "gronwall-sourced-envelope"
         row.update({"estimate": point, "ci_low": low, "ci_high": high, "bound": float(bound),

@@ -633,6 +633,35 @@ def test_cli_rejects_bad_gronwall_section_before_running(tmp_path, capsys, comma
     assert len(err) == 1 and err[0].startswith(f"config error: gronwall.{key} ")
 
 
+@pytest.mark.parametrize(
+    "argv, section, key, value, named",
+    [
+        (["gronwall"], "gronwall", None, {"y0": 0, "u": 0, "v": 0}, "gronwall.y0"),
+        (["report"], "gronwall", None, {"y0": 0.0, "u": 0.0, "v": 0.0}, "gronwall.y0"),
+        (["verify", "--scenario", "signal-vs-flow"], "test", "delta_grid", [], "test.delta_grid"),
+        (["verify", "--scenario", "signal-vs-flow"], "test", "n_orders", [], "test.n_orders"),
+        (["verify", "--scenario", "signal-vs-flow"], "test", "n_orders", [1, 1], "test.n_orders"),
+        (["report"], "test", "delta_grid", [1.0, 2.0, 1], "test.delta_grid"),
+    ],
+)
+def test_cli_rejects_a_selection_with_no_row_or_a_repeated_row(
+    tmp_path, capsys, argv, section, key, value, named
+):
+    # a check that selects no row would read PASS (0/0 checks), and a
+    # repeated grid entry would count its rows twice: both fail to load
+    cfg = _base_config()
+    if key is None:
+        cfg[section] = value
+    else:
+        cfg[section][key] = value
+    path = _write_cfg(tmp_path, cfg)
+    with mock.patch.object(cli, "run_ensemble", side_effect=AssertionError("simulated")), \
+            mock.patch.object(cli, "gronwall_test_process", side_effect=AssertionError("simulated")):
+        assert run_cli(argv + ["--config", path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {named}")
+
+
 @pytest.mark.parametrize("command", ["report", "gronwall"])
 def test_cli_rejects_horizon_of_one_step_before_running(tmp_path, capsys, command):
     # the Gronwall process needs T > dt; a config with T == dt must not load
@@ -760,7 +789,7 @@ def test_cli_reruns_are_byte_identical(tmp_path):
                     "bounds.json", "report.json")
     for command, cfg_path, names in (
         ("verify", path, ("events.csv", "moments.csv", "verify.json")),
-        ("simulate", path, ("ensemble.csv", "trajectory.csv", "simulate.json")),
+        ("simulate", path, ("ensemble.csv", "trajectory.csv")),
         ("forgetting", bank_path, ("forgetting.csv", "forgetting.json")),
         ("gronwall", bank_path, ("gronwall.csv", "gronwall.json")),
         ("report", bank_path, report_files),
@@ -1019,6 +1048,18 @@ def test_report_writes_the_same_check_files_as_each_command(tmp_path):
                 assert mine == theirs, (argv, csv_path.name)
     assert written == {p.name for p in report.glob("*.csv")}
     assert all(row in union for row in report_rows)
+
+
+def test_cli_simulate_prints_counts_and_claims_no_check(tmp_path, capsys):
+    # simulate makes no check: no verdict, no check count, no summary JSON
+    path = _write_cfg(tmp_path, _base_config())
+    out = tmp_path / "sim"
+    assert run_cli(["simulate", "--config", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "simulate: 50 trials, 0 diverged\n"
+    assert sorted(p.name for p in out.iterdir()) == ["ensemble.csv", "trajectory.csv"]
+    header, *rows = (out / "ensemble.csv").read_text().splitlines()
+    assert header == "t,mean_signal_err_sq,mean_filter_err_sq,mean_dev_sq,n_diverged"
+    assert [r.split(",")[0] for r in rows] == ["0.5", "1"]
 
 
 def test_cli_simulate_and_gronwall(tmp_path):

@@ -36,7 +36,7 @@ def main():
         orders=(1, 2),
     )
     show([r for r in sourced if r["kind"] == "sourced"],
-         "with drift/diffusion sources (u=0.3, v=0.2): quadrature envelope")
+         "with drift/diffusion sources (u=0.3, v=0.2): closed-form envelope")
 
 
 if __name__ == "__main__":

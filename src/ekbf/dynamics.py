@@ -1,16 +1,15 @@
 """Time stepping: signal paths, deterministic flow, and the filter recursion.
 
 All steppers accept leading batch dimensions.  One driver, advance(), runs
-every coupled simulation: it builds m trials of signal and observation
-plus a bank of filters fed the same observation increments, and steps
-them through every block of pre-drawn noise.  simulate_coupled passes a
-whole PathBundle as one block at m = 1; the ensemble engine passes a chunk
-of trials and their draw_increments blocks.  Noise is drawn per trial
-from an independent counter-derived stream by that one drawer, so a
-single-trial PathBundle and a batched run see bit-identical increments
-for the same (seed, trial) pair.  Every product in a step is either a
-linalg.matvec or one small matrix product per covariance, so a row's bits
-do not depend on the batch width, and the two callers agree bit for bit.
+every coupled simulation: m trials of signal and observation, and a bank
+of filters fed the same observation increments, through every block of
+pre-drawn noise; simulate_coupled passes a whole PathBundle as one block
+at m = 1, the ensemble engine a chunk of trials.  The one drawer,
+draw_increments, fills one buffer with one draw per trial per block from
+the trial's counter-derived stream, so a PathBundle and a batched run see
+the same increments.  Every product in a step is a linalg.matvec (ascending
+multiply-adds) or one small matrix product per covariance, so a row's bits
+do not depend on the batch width and the two callers agree bit for bit.
 
 This module is the one home of the seeding policy: every other random
 stream of the package (bootstraps, chi-square samples, Gronwall paths)
@@ -63,28 +62,25 @@ def stream(seed: int, purpose: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(purpose, index)))
 
 
-def draw_increments(gens, steps: int, dt: float, dW_buf: np.ndarray, dV_buf: np.ndarray):
+def draw_increments(gens, steps: int, dt: float, dims, buf: np.ndarray):
     """Yield (start, dW, dV) noise blocks, one generator per trial.
 
-    dW_buf (m_max, nb_max, signal_dim) and dV_buf (m_max, nb_max, obs_dim)
-    hold at least len(gens) trials and min(NOISE_BLOCK, steps) steps.  Each
-    block is drawn into them: dW and dV are views of shape (m, nb, dim),
-    with variance dt per coordinate, valid until the next block is drawn.
-    In every block each generator draws its signal block first, then its
-    observation block.
+    dims is (signal_dim, obs_dim); buf (m_max, n) holds at least len(gens)
+    trials of min(NOISE_BLOCK, steps) * sum(dims) normals.  Per block, one
+    draw per generator fills its trial's row with its signal block, then its
+    observation block; dW (m, nb, signal_dim) and dV (m, nb, obs_dim) are
+    views of buf, variance dt per coordinate, valid until the next draw.
     """
-    m, root = len(gens), np.sqrt(dt)
-    if any(b.shape[0] < m or b.shape[1] < min(NOISE_BLOCK, steps) for b in (dW_buf, dV_buf)):
-        raise DimensionMismatch("noise buffers hold fewer trials or steps than a block")
+    (d, r), m, root = dims, len(gens), np.sqrt(dt)
+    if buf.shape[0] < m or buf.shape[1] < min(NOISE_BLOCK, steps) * (d + r):
+        raise DimensionMismatch("the noise buffer holds fewer trials or steps than a block")
     for start in range(0, steps, NOISE_BLOCK):
         nb = min(NOISE_BLOCK, steps - start)
-        dW, dV = dW_buf[:m, :nb], dV_buf[:m, :nb]
+        block = buf[:m, : nb * (d + r)]
         for j, g in enumerate(gens):
-            g.standard_normal(dW[j].shape, out=dW[j])
-            g.standard_normal(dV[j].shape, out=dV[j])
-        dW *= root
-        dV *= root
-        yield start, dW, dV
+            g.standard_normal(block[j].shape, out=block[j])
+        block *= root
+        yield start, block[:, : nb * d].reshape(m, nb, d), block[:, nb * d :].reshape(m, nb, r)
 
 
 @dataclass(frozen=True)
@@ -115,9 +111,8 @@ def make_path_bundle(
     if dt <= 0.0:
         raise InvalidArgument("dt must be positive")
     dW, dV = np.empty((steps, signal_dim)), np.empty((steps, obs_dim))
-    nb = min(NOISE_BLOCK, steps)
-    bufs = np.empty((1, nb, signal_dim)), np.empty((1, nb, obs_dim))
-    for start, w, v in draw_increments([trial_rng(seed, trial)], steps, dt, *bufs):
+    buf = np.empty((1, min(NOISE_BLOCK, steps) * (signal_dim + obs_dim)))
+    for start, w, v in draw_increments([trial_rng(seed, trial)], steps, dt, (signal_dim, obs_dim), buf):
         dW[start : start + w.shape[1]] = w[0]
         dV[start : start + v.shape[1]] = v[0]
     return PathBundle(dt=dt, steps=steps, dW=dW, dV=dV)
@@ -192,23 +187,23 @@ class Stepper:
         """
         dt = self.dt
         innovation = dy - linalg.matvec(self.B, xhat) * dt
-        gain = np.matmul(P, self.gain_map)
+        gain = P @ self.gain_map
         J = self.model.drift_jacobian(xhat)
         new_x = xhat + self.model.drift(xhat) * dt + linalg.matvec(gain, innovation)
-        JP = np.matmul(J, P)
-        PSP = np.matmul(np.matmul(P, self.S), P)
-        new_P = P + dt * (JP + np.swapaxes(JP, -1, -2) + self.R1 - PSP)
+        JP = J @ P
+        new_P = P + dt * (JP + JP.swapaxes(-1, -2) + self.R1 - P @ self.S @ P)
         new_P = linalg.psd_project_stack(linalg.symmetrize_stack(new_P))
 
         # |x|^2 <= GUARD^2 exactly when |x| <= GUARD, and is False for a NaN
-        # or infinite mean, so only P needs its own finiteness check
-        healthy = np.isfinite(new_P).all(axis=(-2, -1)) & (
-            np.einsum("...i,...i->...", new_x, new_x) <= DIVERGENCE_GUARD**2
-        )
-        healthy &= np.abs(np.einsum("...ii->...", new_P)) <= DIVERGENCE_GUARD
+        # or infinite mean, so only P needs its own finiteness check.  new_x
+        # has a row for every row of P, so P's per-row checks run only when
+        # one of its whole-array checks fails.
+        healthy = linalg.sumsq(new_x) <= DIVERGENCE_GUARD**2
         if active is not None:
             healthy &= active
-        if not np.all(healthy):
+        tr = np.abs(linalg.trace_stack(new_P))
+        if not (healthy.all() and tr.max() <= DIVERGENCE_GUARD and np.isfinite(new_P).all()):
+            healthy &= np.isfinite(new_P).all(axis=(-2, -1)) & (tr <= DIVERGENCE_GUARD)
             keep = healthy[..., None]
             new_x = np.where(keep, new_x, xhat)
             new_P = np.where(keep[..., None], new_P, P)
@@ -273,7 +268,7 @@ def bank_delta_sq(xh, P) -> np.ndarray:
     """Per-trial squared joint distance (mean and covariance) of filters 0 and 1."""
     dm = xh[0] - xh[1]
     dP = P[0] - P[1]
-    return np.einsum("...i,...i->...", dm, dm) + np.sum(dP * dP, axis=(-2, -1))
+    return linalg.sumsq(dm) + np.sum(dP * dP, axis=(-2, -1))
 
 
 def record_grid(steps: int, every: int) -> list:
@@ -346,7 +341,7 @@ def simulate_coupled(
     delta = np.empty(n_rec) if n_f >= 2 else None
 
     def record(step, x, xh, P):
-        traces[:, step] = np.einsum("fii->f", P[:, 0])
+        traces[:, step] = linalg.trace_stack(P[:, 0])
         i = rec_pos[step]
         if i >= 0:
             signal[i] = x[0]

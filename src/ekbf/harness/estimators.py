@@ -8,9 +8,10 @@ index) through the same drawer as PathBundle, and a row's bits do not
 depend on the batch width, so a single trial re-simulated with
 simulate_coupled reproduces the engine bit for bit and output bytes do not
 depend on chunk size.  Every chunk runs on the calling thread, in order,
-and draws its noise blocks into one pair of buffers that the run allocates
-once; nothing in the package starts a thread.  A trial counts as diverged
-when filter 0 or 1 froze, since no estimator reads any other filter.
+and draws its noise blocks into one buffer that the run allocates once,
+one draw per trial per block; nothing in the package starts a thread.  A
+trial counts as diverged when filter 0 or 1 froze, since no estimator
+reads any other filter.
 
 Every other random stream comes from dynamics.stream under its own
 (purpose, index) key, one per sample set: the bootstrap of a sample set
@@ -75,10 +76,6 @@ ROW_FIELDS = (
     "estimate", "frequency", "max_violation", "ci_low", "ci_high", "oracle", "threshold",
     "bound", "oracle_pass", "n_overflow", "pass", "radius", "n_diverged", "paper_ref",
 )
-
-
-def _sumsq(e: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...i->...", e, e)
 
 
 @dataclass
@@ -154,23 +151,23 @@ def run_ensemble(
         dsq = np.empty((m, rec.size)) if with_delta else None
 
         def record(s, x, xh, P):
-            np.maximum(gap, np.trace(P[0], axis1=-2, axis2=-1) - tau_full[s], out=gap)
+            np.maximum(gap, linalg.trace_stack(P[0]) - tau_full[s], out=gap)
             i = cp_pos[s]
             if i >= 0:
-                sig_err[:, i] = _sumsq(x - flow_x0[s])
-                fil_err[:, i] = _sumsq(x - xh[0])
-                dev_err[:, i] = _sumsq(xh[0] - flow_xh0[s])
+                sig_err[:, i] = linalg.sumsq(x - flow_x0[s])
+                fil_err[:, i] = linalg.sumsq(x - xh[0])
+                dev_err[:, i] = linalg.sumsq(xh[0] - flow_xh0[s])
             if with_delta and rec_pos[s] >= 0:
                 dsq[:, rec_pos[s]] = bank_delta_sq(xh, P)
 
-        blocks = draw_increments([trial_rng(seed, k) for k in range(lo, hi)], steps, dt, *noise)
+        gens = [trial_rng(seed, k) for k in range(lo, hi)]
+        blocks = draw_increments(gens, steps, dt, (d, obs.obs_dim), noise)
         # only filters 0 and 1 are read, so only they mark a trial diverged
         diverged = ~advance(stepper, x0, means0, covs0, m, blocks, record)[:2].all(axis=0)
         return sig_err, fil_err, dev_err, gap, diverged, dsq
 
-    # one pair of noise buffers serves every chunk and block of the run
-    shape = (min(CHUNK, n_trials), min(NOISE_BLOCK, steps))
-    noise = [np.empty(shape + (d,)), np.empty(shape + (obs.obs_dim,))]
+    # one noise buffer serves every chunk and block of the run
+    noise = np.empty((min(CHUNK, n_trials), min(NOISE_BLOCK, steps) * (d + obs.obs_dim)))
     parts = [run_chunk(lo, min(lo + CHUNK, n_trials), noise) for lo in range(0, n_trials, CHUNK)]
     del noise  # released before the chunk results are joined
 
@@ -326,7 +323,7 @@ def estimate_chi2_laplace(P0, n_samples: int, seed: int) -> dict:
     if n_samples < 2:
         raise InvalidArgument("need at least two samples")
     z = stream(seed, CHI2, 0).standard_normal((n_samples, d)) @ linalg.sym_sqrt(P0).T
-    row = _laplace_fields(_sumsq(z) / (4.0 * d * rho), True, stream(seed, CHI2, 1), np.e,
+    row = _laplace_fields(linalg.sumsq(z) / (4.0 * d * rho), True, stream(seed, CHI2, 1), np.e,
                           "initial-error-laplace")
     return dict(row, mode="chi2", n_samples=n_samples)
 

@@ -3,9 +3,9 @@
 Everything operates on plain numpy arrays.  The scalar entry points take one
 matrix or vector and validate it: as_vector, as_square and as_symmetric return
 it as float64, and max_eigenvalue, min_eigenvalue, sym_spectral_abscissa and
-sym_sqrt compute from it.  The batched helpers matvec, symmetrize_stack,
-psd_project_stack and opnorm_sym_stack accept leading batch dimensions and are
-what the trial engine calls in its inner loop.
+sym_sqrt compute from it.  The batched helpers matvec, sumsq, trace_stack,
+symmetrize_stack, psd_project_stack and opnorm_sym_stack accept leading batch
+dimensions and are what the trial engine calls in its inner loop.
 
 Conventions:
   * matrices are at most MAX_DIM x MAX_DIM,
@@ -111,23 +111,33 @@ def sym_sqrt(M) -> np.ndarray:
 def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     """M @ x over the last axes, broadcast over the leading ones.
 
-    M has shape (..., n, d) and x (..., d).  Unlike x @ M.T, whose BLAS
-    kernel may order a row's sum differently for one row than for many,
-    einsum's own loop gives every row the same bits at any batch width and
-    memory layout (tests/test_linalg.py checks this).
+    M has shape (..., n, d) and x (..., d).  The sum over j runs as
+    broadcast multiply-adds in ascending j, which no ufunc fuses, so a row
+    has the same bits at any batch width and memory layout, unlike x @ M.T,
+    whose BLAS kernel may sum one row differently from many.
     """
-    return np.einsum("...ij,...j->...i", M, x)
+    out = M[..., 0] * x[..., None, 0]
+    for j in range(1, x.shape[-1]):
+        out += M[..., j] * x[..., None, j]
+    return out
+
+
+def sumsq(x: np.ndarray) -> np.ndarray:
+    """|x|^2 over the last axis, as matvec's ascending sum of x_j * x_j."""
+    return matvec(x[..., None, :], x)[..., 0]
+
+
+def trace_stack(P: np.ndarray) -> np.ndarray:
+    """tr P over the last two axes, summed in ascending order (a view of P at d = 1)."""
+    return sum((P[..., j, j] for j in range(1, P.shape[-1])), P[..., 0, 0])
 
 
 def symmetrize_stack(P: np.ndarray) -> np.ndarray:
-    return 0.5 * (P + np.swapaxes(P, -1, -2))
+    return 0.5 * (P + P.swapaxes(-1, -2))
 
 
 def _min_eig_stack(P: np.ndarray) -> np.ndarray:
-    d = P.shape[-1]
-    if d == 1:
-        return P[..., 0, 0]
-    if d == 2:
+    if P.shape[-1] == 2:
         a = P[..., 0, 0]
         c = P[..., 1, 1]
         b = P[..., 0, 1]

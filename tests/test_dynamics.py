@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ekbf import linalg
 from ekbf.dynamics import (
+    DIVERGENCE_GUARD,
     NOISE_BLOCK,
     FilterState,
     Stepper,
@@ -46,23 +47,56 @@ def test_path_bundle_reproducible_and_blocked():
 
 
 def test_draw_increments_fills_the_given_buffers():
-    # every block is a view of the buffers, the last one shorter; a buffer
-    # with too few trials or steps is refused rather than drawn short
+    # every block is a view of the buffer, the last one shorter
     steps = NOISE_BLOCK + 10
-    dW_buf, dV_buf = np.empty((3, NOISE_BLOCK, 2)), np.empty((3, NOISE_BLOCK, 1))
+    buf = np.empty((3, NOISE_BLOCK * 3))
     gens = [trial_rng(9, k) for k in range(2)]
     shapes = []
-    for start, dW, dV in draw_increments(gens, steps, 0.01, dW_buf, dV_buf):
-        assert np.shares_memory(dW, dW_buf) and np.shares_memory(dV, dV_buf)
+    for start, dW, dV in draw_increments(gens, steps, 0.01, (2, 1), buf):
+        assert np.shares_memory(dW, buf) and np.shares_memory(dV, buf)
         shapes.append((start, dW.shape, dV.shape))
     assert shapes == [(0, (2, NOISE_BLOCK, 2), (2, NOISE_BLOCK, 1)),
                       (NOISE_BLOCK, (2, 10, 2), (2, 10, 1))]
     bundle = make_path_bundle(seed=9, trial=1, steps=steps, dt=0.01, signal_dim=2, obs_dim=1)
-    assert np.array_equal(dW_buf[1, :10], bundle.dW[NOISE_BLOCK:])
-    with pytest.raises(DimensionMismatch):
-        next(draw_increments(gens, steps, 0.01, dW_buf[:1], dV_buf))
-    with pytest.raises(DimensionMismatch):
-        next(draw_increments(gens, steps, 0.01, dW_buf, dV_buf[:, :100]))
+    assert np.array_equal(buf[1, :20].reshape(10, 2), bundle.dW[NOISE_BLOCK:])
+
+
+class _CountingGenerator:
+    """A trial stream that records the size of every standard_normal call."""
+
+    def __init__(self, gen, sizes):
+        self._gen, self._sizes = gen, sizes
+
+    def standard_normal(self, size=None, **kwargs):
+        self._sizes.append(size)
+        return self._gen.standard_normal(size, **kwargs)
+
+
+def test_one_buffer_drawer_matches_the_stream_order():
+    # each trial fills its [signal block | observation block] row with one
+    # draw, so the yielded increments are a signal draw followed by an
+    # observation draw from the trial's stream, the short last block too; a
+    # buffer with too few trials or steps is refused rather than drawn short
+    steps, m, d, r, dt = NOISE_BLOCK + 3, 2, 2, 1, 0.01
+    buf = np.empty((m, NOISE_BLOCK * (d + r)))
+    sizes = []
+    gens = [_CountingGenerator(trial_rng(5, k), sizes) for k in range(m)]
+    refs = [trial_rng(5, k) for k in range(m)]
+    starts = []
+    for start, dW, dV in draw_increments(gens, steps, dt, (d, r), buf):
+        nb = min(NOISE_BLOCK, steps - start)
+        assert dW.shape == (m, nb, d) and dV.shape == (m, nb, r)
+        for j, ref in enumerate(refs):
+            assert np.array_equal(dW[j], ref.standard_normal((nb, d)) * np.sqrt(dt))
+            assert np.array_equal(dV[j], ref.standard_normal((nb, r)) * np.sqrt(dt))
+        starts.append(start)
+    assert starts == [0, NOISE_BLOCK]
+    # one call per trial per block, each naming its size
+    assert sizes == [(NOISE_BLOCK * (d + r),)] * m + [(3 * (d + r),)] * m
+    with pytest.raises(DimensionMismatch):  # one trial short
+        next(draw_increments(gens, steps, dt, (d, r), buf[: m - 1]))
+    with pytest.raises(DimensionMismatch):  # one step short
+        next(draw_increments(gens, steps, dt, (d, r), buf[:, : (NOISE_BLOCK - 1) * (d + r)]))
 
 
 def test_ou_variance_matches_closed_form():
@@ -160,6 +194,66 @@ def test_divergence_guard_freezes_and_flags():
     assert np.all(rec.means[1] == 5e8)
 
 
+def _guarded_step_by_formula(stepper, xhat, P, dy, active):
+    """The Euler step with the divergence mask written out from its definition."""
+    dt, guard = stepper.dt, DIVERGENCE_GUARD
+    mv = lambda M, v: np.einsum("...ij,...j->...i", M, v)  # noqa: E731
+    gain = np.matmul(P, stepper.gain_map)
+    new_x = xhat + stepper.model.drift(xhat) * dt + mv(gain, dy - mv(stepper.B, xhat) * dt)
+    JP = np.matmul(stepper.model.drift_jacobian(xhat), P)
+    new_P = P + dt * (JP + np.swapaxes(JP, -1, -2) + stepper.R1 - P @ stepper.S @ P)
+    new_P = linalg.psd_project_stack(0.5 * (new_P + np.swapaxes(new_P, -1, -2)))
+    healthy = np.isfinite(new_P).all(axis=(-2, -1)) & (
+        np.einsum("...i,...i->...", new_x, new_x) <= guard**2
+    )
+    healthy &= np.abs(np.einsum("...ii->...", new_P)) <= guard
+    healthy &= active
+    if healthy.all():  # nothing froze: a shared covariance stays shared
+        return new_x, new_P, healthy
+    keep = healthy[..., None]
+    return np.where(keep, new_x, xhat), np.where(keep[..., None], new_P, P), healthy
+
+
+def test_filter_step_guard_matches_its_formula():
+    # a bank of 2 filters x 4 trials at d = 2: per-row covariances with one
+    # all-healthy row, a NaN covariance, a mean past the guard and a row
+    # already inactive; then a shared covariance that one frozen row widens
+    model = LinearModel(np.array([[-1.0, 0.3], [0.0, -0.8]]), np.eye(2))
+    obs = observation_params(np.array([[1.0, 0.5]]), np.array([[0.7]]))
+    stepper = Stepper(model, 0.01, obs)
+    rng = np.random.default_rng(21)
+    xhat = rng.standard_normal((2, 4, 2))
+    dy = rng.standard_normal((4, 1)) * 0.1
+    P = np.broadcast_to(np.array([[1.0, 0.2], [0.2, 0.5]]), (2, 4, 2, 2)).copy()
+    P[1, 1] = np.nan
+    xhat[0, 2] = [2e8, 0.0]
+    active = np.ones((2, 4), dtype=bool)
+    active[1, 3] = False
+    with np.errstate(invalid="ignore"):
+        got = stepper.filter_step(xhat, P, dy, active)
+        want = _guarded_step_by_formula(stepper, xhat, P, dy, active)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w, equal_nan=True)
+    assert got[2].tolist() == [[True, True, False, True], [True, False, True, False]]
+
+    shared = P[:, :1].copy()
+    shared[1] = np.eye(2)
+    got = stepper.filter_step(xhat, shared, dy, np.ones((2, 4), dtype=bool))
+    want = _guarded_step_by_formula(stepper, xhat, shared, dy, np.ones((2, 4), dtype=bool))
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    assert got[1].shape == (2, 4, 2, 2) and np.array_equal(got[1][0, 2], shared[0, 0])
+
+    # an all-healthy step, with and without a mask, returns the full mask
+    healthy_x = np.where(np.abs(xhat) < 1e3, xhat, 0.0)
+    for mask in (None, np.ones((2, 4), dtype=bool)):
+        got = stepper.filter_step(healthy_x, shared, dy, mask)
+        want = _guarded_step_by_formula(stepper, healthy_x, shared, dy, True)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+        assert got[2].all() and got[1].shape == (2, 1, 2, 2)
+
+
 def _spd(draw, scale):
     """A random 2x2 positive definite matrix, scale times L L^T."""
     L = np.array([[draw(st.floats(0.1, 1.0)), 0.0],
@@ -199,7 +293,7 @@ def test_covariance_psd_and_finite_after_every_step(data):
 
     gens = [trial_rng(draw(st.integers(0, 2**32 - 1), label="seed"), k) for k in range(m)]
     with np.errstate(over="ignore", invalid="ignore"):  # blown-up rows freeze
-        blocks = draw_increments(gens, 40, dt, np.empty((m, 40, 2)), np.empty((m, 40, 2)))
+        blocks = draw_increments(gens, 40, dt, (2, 2), np.empty((m, 40 * 4)))
         advance(stepper, np.zeros(2), means0, P0, m, blocks, check)
     assert steps_seen == list(range(41))  # step 0 is checked too
 

@@ -151,3 +151,48 @@ def test_matvec_rows_independent_of_batch_width(d, n, width, stride, batched, se
         row = x[:, i : i + 1]
         assert np.array_equal(full[:, i], linalg.matvec(M, row)[:, 0])
         assert np.array_equal(full[:, i], linalg.matvec(M, np.ascontiguousarray(row))[:, 0])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    d=st.integers(1, 9),
+    n=st.integers(1, 3),
+    width=st.integers(1, 12),
+    stride=st.integers(1, 3),
+    layout=st.sampled_from(["shared", "broadcast", "batched"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matvec_bits_are_the_ascending_sum(d, n, width, stride, layout, seed):
+    # every entry is M[i, 0] x_0 + M[i, 1] x_1 + ... in ascending j, one
+    # rounding per product and per sum; at d <= 2 that is einsum's result,
+    # which the engine's seeded outputs were first computed with
+    rng = np.random.default_rng(seed)
+    shape = {"shared": (n, d), "broadcast": (3, 1, n, d), "batched": (3, width, n, d)}[layout]
+    M = rng.standard_normal(shape)
+    x = rng.standard_normal((3, width, stride, d))[:, :, 0]  # a strided view
+    got = linalg.matvec(M, x)
+    Mb = np.broadcast_to(M, (3, width, n, d))
+    assert got.shape == (3, width, n)
+    for a, b, i in np.ndindex(3, width, n):
+        s = float(Mb[a, b, i, 0]) * float(x[a, b, 0])
+        for j in range(1, d):
+            s = s + float(Mb[a, b, i, j]) * float(x[a, b, j])
+        assert got[a, b, i] == s
+    if d <= 2:
+        assert np.array_equal(got, np.einsum("...ij,...j->...i", M, x))
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_sumsq_and_trace_stack_are_ascending_sums(d):
+    rng = np.random.default_rng(d)
+    P = rng.standard_normal((2, 5, d, d))
+    x = rng.standard_normal((2, 5, 2, d))[:, :, 0]
+    want_tr, want_sq = P[..., 0, 0], x[..., 0] * x[..., 0]
+    for j in range(1, d):
+        want_tr, want_sq = want_tr + P[..., j, j], want_sq + x[..., j] * x[..., j]
+    assert np.array_equal(linalg.trace_stack(P), want_tr)
+    assert np.array_equal(linalg.sumsq(x), want_sq)
+    if d <= 2:
+        assert np.array_equal(linalg.trace_stack(P), np.einsum("...ii->...", P))
+        assert np.array_equal(linalg.trace_stack(P), np.trace(P, axis1=-2, axis2=-1))
+        assert np.array_equal(linalg.sumsq(x), np.einsum("...i,...i->...", x, x))

@@ -10,6 +10,8 @@ the trial's counter-derived stream, so a PathBundle and a batched run see
 the same increments.  Every product in a step is a linalg.matvec (ascending
 multiply-adds) or one small matrix product per covariance, so a row's bits
 do not depend on the batch width and the two callers agree bit for bit.
+Stepper(model, dt, obs) always has a sensor; the noise-free flow needs
+none, so deterministic_flow runs its own RK4 stages on model.drift.
 
 This module is the one home of the seeding policy: every other random
 stream of the package (bootstraps, chi-square samples, Gronwall paths)
@@ -138,35 +140,24 @@ def check_step_size(model, dt: float) -> None:
 
 
 class Stepper:
-    """Precomputed matrices for advancing signal, flow, and filter states."""
+    """Precomputed matrices for advancing the signal and a bank of filters on one sensor."""
 
-    def __init__(self, model, dt: float, obs: ObservationModel | None = None):
+    def __init__(self, model, dt: float, obs: ObservationModel):
         check_step_size(model, dt)
+        if obs.state_dim != model.dim:
+            raise DimensionMismatch("sensor matrix and model dimension disagree")
         self.model = model
         self.dt = float(dt)
         self.R1_sqrt = linalg.sym_sqrt(model.R1)
-        if obs is not None:
-            if obs.state_dim != model.dim:
-                raise DimensionMismatch("sensor matrix and model dimension disagree")
-            self.S = obs.S
-            self.gain_map = obs.gain_map
-            self.B = obs.B
-            self.R2_sqrt = obs.R2_sqrt
-            self.R1 = model.R1
+        self.R1 = model.R1
+        self.S = obs.S
+        self.gain_map = obs.gain_map
+        self.B = obs.B
+        self.R2_sqrt = obs.R2_sqrt
 
     def signal_step(self, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """Euler-Maruyama update of the state equation."""
         return x + self.model.drift(x) * self.dt + linalg.matvec(self.R1_sqrt, dw)
-
-    def flow_step(self, x: np.ndarray) -> np.ndarray:
-        """Classical fourth-order Runge-Kutta step of the noise-free flow."""
-        dt = self.dt
-        f = self.model.drift
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def obs_increment(self, x: np.ndarray, dv: np.ndarray) -> np.ndarray:
         """Sensor increment dY generated by the state x over one step."""
@@ -211,18 +202,23 @@ class Stepper:
 
 
 def deterministic_flow(model, x0, dt: float, steps: int) -> np.ndarray:
-    """Integrate the noise-free flow with RK4; batched over leading dims of x0.
+    """Integrate the noise-free flow with classical RK4; batched over leading dims of x0.
 
     Returns shape (steps + 1,) + x0.shape.
     """
     if steps < 0:
         raise InvalidArgument("steps must be non-negative")
     x = np.asarray(x0, dtype=float)
-    stepper = Stepper(model, dt)
+    check_step_size(model, dt)
+    dt, f = float(dt), model.drift
     path = np.empty((steps + 1,) + x.shape)
     path[0] = x
     for k in range(steps):
-        x = stepper.flow_step(x)
+        k1 = f(x)
+        k2 = f(x + 0.5 * dt * k1)
+        k3 = f(x + 0.5 * dt * k2)
+        k4 = f(x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         path[k + 1] = x
     return path
 

@@ -28,8 +28,10 @@ slug naming the bound under test, its `pass` verdict and, where an exact
 value is known, its `oracle` and `oracle_pass`.  Every field of a CSV-bound
 row is named in ROW_FIELDS, with one meaning per name; a row leaves out the
 fields it has no value for, and never fills them with NaN or a verdict.
-The forgetting row is JSON-only.  Both Laplace rows share _laplace_fields;
-the forgetting verdict and forgetting.csv share forgetting_curves.
+Moment, Laplace and Gronwall rows are bootstrap intervals of a mean, and
+_interval_row is the one home of their verdicts: `pass` is ci_low <= bound
+and `oracle_pass` is ci_low <= oracle <= ci_high.  The forgetting row is
+JSON-only; its verdict and forgetting.csv share forgetting_curves.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ from ..dynamics import (
     trial_rng,
 )
 from ..errors import InvalidArgument
-from .stats import Z95, bootstrap_mean_ci, fit_decay_rate, increasing_trend_pvalue, wilson_interval
+from .stats import (Z95, EstimateWithCI, bootstrap_mean_ci, fit_decay_rate, increasing_trend_pvalue,
+                    wilson_interval)
 
 # Trials are processed in fixed chunks, which bounds the noise and state
 # held at once; changing this constant changes no results (noise is
@@ -240,6 +243,15 @@ def estimate_event_probability(
     return rows
 
 
+def _interval_row(est: EstimateWithCI, bound, paper_ref: str, oracle=None, **fields) -> dict:
+    """The row of interval est against bound and, when given, the exact oracle."""
+    row = {**fields, "estimate": est.point, "ci_low": est.ci_low, "ci_high": est.ci_high,
+           "bound": float(bound), "pass": bool(est.ci_low <= bound), "paper_ref": paper_ref}
+    if oracle is not None:
+        row.update(oracle=float(oracle), oracle_pass=bool(est.ci_low <= oracle <= est.ci_high))
+    return row
+
+
 def estimate_moments(result: EnsembleResult, orders) -> list[dict]:
     """Empirical 2n-th error moments against their closed-form envelopes.
 
@@ -254,41 +266,23 @@ def estimate_moments(result: EnsembleResult, orders) -> list[dict]:
         raise InvalidArgument(f"moment orders above {MAX_MOMENT_ORDER} are too tail-sensitive")
     c = result.constants
     errors = {"signal": result.signal_err_sq, "filter-mean": result.mean_dev_sq}
-    specs = [
-        (i, t, n, kind) for i, t in enumerate(result.checkpoint_times) for n in orders for kind in errors
-    ]
+    cells = [(i, n, kind) for i in range(result.checkpoint_times.size) for n in orders for kind in errors]
     # one row per (checkpoint, order, kind), all resampled over the same trials
-    samples = np.empty((len(specs), result.n_trials))
-    for row, (i, _, n, kind) in zip(samples, specs):
-        row[:] = errors[kind][:, i] ** n
-    estimates = bootstrap_mean_ci(samples, stream(result.seed, MOMENT_BOOTSTRAP))
+    samples = np.array([errors[kind][:, i] ** n for i, n, kind in cells])
     rows = []
-    for (_, t, n, kind), est in zip(specs, estimates):
+    for (i, n, kind), est in zip(cells, bootstrap_mean_ci(samples, stream(result.seed, MOMENT_BOOTSTRAP))):
+        t = float(result.checkpoint_times[i])
         if kind == "signal":
-            bound = bounds.signal_moment_bound(c, n) ** n
-            slug = "moment-envelope-signal"
+            bound, slug = bounds.signal_moment_bound(c, n) ** n, "moment-envelope-signal"
         else:
-            bound = float(bounds.moment_bound_xhat(c, 2 * n, t)) ** n
-            slug = "moment-envelope-filter-mean"
-        rows.append(
-            {
-                "t": float(t),
-                "n": int(n),
-                "kind": kind,
-                "estimate": est.point,
-                "ci_low": est.ci_low,
-                "ci_high": est.ci_high,
-                "bound": float(bound),
-                "n_diverged": int(result.diverged.sum()),
-                "pass": bool(est.ci_low <= bound),
-                "paper_ref": slug,
-            }
-        )
+            bound, slug = float(bounds.moment_bound_xhat(c, 2 * n, t)) ** n, "moment-envelope-filter-mean"
+        rows.append(_interval_row(est, bound, slug, t=t, n=int(n), kind=kind,
+                                  n_diverged=int(result.diverged.sum())))
     return rows
 
 
-def _laplace_fields(exponents, keep, rng, bound: float, paper_ref: str) -> dict:
-    """Shared Laplace fields: the bootstrap mean of exp(exponents) over keep against bound.
+def _laplace_row(exponents, keep, rng, bound: float, paper_ref: str, **fields) -> dict:
+    """A Laplace row: the bootstrap mean of exp(exponents) over keep against bound.
 
     Samples outside keep or whose exponential overflows count in n_overflow.
     """
@@ -297,16 +291,8 @@ def _laplace_fields(exponents, keep, rng, bound: float, paper_ref: str) -> dict:
     keep = keep & np.isfinite(vals)
     if not keep.any():
         raise InvalidArgument("all samples overflowed or diverged")
-    est = bootstrap_mean_ci(vals[keep], rng)
-    return {
-        "estimate": est.point,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "bound": float(bound),
-        "n_overflow": int(np.sum(~keep)),
-        "pass": bool(est.ci_low <= bound),
-        "paper_ref": paper_ref,
-    }
+    (est,) = bootstrap_mean_ci(vals[keep][None], rng)
+    return _interval_row(est, bound, paper_ref, n_overflow=int(np.sum(~keep)), **fields)
 
 
 def estimate_chi2_laplace(P0, n_samples: int, seed: int) -> dict:
@@ -323,9 +309,8 @@ def estimate_chi2_laplace(P0, n_samples: int, seed: int) -> dict:
     if n_samples < 2:
         raise InvalidArgument("need at least two samples")
     z = stream(seed, CHI2, 0).standard_normal((n_samples, d)) @ linalg.sym_sqrt(P0).T
-    row = _laplace_fields(linalg.sumsq(z) / (4.0 * d * rho), True, stream(seed, CHI2, 1), np.e,
-                          "initial-error-laplace")
-    return dict(row, mode="chi2", n_samples=n_samples)
+    return _laplace_row(linalg.sumsq(z) / (4.0 * d * rho), True, stream(seed, CHI2, 1), np.e,
+                        "initial-error-laplace", mode="chi2", n_samples=n_samples)
 
 
 def estimate_ekf_laplace(result: EnsembleResult, eps: float) -> dict:
@@ -338,13 +323,12 @@ def estimate_ekf_laplace(result: EnsembleResult, eps: float) -> dict:
     """
     c = result.constants
     coef = (1.0 - eps) * c.drift_decay / (4.0 * np.e * bounds.sigma_sq_limit(c) * c.noise_trace)
-    row = _laplace_fields(
+    return _laplace_row(
         coef * result.filter_err_sq[:, -1], ~result.diverged,
         stream(result.seed, EKF_LAPLACE_BOOTSTRAP), bounds.laplace_rhs(eps, 0.25, 1.0),
-        "filter-error-laplace",
+        "filter-error-laplace", mode="ekf", t=float(result.checkpoint_times[-1]), eps=float(eps),
+        coefficient=float(coef),
     )
-    return dict(row, mode="ekf", t=float(result.checkpoint_times[-1]), eps=float(eps),
-                coefficient=float(coef))
 
 
 def verify_trace_bound(result: EnsembleResult) -> dict:
@@ -485,7 +469,8 @@ def gronwall_test_process(
     steps = int(round(T / dt))
     cp_idx = sorted({max(1, int(round(0.5 * T / dt))), steps})
 
-    def simulate(y_init, drift_const, bracket_lin, index):
+    def resampled(index, y_init, drift_const, bracket_lin, cells):
+        """Intervals of E Y_s^{n/2} per (s, n) of cells, from one bootstrap of process index."""
         rng = stream(seed, GRONWALL_PATHS, index)
         y = np.full(n_paths, float(y_init))
         snaps = {}
@@ -496,39 +481,24 @@ def gronwall_test_process(
             np.maximum(y, 0.0, out=y)
             if k in cp_idx:
                 snaps[k] = y  # the next step builds a new array
-        return snaps
-
-    processes = []
-    if y0 > 0:
-        processes.append((0, y0, 0.0, 0.0, [("homogeneous", s, n) for s in cp_idx for n in orders]))
-    if u > 0 or v > 0:
-        processes.append((1, 0.0, u, v, [("sourced", cp_idx[-1], n) for n in orders]))
-    specs, estimates = [], []
-    for index, y_init, drift_const, bracket_lin, cells in processes:
-        snaps = simulate(y_init, drift_const, bracket_lin, index)
-        samples = np.empty((len(cells), n_paths))
-        for row, (_, s, n) in zip(samples, cells):
-            row[:] = snaps[s] ** (n / 2.0)
-        specs += cells
+        samples = np.array([snaps[s] ** (n / 2.0) for s, n in cells])
         # one bootstrap per process: a process's rows share its resamples
-        estimates += bootstrap_mean_ci(samples, stream(seed, GRONWALL_BOOTSTRAP, index))
+        return bootstrap_mean_ci(samples, stream(seed, GRONWALL_BOOTSTRAP, index))
 
     rows = []
-    for (kind, s, n), est in zip(specs, estimates):
-        m, t = n / 2.0, s * dt
-        row = {"t": float(t), "n": int(n), "kind": kind}
-        if kind == "homogeneous":
+    if y0 > 0:
+        cells = [(s, n) for s in cp_idx for n in orders]
+        for (s, n), est in zip(cells, resampled(0, y0, 0.0, 0.0, cells)):
+            m, t = n / 2.0, s * dt
             oracle = y0**m * np.exp(-m * a * t + m * (m - 1.0) * w * t / 2.0)
             bound = y0**m * np.exp(0.5 * (-n * a + n * (n - 1.0) * w / 2.0) * t)
-            point, low, high = est.point, est.ci_low, est.ci_high
-            row.update(oracle=float(oracle), oracle_pass=bool(low <= oracle <= high),
-                       paper_ref="gronwall-envelope")
-        else:
-            # the sourced envelope bounds (E Y^{n/2})^{2/n}
-            bound = bounds.gronwall_moment_rhs(n, t, a, w, u, v)
-            point, low, high = (x ** (2.0 / n) for x in (est.point, est.ci_low, est.ci_high))
-            row["paper_ref"] = "gronwall-sourced-envelope"
-        row.update({"estimate": point, "ci_low": low, "ci_high": high, "bound": float(bound),
-                    "pass": bool(low <= bound)})
-        rows.append(row)
+            rows.append(_interval_row(est, bound, "gronwall-envelope", oracle,
+                                      t=float(t), n=int(n), kind="homogeneous"))
+    if u > 0 or v > 0:
+        t, cells = steps * dt, [(steps, n) for n in orders]
+        for (_, n), est in zip(cells, resampled(1, 0.0, u, v, cells)):
+            # the sourced envelope bounds (E Y^{n/2})^{2/n}, a monotone map of the interval
+            est = EstimateWithCI(*(x ** (2.0 / n) for x in (est.point, est.ci_low, est.ci_high)))
+            rows.append(_interval_row(est, bounds.gronwall_moment_rhs(n, t, a, w, u, v),
+                                      "gronwall-sourced-envelope", t=float(t), n=int(n), kind="sourced"))
     return rows

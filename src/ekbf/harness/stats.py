@@ -7,15 +7,16 @@ here is numpy and the standard library.
 
 The bootstrap knows no seeding policy: its caller hands it a Generator
 (from dynamics.stream, keyed by the sample set the intervals are for).
-One call serves every statistic of a sample set: given k statistics of
-the same n units, each resample is one row of unit indices, and all k
-statistics are gathered with it, as the nonparametric bootstrap resamples
-the sampling unit.  Indices are drawn in blocks of BOOTSTRAP_BLOCK rows
-that continue the Generator's stream; each index row gathers the k
-statistics into one reused (k, n) buffer, and each mean is the same
-pairwise sum as over the whole (n_resamples, n) index matrix.  Intervals
-are therefore bit for bit those of the whole-matrix formula applied to
-each statistic alone, while memory stays a block of indices and k rows.
+One call serves every statistic of a sample set, given as its one input
+shape: a (k, n) array of k statistics of the same n units.  Each resample
+is one row of unit indices, and all k statistics are gathered with it, as
+the nonparametric bootstrap resamples the sampling unit.  Indices are
+drawn in blocks of BOOTSTRAP_BLOCK rows that continue the Generator's
+stream; each index row gathers the k statistics into one reused (k, n)
+buffer, and each mean is the same pairwise sum as over the whole
+(n_resamples, n) index matrix.  Intervals are therefore bit for bit those
+of the whole-matrix formula applied to each statistic alone, while memory
+stays a block of indices and k rows.
 """
 
 from __future__ import annotations
@@ -77,25 +78,23 @@ def wilson_interval(successes: int, n: int) -> EstimateWithCI:
 def bootstrap_mean_ci(samples, rng: np.random.Generator, n_resamples: int = BOOTSTRAP_RESAMPLES):
     """Percentile bootstrap intervals for means, resampled from rng.
 
-    samples is one sample of n units, or a (k, n) array of k statistics of
-    the same n units.  Every resample draws one row of n unit indices and
-    gathers all k statistics with it, so the k intervals share their
-    resamples.  Row j's interval is bit for bit that of samples[j] alone
-    under an identically seeded rng.  Returns one EstimateWithCI for a 1-d
-    sample and a list of k for a (k, n) array.
+    samples is a (k, n) array of k statistics of the same n units.  Every
+    resample draws one row of n unit indices and gathers all k statistics
+    with it, so the k intervals share their resamples.  Row j's interval is
+    bit for bit that of samples[j:j + 1] alone under an identically seeded
+    rng.  Returns a list of k EstimateWithCI.
     """
     if n_resamples < 1:
         raise InvalidArgument("n_resamples must be >= 1")
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim > 2:
-        raise InvalidArgument("samples must be 1-d or (statistics, units)")
-    table = samples.reshape(1, -1) if samples.ndim < 2 else samples
-    k, n = table.shape
+    if samples.ndim != 2:
+        raise InvalidArgument("samples must be a (statistics, units) array")
+    k, n = samples.shape
     if n < 1:
         raise InvalidArgument("need at least one sample")
-    points = [float(row.mean()) for row in table]
+    points = [float(row.mean()) for row in samples]
     if n == 1 or k == 0:
-        means = table  # nothing to resample; a one-unit interval is its point
+        means = samples  # nothing to resample; a one-unit interval is its point
     else:
         means = np.empty((k, n_resamples))
         buf = np.empty((k, n))
@@ -103,13 +102,13 @@ def bootstrap_mean_ci(samples, rng: np.random.Generator, n_resamples: int = BOOT
             idx = rng.integers(0, n, size=(min(BOOTSTRAP_BLOCK, n_resamples - lo), n))
             for r, row in enumerate(idx):
                 # indices lie in [0, n), so "clip" gathers without a bounds pass
-                np.take(table, row, axis=1, out=buf, mode="clip")
+                np.take(samples, row, axis=1, out=buf, mode="clip")
                 buf.mean(axis=1, out=means[:, lo + r])
     out = []
     for point, row in zip(points, means):
         low, high = np.percentile(row, [2.5, 97.5])
         out.append(EstimateWithCI(point, min(float(low), point), max(float(high), point)))
-    return out if samples.ndim == 2 else out[0]
+    return out
 
 
 def increasing_trend_pvalue(times, values) -> float:

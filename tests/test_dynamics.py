@@ -102,7 +102,7 @@ def test_one_buffer_drawer_matches_the_stream_order():
 def test_ou_variance_matches_closed_form():
     # batched Euler paths of dX = -X dt + dW from 0; Var X_T = (1 - e^{-2T})/2
     n, steps, dt = 2000, 500, 0.01
-    stepper = Stepper(OU, dt)
+    stepper = Stepper(OU, dt, OBS1)
     rng = np.random.default_rng(77)
     x = np.zeros((n, 1))
     for _ in range(steps):
@@ -129,7 +129,7 @@ def test_coupled_trajectories_contract_pathwise():
     model = _qc2()
     dt, steps = 0.005, 1000
     lam = model.regularity_constants().drift_decay
-    stepper = Stepper(model, dt)
+    stepper = Stepper(model, dt, observation_params(np.eye(2), np.eye(2)))
     rng = np.random.default_rng(88)
     x = np.tile(np.array([1.5, -0.5]), (20, 1))
     y = np.tile(np.array([-1.0, 2.0]), (20, 1))
@@ -161,7 +161,7 @@ def test_deterministic_flow_contracts():
 def test_signal_step_first_order_in_dt():
     # noise-free Euler against the exact exponential: halving dt halves the error
     def endpoint(dt):
-        stepper = Stepper(OU, dt)
+        stepper = Stepper(OU, dt, OBS1)
         x = np.array([1.0])
         for _ in range(int(round(1.0 / dt))):
             x = stepper.signal_step(x, np.zeros(1))

@@ -89,8 +89,8 @@ def test_wilson_coverage_on_known_bernoulli():
 def test_bootstrap_ci_deterministic_and_covering():
     rng = np.random.default_rng(607)
     x = rng.standard_normal(400) + 2.0
-    a = bootstrap_mean_ci(x, np.random.default_rng(11))
-    b = bootstrap_mean_ci(x, np.random.default_rng(11))
+    (a,) = bootstrap_mean_ci(x[None], np.random.default_rng(11))
+    (b,) = bootstrap_mean_ci(x[None], np.random.default_rng(11))
     assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
     assert a.ci_low <= 2.0 <= a.ci_high
 
@@ -119,9 +119,9 @@ def test_bootstrap_streaming_matches_whole_matrix(k, n, n_resamples, block, seed
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
         ests = bootstrap_mean_ci(x, rng, n_resamples=n_resamples)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-        single = bootstrap_mean_ci(x[0], rng, n_resamples=n_resamples)
+        (single,) = bootstrap_mean_ci(x[:1], rng, n_resamples=n_resamples)
     assert len(ests) == k
-    assert single == ests[0]  # a 1-d sample is one statistic
+    assert single == ests[0]  # a (1, n) sample is one statistic
     for row, est in zip(x, ests):
         low, high = _whole_matrix_interval(row, seed, n_resamples)
         point = float(row.mean())
@@ -139,6 +139,8 @@ def test_bootstrap_edge_shapes():
         bootstrap_mean_ci(np.empty((2, 0)), rng)
     with pytest.raises(InvalidArgument):
         bootstrap_mean_ci(np.ones((2, 2, 2)), rng)
+    with pytest.raises(InvalidArgument):  # one statistic is a (1, n) array
+        bootstrap_mean_ci(np.arange(3.0), rng)
 
 
 def test_one_bootstrap_per_sample_set(monkeypatch):
@@ -163,7 +165,7 @@ def test_one_bootstrap_per_sample_set(monkeypatch):
 @pytest.mark.parametrize("n_resamples", [0, -3])
 def test_bootstrap_rejects_nonpositive_resamples(n_resamples):
     with pytest.raises(InvalidArgument):
-        bootstrap_mean_ci(np.arange(10.0), np.random.default_rng(1), n_resamples=n_resamples)
+        bootstrap_mean_ci(np.arange(10.0)[None], np.random.default_rng(1), n_resamples=n_resamples)
 
 
 def test_estimate_with_ci_invariant():

@@ -15,7 +15,7 @@ def show(rows, title):
     print(title)
     print("%4s %6s %12s %12s %12s %6s" % ("t", "order", "estimate", "oracle", "envelope", "pass"))
     for r in rows:
-        oracle = r.get("oracle", float("nan"))  # the sourced rows have no oracle
+        oracle = r.get("oracle", float("nan"))  # odd-order sourced rows have no oracle
         print(
             "%4g %6d %12.5f %12.5f %12.5f %6s"
             % (r["t"], r["n"], r["estimate"], oracle, r["bound"], "yes" if r["pass"] else "NO")

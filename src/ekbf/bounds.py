@@ -243,23 +243,55 @@ def moment_bound_xhat(c: ProblemConstants, n: float, t) -> np.ndarray | float:
 def gronwall_moment_rhs(n: float, T: float, a: float, w: float, u: float, v: float) -> float:
     """Sourced moment envelope of a quadratic process, in closed form.
 
-    For d|X|^2 <= (-a |X|^2 + u) dt + dM_t with bracket rate
-    v |X|^2 + w |X|^4 and X_0 = 0, the n-th moment obeys
+    For Y = |X|^2 with dY <= (-a Y + u) dt + dM_t, bracket rate
+    v Y + w Y^2 and Y_0 = 0, the n-th moment obeys
 
-      E(|X_T|^n)^{2/n} <= int_0^T exp(-(a - h w)(T - s) - h w s) (u + h v) ds,
+      E(|X_T|^n)^{2/n} <= int_0^T exp(-(a - h w)(T - s)) (u + h v) ds
+                        = (u + h v) ramp(T),   h = (n - 1)/2,
 
-    h = (n - 1)/2.  The integral is (u + h v) ramp(T) with
-    ramp(T) = (e^{-h w T} - e^{-(a - h w) T}) / (a - 2 h w), which decay_ramp
-    evaluates, its limit T e^{-h w T} at a = 2 h w included.  The factor
-    e^{-h w T} makes the bound decay in T while E Y_T -> u/a, so it falls
-    below the truth at large T (ROADMAP item 1).
+    with ramp(T) = (1 - e^{-(a - h w) T}) / (a - h w), which decay_ramp
+    evaluates, its limit T at a = h w included.
+
+    Derivation.  For n >= 2 put p = n/2 >= 1.  Ito's formula on Y^p gives
+
+      d E Y^p = -p (a - (p-1) w/2) E Y^p dt + p (u + (p-1) v/2) E Y^{p-1} dt,
+
+    and Jensen's inequality E Y^{p-1} <= (E Y^p)^{(p-1)/p} turns this into
+    z' <= -(a - (p-1) w/2) z + (u + (p-1) v/2) for z = (E Y^p)^{1/p}, z_0 = 0.
+    The solution of the linear equation grows with both coefficients
+    (p-1) w/2 and (p-1) v/2, and (p-1)/2 <= h, so the h-form above bounds z.
+    For 1 <= n < 2, (E Y^{n/2})^{2/n} <= E Y, and E Y, the case p = 1, is
+    bounded by the form at h = 0, which the form at h only enlarges.  At
+    n = 1 (h = 0) the bound is E Y's exact value u (1 - e^{-a T}) / a.
     """
     if n < 1:
         raise InvalidArgument("moment order must be >= 1")
     if w < 0 or u < 0 or v < 0:
         raise InvalidArgument("w, u, v must be non-negative")
     h = 0.5 * (n - 1.0)
-    return float((u + h * v) * decay_ramp(h * w, a - h * w, T))
+    return float((u + h * v) * decay_ramp(0.0, a - h * w, T))
+
+
+def gronwall_sourced_moment(n: int, T: float, a: float, w: float, u: float, v: float) -> float | None:
+    """Exact (E Y_T^{n/2})^{2/n} of the sourced process of gronwall_moment_rhs.
+
+    From Y_0 = 0 the moments m1 = E Y and m2 = E Y^2 solve
+    m1' = -a m1 + u and m2' = -c m2 + (2u + v) m1 with c = 2a - w, so
+
+      m1(T) = u ramp_{0,a}(T),
+      m2(T) = (2u + v)(u/a) [ramp_{0,c}(T) - ramp_{a,c}(T)],
+
+    ramp_{x,y} being decay_ramp(x, y, .).  Returns m1 at n = 2, sqrt(m2)
+    at n = 4, and None at any other order, which has no closed form here.
+    """
+    if n not in (2, 4):
+        return None
+    if a <= 0:
+        raise InvalidArgument("a must be positive")
+    if n == 2:
+        return float(u * decay_ramp(0.0, a, T))
+    c = 2.0 * a - w
+    return float(np.sqrt((2.0 * u + v) * (u / a) * (decay_ramp(0.0, c, T) - decay_ramp(a, c, T))))
 
 
 def laplace_rhs(eps: float, u_a: float, v_a: float) -> float:

@@ -267,8 +267,10 @@ def estimate_moments(result: EnsembleResult, orders) -> list[dict]:
     c = result.constants
     errors = {"signal": result.signal_err_sq, "filter-mean": result.mean_dev_sq}
     cells = [(i, n, kind) for i in range(result.checkpoint_times.size) for n in orders for kind in errors]
-    # one row per (checkpoint, order, kind), all resampled over the same trials
-    samples = np.array([errors[kind][:, i] ** n for i, n, kind in cells])
+    # one row per (checkpoint, order, kind), all resampled over the same trials;
+    # fromiter fills the table row by row, holding no list of rows beside it
+    samples = np.fromiter((errors[kind][:, i] ** n for i, n, kind in cells),
+                          np.dtype((float, result.n_trials)), len(cells))
     rows = []
     for (i, n, kind), est in zip(cells, bootstrap_mean_ci(samples, stream(result.seed, MOMENT_BOOTSTRAP))):
         t = float(result.checkpoint_times[i])
@@ -453,8 +455,9 @@ def gronwall_test_process(
     the homogeneous envelope.  When u or v is positive, also runs the
     sourced variant dY = (-a Y + u) dt + sqrt(v Y + w Y^2) dN from Y_0 = 0
     and checks E(Y_T^{n/2})^{2/n} at T against the closed-form envelope
-    bounds.gronwall_moment_rhs; those rows carry no oracle, since no exact
-    value is computed for them.
+    bounds.gronwall_moment_rhs; at n = 2 and 4 its exact value
+    bounds.gronwall_sourced_moment is the row's oracle, and rows of other
+    orders carry none.
     Each process draws its (n_paths,) normals one Euler step at a time from
     its own stream, so the noise held at once is one step's.  Each
     process's rows come from one bootstrap of its paths on the calling
@@ -481,7 +484,8 @@ def gronwall_test_process(
             np.maximum(y, 0.0, out=y)
             if k in cp_idx:
                 snaps[k] = y  # the next step builds a new array
-        samples = np.array([snaps[s] ** (n / 2.0) for s, n in cells])
+        samples = np.fromiter((snaps[s] ** (n / 2.0) for s, n in cells),
+                              np.dtype((float, n_paths)), len(cells))
         # one bootstrap per process: a process's rows share its resamples
         return bootstrap_mean_ci(samples, stream(seed, GRONWALL_BOOTSTRAP, index))
 
@@ -499,6 +503,8 @@ def gronwall_test_process(
         for (_, n), est in zip(cells, resampled(1, 0.0, u, v, cells)):
             # the sourced envelope bounds (E Y^{n/2})^{2/n}, a monotone map of the interval
             est = EstimateWithCI(*(x ** (2.0 / n) for x in (est.point, est.ci_low, est.ci_high)))
-            rows.append(_interval_row(est, bounds.gronwall_moment_rhs(n, t, a, w, u, v),
-                                      "gronwall-sourced-envelope", t=float(t), n=int(n), kind="sourced"))
+            oracle = bounds.gronwall_sourced_moment(n, t, a, w, u, v)
+            bound = bounds.gronwall_moment_rhs(n, t, a, w, u, v)
+            rows.append(_interval_row(est, bound, "gronwall-sourced-envelope", oracle,
+                                      t=float(t), n=int(n), kind="sourced"))
     return rows

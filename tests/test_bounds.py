@@ -5,6 +5,7 @@ separate scratch script (mpmath-checked where rounding matters), so a silent
 change in any formula fails loudly here.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -170,20 +171,58 @@ def test_gronwall_rhs_validation():
 
 
 def test_gronwall_rhs_matches_scipy_quad():
-    # the closed form against the integral its docstring states, a = 2 h w included
+    # the closed form against the integral its docstring states, a = h w included
     from scipy.integrate import quad
 
     rng = np.random.default_rng(808)
-    cases = [(2, 1.0, 1.0, 0.3, 0.2, 3.0), (3, 2.0, 1.0, 0.5, 0.1, 1.5)]  # a == 2 h w
+    cases = [(2, 1.0, 2.0, 0.3, 0.2, 3.0), (3, 1.0, 1.0, 0.5, 0.1, 1.5)]  # a == h w
     for _ in range(100):
         n = int(rng.integers(1, 5))
         a, w, u, v = rng.uniform(0.0, 2.0, 4)
         cases.append((n, a, w, u, v, rng.uniform(0.0, 10.0)))
     for n, a, w, u, v, T in cases:
         h = (n - 1) / 2.0
-        want, _ = quad(lambda s: np.exp(-(a - h * w) * (T - s) - h * w * s) * (u + h * v),
+        want, _ = quad(lambda s: np.exp(-(a - h * w) * (T - s)) * (u + h * v),
                        0.0, T, epsabs=0.0, epsrel=1e-12)
         assert bounds.gronwall_moment_rhs(n, T, a, w, u, v) == pytest.approx(want, rel=1e-9)
+
+
+def _sourced_moments_ivp(T, a, w, u, v):
+    """E Y_T and E Y_T^2 of dY = (-a Y + u) dt + sqrt(v Y + w Y^2) dN from 0, by solve_ivp."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(_, m):
+        return [-a * m[0] + u, (w - 2.0 * a) * m[1] + (2.0 * u + v) * m[0]]
+
+    sol = solve_ivp(rhs, (0.0, T), [0.0, 0.0], method="DOP853", rtol=1e-12, atol=1e-14)
+    return sol.y[0, -1], sol.y[1, -1]
+
+
+def test_gronwall_rhs_bounds_the_exact_moment():
+    # the envelope holds at every horizon, not only while the process is young
+    grid = itertools.product((0.5, 1.0, 2.0), (0.0, 0.25, 0.5, 1.0), (0.1, 0.3, 1.0),
+                             (0.0, 0.2, 1.0), (0.5, 2.0, 5.0, 10.0))
+    for a, w, u, v, T in grid:
+        m1, m2 = _sourced_moments_ivp(T, a, w, u, v)
+        for n, exact in ((2, m1), (4, np.sqrt(m2))):
+            # equality holds at v = w = 0, up to the solver's error
+            assert bounds.gronwall_moment_rhs(n, T, a, w, u, v) >= exact * (1.0 - 1e-9), (n, a, w, u, v, T)
+
+
+def test_gronwall_sourced_moment_matches_scipy_ivp():
+    rng = np.random.default_rng(809)
+    # c = 2a - w at 0, below 0 and equal to a, then random draws
+    cases = [(1.0, 2.0, 0.3, 0.2, 4.0), (0.5, 1.5, 0.3, 0.2, 6.0), (1.0, 1.0, 0.7, 0.4, 2.0)]
+    for _ in range(40):
+        a, w, u, v = rng.uniform(0.1, 2.0), *rng.uniform(0.0, 2.0, 3)
+        cases.append((a, w, u, v, rng.uniform(0.1, 10.0)))
+    for a, w, u, v, T in cases:
+        m1, m2 = _sourced_moments_ivp(T, a, w, u, v)
+        assert bounds.gronwall_sourced_moment(2, T, a, w, u, v) == pytest.approx(m1, rel=1e-9)
+        assert bounds.gronwall_sourced_moment(4, T, a, w, u, v) == pytest.approx(np.sqrt(m2), rel=1e-9)
+    assert bounds.gronwall_sourced_moment(3, 1.0, 1.0, 0.5, 0.3, 0.2) is None  # no exact value at odd n
+    with pytest.raises(InvalidArgument):
+        bounds.gronwall_sourced_moment(2, 1.0, 0.0, 0.5, 0.3, 0.2)  # the formula divides by a
 
 
 def test_laplace_rhs_frozen():

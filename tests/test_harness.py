@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ekbf import linalg
+from ekbf import bounds, linalg
 from ekbf.dynamics import FilterState, make_path_bundle, simulate_coupled
 from ekbf.errors import ConfigError, InvalidArgument
 from ekbf.harness import cli, estimators, stats
@@ -466,14 +466,29 @@ def test_gronwall_stochastic_case_matches_oracle():
 
 def test_gronwall_sourced_rows():
     rows = gronwall_test_process(
-        a=1.0, w=0.3, dt=1e-3, T=1.0, n_paths=2000, seed=43, orders=(2,), y0=1.0, u=0.5, v=0.2
+        a=1.0, w=0.3, dt=1e-3, T=1.0, n_paths=2000, seed=43, orders=(1, 2), y0=1.0, u=0.5, v=0.2
     )
-    sourced = [r for r in rows if r["kind"] == "sourced"]
-    assert len(sourced) == 1
-    assert sourced[0]["pass"]
-    # no exact value is computed for the sourced process: its row carries no
-    # oracle at all rather than a NaN one with an invented verdict
-    assert "oracle" not in sourced[0] and "oracle_pass" not in sourced[0]
+    sourced = {r["n"]: r for r in rows if r["kind"] == "sourced"}
+    assert sorted(sourced) == [1, 2]
+    assert all(r["pass"] for r in sourced.values())
+    # the even order carries the exact moment as its oracle
+    assert sourced[2]["oracle"] == bounds.gronwall_sourced_moment(2, 1.0, 1.0, 0.3, 0.5, 0.2)
+    assert sourced[2]["oracle_pass"]
+    # no exact value is computed at odd n: the row carries no oracle at all
+    # rather than a NaN one with an invented verdict
+    assert "oracle" not in sourced[1] and "oracle_pass" not in sourced[1]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gronwall_sourced_rows_pass_at_long_horizons(seed):
+    # E Y_T tends to u/a = 0.3; an envelope that decays in T falls below it by T = 5
+    for T in (5.0, 10.0):
+        rows = gronwall_test_process(
+            a=1.0, w=0.5, dt=1e-2, T=T, n_paths=2000, seed=seed, orders=(1, 2, 4),
+            y0=0.0, u=0.3, v=0.2,
+        )
+        assert [r["kind"] for r in rows] == ["sourced"] * 3
+        assert all(r["pass"] for r in rows), rows
 
 
 # ------------------------------------------------------------ config and CLI
@@ -684,6 +699,27 @@ class _RecordedSeedSequence(np.random.SeedSequence):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.created.append((self.entropy, tuple(self.spawn_key)))
+
+
+def test_report_interval_rows_follow_one_rule(tmp_path):
+    # every moment, Laplace and Gronwall row is judged the same way
+    cfg = _base_config()
+    cfg["test"]["n_orders"] = [1, 2]
+    cfg["gronwall"] = {"a": 1.0, "w": 0.5, "u": 0.3, "v": 0.2, "n_paths": 200}
+    path = _write_cfg(tmp_path, cfg)
+    run_cli(["report", "--config", path, "--out", str(tmp_path / "out")])
+    details = json.loads((tmp_path / "out" / "report.json").read_text())["details"]
+    refs = ("moment-envelope-signal", "moment-envelope-filter-mean", "initial-error-laplace",
+            "filter-error-laplace", "gronwall-envelope", "gronwall-sourced-envelope")
+    rows = [d for d in details if d.get("paper_ref") in refs]
+    assert {d["paper_ref"] for d in rows} == set(refs)
+    for d in rows:
+        assert d["pass"] == (d["ci_low"] <= d["bound"]), d
+        if "oracle" in d:
+            assert d["oracle_pass"] == (d["ci_low"] <= d["oracle"] <= d["ci_high"]), d
+        else:
+            assert "oracle_pass" not in d
+    assert any(d["paper_ref"] == "gronwall-sourced-envelope" and "oracle" in d for d in rows)
 
 
 def test_report_streams_are_independent(tmp_path, monkeypatch):

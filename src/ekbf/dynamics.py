@@ -26,7 +26,7 @@ same code serves both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,9 +120,8 @@ def make_path_bundle(
     return PathBundle(dt=dt, steps=steps, dW=dW, dV=dV)
 
 
-@dataclass
-class FilterState:
-    """Mean and covariance of one filter."""
+class FilterState(NamedTuple):
+    """Mean and covariance of one filter; any (mean, cov) pair serves as well."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -321,7 +320,7 @@ def simulate_coupled(
     """
     d = model.dim
     x0 = linalg.as_vector(x0, d)
-    means0, covs0 = initial_bank([(f.mean, f.cov) for f in filters], d)
+    means0, covs0 = initial_bank(filters, d)
     if record_every < 1:
         raise InvalidArgument("record_every must be >= 1")
     stepper = Stepper(model, bundle.dt, obs)

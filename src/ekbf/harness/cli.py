@@ -13,14 +13,16 @@ Exit codes: 0 when every check passes (check and simulate, which make no
 check, exit 0), 1 when any check fails, 2 on a configuration problem,
 including a value the command cannot use (moment orders above 4, fewer
 than two chi-square samples, a prior that is not symmetric PSD, one with
-no positive eigenvalue under the chi-square row, or a record grid with
-fewer than 3 times past the forgetting burn-in), 3 when the run itself
-fails (any other EkbfError, e.g. a Laplace row whose every sample
-overflowed or diverged; a diverged filter freezes and is counted, not
-raised); 2 and 3 print a one-line message to stderr.  check prints
-bounds.bounds_report's plain data as JSON, the text it also writes to
-bounds.json; simulate prints one line of trial and diverged counts, with
-no verdict; every other command prints one verdict line and nothing else.
+no positive eigenvalue under the chi-square row, a record grid with fewer
+than 3 times past the forgetting burn-in, a zero-gain sensor under the
+forgetting row, or an --out that cannot be made a directory), 3 when the
+run itself fails (any other EkbfError, e.g. a Laplace row whose every
+sample overflowed or diverged, or an OSError while writing a result
+file; a diverged filter freezes and is counted, not raised); 2 and 3
+print a one-line message to stderr.  check prints bounds.bounds_report's
+plain data as JSON, the text it also writes to bounds.json; simulate
+prints one line of trial and diverged counts, with no verdict; every
+other command prints one verdict line and nothing else.
 The code reads `pass` alone: an oracle miss is printed, not failed, since
 the oracles are continuous-time values that ignore the Euler scheme's
 bias.  All file output is deterministic for a fixed (config, seed): CSV
@@ -40,7 +42,7 @@ import sys
 import numpy as np
 
 from .. import bounds, linalg
-from ..dynamics import make_path_bundle, simulate_coupled, FilterState
+from ..dynamics import make_path_bundle, simulate_coupled
 from ..errors import ConfigError, EkbfError
 from .config import SCENARIOS, ExperimentConfig, load_config
 from .estimators import (
@@ -138,8 +140,7 @@ def _ensemble(cfg: ExperimentConfig):
 
 
 def _init_sq(cfg: ExperimentConfig) -> float:
-    e = cfg.x0 - cfg.filters[0][0]
-    return float(e @ e)
+    return float(linalg.sumsq(cfg.x0 - cfg.filters[0][0]))
 
 
 def _write_bounds(cfg: ExperimentConfig, out: str | None) -> str:
@@ -179,8 +180,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
 def _write_trajectory(cfg: ExperimentConfig, path: str) -> None:
     """One fully recorded trial (index 0) for plotting."""
     bundle = make_path_bundle(cfg.seed, 0, cfg.steps, cfg.dt, cfg.model.dim, cfg.obs.obs_dim)
-    states = [FilterState(mean=m, cov=P) for m, P in cfg.filters]
-    rec = simulate_coupled(cfg.model, cfg.obs, cfg.x0, states, bundle, cfg.record_every)
+    rec = simulate_coupled(cfg.model, cfg.obs, cfg.x0, cfg.filters, bundle, cfg.record_every)
     c = bounds.problem_constants(cfg.model, cfg.obs, cfg.filters[0][1])
     tau = np.asarray(bounds.tau_t(c, rec.times))
     d = cfg.model.dim
@@ -215,6 +215,8 @@ _PRECONDITIONS = (
      "forgetting needs init.filters with at least two entries"),
     ("forgetting", lambda cfg: fit_window(np.asarray(cfg.record_steps()) * cfg.dt).sum() < 3,
      "sim.record_every leaves fewer than 3 record times past the forgetting burn-in"),
+    ("forgetting", lambda cfg: cfg.obs.sensor_gain <= 0,
+     "obs.B must give a positive sensor gain (B^T R2^-1 B nonzero) for the forgetting rate"),
 )
 
 
@@ -300,7 +302,10 @@ def run_cli(argv) -> int:
         args = parser.parse_args(argv)
         cfg = load_config(args.config)
         if args.out is not None:
-            os.makedirs(args.out, exist_ok=True)
+            try:
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"--out {args.out} cannot be made a directory: {exc.strerror}") from exc
         if args.command == "check":
             sys.stdout.write(_write_bounds(cfg, args.out))
             return 0
@@ -311,7 +316,7 @@ def run_cli(argv) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except EkbfError as exc:
+    except (EkbfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

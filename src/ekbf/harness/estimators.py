@@ -2,16 +2,17 @@
 
 The engine hands each fixed chunk of CHUNK trials to dynamics.advance,
 which builds the filter bank and steps it through the chunk's noise
-blocks; the engine keeps only its own reductions, recorded per step.  Each
-trial draws its noise from an independent stream derived from (seed, trial
-index) through the same drawer as PathBundle, and a row's bits do not
-depend on the batch width, so a single trial re-simulated with
-simulate_coupled reproduces the engine bit for bit and output bytes do not
-depend on chunk size.  Every chunk runs on the calling thread, in order,
-and draws its noise blocks into one buffer that the run allocates once,
-one draw per trial per block; nothing in the package starts a thread.  A
-trial counts as diverged when filter 0 or 1 froze, since no estimator
-reads any other filter.
+blocks; the engine keeps only its own reductions, recorded per step into
+the chunk's rows of run-wide arrays.  Each trial draws its noise from an
+independent stream derived from (seed, trial index) through the same
+drawer as PathBundle, and a row's bits do not depend on the batch width,
+so a single trial re-simulated with simulate_coupled reproduces the
+engine bit for bit and output bytes do not depend on chunk size.  Every
+chunk runs on the calling thread, in order, and draws its noise blocks
+into one buffer that the run allocates once, one draw per trial per
+block; nothing in the package starts a thread.  A trial counts as
+diverged when filter 0 or 1 froze, since no estimator reads any other
+filter.
 
 Every other random stream comes from dynamics.stream under its own
 (purpose, index) key, one per sample set: the bootstrap of a sample set
@@ -145,38 +146,35 @@ def run_ensemble(
     flows = deterministic_flow(model, np.stack([x0, means0[0]]), dt, steps)
     flow_x0, flow_xh0 = flows[:, 0], flows[:, 1]
 
-    def run_chunk(lo, hi, noise):
-        m = hi - lo
-        sig_err = np.empty((m, cp.size))
-        fil_err = np.empty((m, cp.size))
-        dev_err = np.empty((m, cp.size))
-        gap = np.full(m, -np.inf)
-        dsq = np.empty((m, rec.size)) if with_delta else None
+    sig_err, fil_err, dev_err = (np.empty((n_trials, cp.size)) for _ in range(3))
+    gap = np.full(n_trials, -np.inf)
+    diverged = np.empty(n_trials, dtype=bool)
+    dsq = np.empty((n_trials, rec.size)) if with_delta else None
+    # one noise buffer serves every chunk and block of the run
+    noise = np.empty((min(CHUNK, n_trials), min(NOISE_BLOCK, steps) * (d + obs.obs_dim)))
+
+    # trials lo..hi-1 fill their rows of the run's arrays; a chunk's
+    # generators live in this frame, so they go before the next chunk's
+    def run_chunk(lo, hi):
+        rows, chunk_gap = slice(lo, hi), gap[lo:hi]
 
         def record(s, x, xh, P):
-            np.maximum(gap, linalg.trace_stack(P[0]) - tau_full[s], out=gap)
+            np.maximum(chunk_gap, linalg.trace_stack(P[0]) - tau_full[s], out=chunk_gap)
             i = cp_pos[s]
             if i >= 0:
-                sig_err[:, i] = linalg.sumsq(x - flow_x0[s])
-                fil_err[:, i] = linalg.sumsq(x - xh[0])
-                dev_err[:, i] = linalg.sumsq(xh[0] - flow_xh0[s])
+                sig_err[rows, i] = linalg.sumsq(x - flow_x0[s])
+                fil_err[rows, i] = linalg.sumsq(x - xh[0])
+                dev_err[rows, i] = linalg.sumsq(xh[0] - flow_xh0[s])
             if with_delta and rec_pos[s] >= 0:
-                dsq[:, rec_pos[s]] = bank_delta_sq(xh, P)
+                dsq[rows, rec_pos[s]] = bank_delta_sq(xh, P)
 
         gens = [trial_rng(seed, k) for k in range(lo, hi)]
         blocks = draw_increments(gens, steps, dt, (d, obs.obs_dim), noise)
         # only filters 0 and 1 are read, so only they mark a trial diverged
-        diverged = ~advance(stepper, x0, means0, covs0, m, blocks, record)[:2].all(axis=0)
-        return sig_err, fil_err, dev_err, gap, diverged, dsq
+        diverged[rows] = ~advance(stepper, x0, means0, covs0, hi - lo, blocks, record)[:2].all(axis=0)
 
-    # one noise buffer serves every chunk and block of the run
-    noise = np.empty((min(CHUNK, n_trials), min(NOISE_BLOCK, steps) * (d + obs.obs_dim)))
-    parts = [run_chunk(lo, min(lo + CHUNK, n_trials), noise) for lo in range(0, n_trials, CHUNK)]
-    del noise  # released before the chunk results are joined
-
-    sig_err, fil_err, dev_err, gap, diverged, dsq = (
-        None if col[0] is None else np.concatenate(col) for col in zip(*parts)
-    )
+    for lo in range(0, n_trials, CHUNK):
+        run_chunk(lo, min(lo + CHUNK, n_trials))
 
     return EnsembleResult(
         dt=dt,

@@ -4,8 +4,8 @@ Everything operates on plain numpy arrays.  The scalar entry points take one
 matrix or vector and validate it: as_vector, as_square and as_symmetric return
 it as float64, and max_eigenvalue, min_eigenvalue, sym_spectral_abscissa and
 sym_sqrt compute from it.  The batched helpers matvec, sumsq, trace_stack,
-symmetrize_stack, psd_project_stack and opnorm_sym_stack accept leading batch
-dimensions and are what the trial engine calls in its inner loop.
+symmetrize_stack and psd_project_stack accept leading batch dimensions and
+are what the trial engine calls in its inner loop.
 
 Conventions:
   * matrices are at most MAX_DIM x MAX_DIM,
@@ -172,9 +172,3 @@ def psd_project_stack(P: np.ndarray) -> np.ndarray:
         out[bad] = 0.5 * (fixed + np.swapaxes(fixed, -1, -2))
         return out.reshape(P.shape)
     return P
-
-
-def opnorm_sym_stack(M: np.ndarray) -> np.ndarray:
-    """Spectral (operator 2-) norm of a stack of symmetric matrices."""
-    w = np.linalg.eigvalsh(M)
-    return np.abs(w).max(axis=-1)

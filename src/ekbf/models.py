@@ -18,16 +18,9 @@ once per filter instead of once per trial.  Matrix-vector products go
 through linalg.matvec, so a row's drift has the same bits at every batch
 width.
 
-Convention note: for the gradient-flow families the constants are the
-deliberately conservative pair
-
-    jac_decay = beta * (curvature lower bound) / 2
-    jac_lip   = beta * (Hessian Lipschitz constant)
-
-i.e. jac_decay is a factor 4 below what the symmetrized-Jacobian definition
-would give for these convex potentials.  All envelopes consuming the constants
-remain valid (they only get looser), and the same convention keeps the linear
-and nonlinear families comparable.  The linear family uses the exact value.
+The two gradient-flow families share drift, drift_jacobian and
+regularity_constants through _GradientFlow, which states the convention of
+their constants.
 """
 
 from __future__ import annotations
@@ -57,7 +50,7 @@ class RegularityConstants:
     """Decay and smoothness rates of a drift field.
 
     jac_decay   : rate lambda such that the symmetrized Jacobian stays below
-                  -lambda (in the conservative convention described above)
+                  -lambda (conservatively for gradient flows, see _GradientFlow)
     jac_lip     : Lipschitz constant of the Jacobian map
     drift_decay : one-sided monotonicity rate of the drift itself;
                   always at least jac_decay / 2
@@ -114,8 +107,37 @@ class LinearModel:
         return RegularityConstants(jac_decay=decay, jac_lip=0.0, drift_decay=0.5 * decay)
 
 
+class _GradientFlow:
+    """Drift -beta * grad V of a convex potential V, and its regularity constants.
+
+    A subclass supplies potential_gradient, potential_hessian and
+    _curvature_bounds(): a lower bound curv on the Hessian of V and the
+    Hessian's Lipschitz constant lip.  The constants are the deliberately
+    conservative
+
+        jac_decay = beta * curv / 2,   jac_lip = beta * lip,
+
+    4 times below the symmetrized-Jacobian value 2 * beta * curv, the
+    definition LinearModel applies exactly to its A.  Every envelope built
+    from them stays valid, only looser.
+    """
+
+    def drift(self, x) -> np.ndarray:
+        return -self.beta * self.potential_gradient(x)
+
+    def drift_jacobian(self, x) -> np.ndarray:
+        return -self.beta * self.potential_hessian(x)
+
+    def regularity_constants(self) -> RegularityConstants:
+        curv, lip = self._curvature_bounds()
+        decay = 0.5 * self.beta * curv
+        return RegularityConstants(
+            jac_decay=decay, jac_lip=self.beta * lip, drift_decay=0.5 * decay
+        )
+
+
 @dataclass(frozen=True)
-class QuadraticCubicModel:
+class QuadraticCubicModel(_GradientFlow):
     """Gradient flow of a quadratic potential plus a cubic confinement term.
 
     V(x) = <Q1 x, x>/2 + <q, x> + <Q2 x, x>^{3/2}/3 with Q1 positive definite
@@ -170,24 +192,14 @@ class QuadraticCubicModel:
         H = self.Q1 + np.where(mask, root[..., None, None] * self.Q2 + outer, 0.0)
         return linalg.symmetrize_stack(H)
 
-    def drift(self, x) -> np.ndarray:
-        return -self.beta * self.potential_gradient(x)
-
-    def drift_jacobian(self, x) -> np.ndarray:
-        return -self.beta * self.potential_hessian(x)
-
-    def regularity_constants(self) -> RegularityConstants:
-        curv = linalg.min_eigenvalue(self.Q1)
+    def _curvature_bounds(self):
         # Q2 may sit just below zero within the PSD tolerance
         lip = 2.0 * max(linalg.max_eigenvalue(self.Q2), 0.0) ** 1.5
-        decay = 0.5 * self.beta * curv
-        return RegularityConstants(
-            jac_decay=decay, jac_lip=self.beta * lip, drift_decay=0.5 * decay
-        )
+        return linalg.min_eigenvalue(self.Q1), lip
 
 
 @dataclass(frozen=True)
-class InteractingModel:
+class InteractingModel(_GradientFlow):
     """Gradient flow of N scalar particles with confinement and pair coupling.
 
     Potential:  sum_i U1(x_i) + sum_{i != j} U2(x_i, x_j)  (ordered pairs).
@@ -259,22 +271,13 @@ class InteractingModel:
             H[..., j, i] += Hp[..., 1, 0]
         return linalg.symmetrize_stack(H)
 
-    def drift(self, x) -> np.ndarray:
-        return -self.beta * self.potential_gradient(x)
-
-    def drift_jacobian(self, x) -> np.ndarray:
-        return -self.beta * self.potential_hessian(x)
-
-    def regularity_constants(self) -> RegularityConstants:
+    def _curvature_bounds(self):
         n = self.n_particles
         curv = self.u1 + (n - 1) * self.u2
         if curv <= 0.0:
             raise ModelNotContractive("u1 + (n-1) * u2 must be positive")
         lip = self.kappa1 + self.kappa2 * (n - 1) * np.sqrt(2.0 * (n - 1))
-        decay = 0.5 * self.beta * curv
-        return RegularityConstants(
-            jac_decay=decay, jac_lip=self.beta * lip, drift_decay=0.5 * decay
-        )
+        return curv, lip
 
 
 @dataclass(frozen=True)
@@ -342,15 +345,12 @@ class ObservationModel:
             raise NotPD("observation noise covariance must be positive definite")
         w, V = np.linalg.eigh(R2)
         R2_inv = (V / w) @ V.T
-        R2_sqrt = (V * np.sqrt(w)) @ V.T
-        S = B.T @ R2_inv @ B
-        S = 0.5 * (S + S.T)
-        gain = float(np.linalg.eigvalsh(S)[-1])
+        S = linalg.symmetrize_stack(B.T @ R2_inv @ B)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "R2", R2)
         object.__setattr__(self, "S", S)
-        object.__setattr__(self, "sensor_gain", gain)
-        object.__setattr__(self, "R2_sqrt", 0.5 * (R2_sqrt + R2_sqrt.T))
+        object.__setattr__(self, "sensor_gain", linalg.max_eigenvalue(S))
+        object.__setattr__(self, "R2_sqrt", linalg.sym_sqrt(R2))
         object.__setattr__(self, "gain_map", B.T @ R2_inv)
 
     @property
@@ -393,13 +393,7 @@ def lipschitz_empirical_check(
     gap = np.linalg.norm(x - y, axis=1)
     keep = gap > 1e-9
     diff = model.drift_jacobian(x[keep]) - model.drift_jacobian(y[keep])
-    # gradient-flow Jacobians are symmetric; for the general case fall back to
-    # the exact 2-norm via singular values
-    skew = np.abs(diff - np.swapaxes(diff, -1, -2)).max(initial=0.0)
-    if skew < 1e-12:
-        ratios = linalg.opnorm_sym_stack(diff) / gap[keep]
-    else:
-        ratios = np.linalg.norm(diff, ord=2, axis=(-2, -1)) / gap[keep]
+    ratios = np.linalg.norm(diff, ord=2, axis=(-2, -1)) / gap[keep]
     max_ratio = float(ratios.max(initial=0.0))
     return {
         "max_ratio": max_ratio,

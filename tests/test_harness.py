@@ -270,6 +270,8 @@ BITWISE_CASES = {
         [(np.zeros(2), np.eye(2)), (np.array([5e8, 0.0]), np.eye(2))],
     ),
 }
+# simulate_coupled takes these cases' plain (mean, cov) pairs unwrapped
+BITWISE_CASES["qc2-plain-tuples"] = BITWISE_CASES["qc2-two-filters"]
 
 
 @pytest.mark.parametrize("case", sorted(BITWISE_CASES))
@@ -277,7 +279,8 @@ def test_engine_matches_single_trial_api_bitwise(case):
     model, obs, x0, filters = BITWISE_CASES[case]
     seed, trial, steps, dt = 31, 3, 120, 0.01
     bundle = make_path_bundle(seed, trial, steps, dt, model.dim, obs.obs_dim)
-    states = [FilterState(mean=m, cov=P) for m, P in filters]
+    plain = case.endswith("plain-tuples")
+    states = filters if plain else [FilterState(mean=m, cov=P) for m, P in filters]
     rec = simulate_coupled(model, obs, x0, states, bundle, record_every=10)
     for f in range(len(filters)):
         # the engine reports the errors of filter 0 only: rotate filter f to the front
@@ -881,6 +884,33 @@ def test_cli_runtime_error_exits_three(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: all samples overflowed or diverged"]
 
 
+@pytest.mark.parametrize("command", ["check", "report"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_cli_rejects_out_that_cannot_be_a_directory(tmp_path, capsys, command, below):
+    # an existing file, or a path through one, is a config error found
+    # before anything runs
+    path = _write_cfg(tmp_path, _base_config())
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    with mock.patch.object(cli, "run_ensemble", side_effect=AssertionError("simulated")):
+        assert run_cli([command, "--config", path, "--out", str(out / below)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("config error: --out ") and "cannot be made a directory" in line
+    assert out.read_text() == "a file\n"
+
+
+def test_cli_write_failure_exits_three(tmp_path, capsys):
+    # a directory where report.json goes makes open() fail, also as root,
+    # whom file permissions do not stop
+    path = _write_cfg(tmp_path, _base_config())
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    assert run_cli(["report", "--config", path, "--out", str(tmp_path / "out")]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "report.json" in line
+
+
 @pytest.mark.parametrize(
     "argv", [["report"], ["forgetting"], ["verify", "--scenario", "signal-vs-flow"]]
 )
@@ -971,6 +1001,22 @@ def test_cli_rejects_record_grid_too_coarse_for_the_forgetting_fit(tmp_path, cap
     assert run_cli([command, "--config", path, "--out", str(out)]) in (0, 1)
     rows = json.loads((out / f"{command}.json").read_text())["details"]
     assert [r["n_fit_points"] for r in rows if r["paper_ref"] == "forgetting-rate"] == [3]
+
+
+@pytest.mark.parametrize("command", ["forgetting", "report"])
+def test_cli_rejects_zero_gain_sensor_for_the_forgetting_rate(tmp_path, capsys, command):
+    # the forgetting rate divides by the sensor gain, so a sensor that sees
+    # nothing is a config error found before the ensemble runs
+    cfg = _base_config(
+        obs={"B": [[0.0]], "R2": [[1.0]]},
+        init={"x0": [0.0], "filters": [[[1.0], [[1.0]]], [[-1.0], [[0.1]]]]},
+    )
+    path = _write_cfg(tmp_path, cfg)
+    with mock.patch.object(cli, "run_ensemble", side_effect=AssertionError("simulated")):
+        assert run_cli([command, "--config", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: obs.B must give a positive sensor gain (B^T R2^-1 B nonzero) for the forgetting rate"
+    ]
 
 
 def test_emit_returns_one_when_any_check_fails(tmp_path, capsys):

@@ -121,15 +121,6 @@ def test_psd_project_stack_passes_nonfinite_rows_through():
     assert np.isnan(out[1]).all()
 
 
-def test_opnorm_sym_stack():
-    rng = np.random.default_rng(206)
-    A = rng.standard_normal((5, 3, 3))
-    S = 0.5 * (A + np.swapaxes(A, -1, -2))
-    got = linalg.opnorm_sym_stack(S)
-    want = np.linalg.norm(S, ord=2, axis=(-2, -1))
-    assert np.allclose(got, want, atol=1e-12)
-
-
 @settings(max_examples=40, deadline=None, database=None)
 @given(
     d=st.integers(1, 9),

@@ -147,12 +147,8 @@ class Stepper:
             raise DimensionMismatch("sensor matrix and model dimension disagree")
         self.model = model
         self.dt = float(dt)
+        self.obs = obs
         self.R1_sqrt = linalg.sym_sqrt(model.R1)
-        self.R1 = model.R1
-        self.S = obs.S
-        self.gain_map = obs.gain_map
-        self.B = obs.B
-        self.R2_sqrt = obs.R2_sqrt
 
     def signal_step(self, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """Euler-Maruyama update of the state equation."""
@@ -160,7 +156,7 @@ class Stepper:
 
     def obs_increment(self, x: np.ndarray, dv: np.ndarray) -> np.ndarray:
         """Sensor increment dY generated by the state x over one step."""
-        return linalg.matvec(self.B, x) * self.dt + linalg.matvec(self.R2_sqrt, dv)
+        return linalg.matvec(self.obs.B, x) * self.dt + linalg.matvec(self.obs.R2_sqrt, dv)
 
     def filter_step(self, xhat, P, dy, active=None):
         """One explicit Euler step of the mean and covariance recursions.
@@ -175,13 +171,13 @@ class Stepper:
         (True = still healthy).  The covariance is symmetrized and
         eigenvalue-clipped after every step.
         """
-        dt = self.dt
-        innovation = dy - linalg.matvec(self.B, xhat) * dt
-        gain = P @ self.gain_map
+        dt, obs = self.dt, self.obs
+        innovation = dy - linalg.matvec(obs.B, xhat) * dt
+        gain = P @ obs.gain_map
         J = self.model.drift_jacobian(xhat)
         new_x = xhat + self.model.drift(xhat) * dt + linalg.matvec(gain, innovation)
         JP = J @ P
-        new_P = P + dt * (JP + JP.swapaxes(-1, -2) + self.R1 - P @ self.S @ P)
+        new_P = P + dt * (JP + JP.swapaxes(-1, -2) + self.model.R1 - P @ obs.S @ P)
         new_P = linalg.psd_project_stack(linalg.symmetrize_stack(new_P))
 
         # |x|^2 <= GUARD^2 exactly when |x| <= GUARD, and is False for a NaN

@@ -2,12 +2,14 @@
 
 verify, forgetting and gronwall each run the slice of one check battery
 (_run_checks) that config.SCENARIOS names; report runs every check that
-applies, so its rows and files are the union of its commands'.  _emit
-writes every checking command's summary JSON and, by one rule, its check
-CSVs: _CSV_STEMS names the file of each row's paper_ref, and a file's
-columns are the estimators.ROW_FIELDS its rows carry, in that order, a
-cell left empty where a row lacks the field.  _summary takes `pass` over
-every row and `oracle_pass` over the rows that carry one.
+applies, so its rows and files are the union of its commands'.  Each
+battery entry declares its check once: the CSV its rows go to (None for
+the forgetting row, which goes to the JSON summary alone), whether it
+reads the ensemble, and its rows.  _emit writes every checking command's
+summary JSON and, by one rule, its check CSVs: a file's columns are the
+estimators.ROW_FIELDS its rows carry, in that order, a cell left empty
+where a row lacks the field.  The summary takes `pass` over every row and
+`oracle_pass` over the rows that carry one.
 
 Exit codes: 0 when every check passes (check and simulate, which make no
 check, exit 0), 1 when any check fails, 2 on a configuration problem,
@@ -17,8 +19,9 @@ no positive eigenvalue under the chi-square row, a record grid with fewer
 than 3 times past the forgetting burn-in, a zero-gain sensor under the
 forgetting row, or an --out that cannot be made a directory), 3 when the
 run itself fails (any other EkbfError, e.g. a Laplace row whose every
-sample overflowed or diverged, or an OSError while writing a result
-file; a diverged filter freezes and is counted, not raised); 2 and 3
+sample overflowed or diverged, an OSError while writing a result file, or
+a MemoryError when an array cannot be allocated; a diverged filter
+freezes and is counted, not raised); 2 and 3
 print a one-line message to stderr.  check prints bounds.bounds_report's
 plain data as JSON, the text it also writes to bounds.json; simulate
 prints one line of trial and diverged counts, with no verdict; every
@@ -60,17 +63,6 @@ from .estimators import (
     verify_trace_bound,
 )
 
-# The check CSV of each paper_ref; rows of any other ref (the forgetting
-# row) go to the JSON summary only.
-_CSV_STEMS = {
-    "event-radius-signal": "events", "event-radius-filter": "events",
-    "moment-envelope-signal": "moments", "moment-envelope-filter-mean": "moments",
-    "initial-error-laplace": "laplace", "filter-error-laplace": "laplace",
-    "trace-envelope": "trace",
-    "gronwall-envelope": "gronwall", "gronwall-sourced-envelope": "gronwall",
-}
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -93,35 +85,43 @@ def _tally(details: list, key: str) -> tuple:
     return sum(verdicts), len(verdicts)
 
 
-def _summary(scenario: str, details: list) -> dict:
+def _write_json(data, out: str | None, stem: str) -> str:
+    """data as JSON text with sorted keys, also written to stem.json under out."""
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    if out is not None:
+        with open(os.path.join(out, f"{stem}.json"), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return text
+
+
+def _emit(scenario: str, checks: list, out: str | None, stem: str) -> int:
+    """Write the summary JSON and the check CSVs, print the verdict line, return the exit code.
+
+    checks holds one (csv, rows) pair per check run, in row order; a check
+    whose csv is None has its rows in the summary alone.
+    """
+    details = [row for _, rows in checks for row in rows]
     (k, n), (j, m) = _tally(details, "pass"), _tally(details, "oracle_pass")
-    return {
+    summary = {
         "scenario": scenario,
         "pass": k == n,
         "oracle_pass": j == m,
         "details": details,
         "paper_refs": sorted({d["paper_ref"] for d in details if "paper_ref" in d}),
     }
-
-
-def _emit(summary: dict, out: str | None, stem: str) -> int:
-    """Write the summary JSON and its check CSVs, print the verdict line, return the exit code."""
-    details = summary["details"]
+    _write_json(summary, out, stem)
     if out is not None:
-        with open(os.path.join(out, f"{stem}.json"), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         files: dict = {}
-        for row in details:
-            if row.get("paper_ref") in _CSV_STEMS:
-                files.setdefault(_CSV_STEMS[row["paper_ref"]], []).append(row)
+        for name, rows in checks:
+            if name is not None and rows:
+                files.setdefault(name, []).extend(rows)
         for name, rows in files.items():
             columns = [f for f in ROW_FIELDS if any(f in row for row in rows)]
             _write_csv(os.path.join(out, f"{name}.csv"), columns, rows)
     word = {True: "PASS", False: "FAIL"}
-    (k, n), (j, m) = _tally(details, "pass"), _tally(details, "oracle_pass")
-    oracle = f"; oracle {word[summary['oracle_pass']]} ({j}/{m})" if m else ""
-    print(f"{summary['scenario']}: {word[summary['pass']]} ({k}/{n} checks){oracle}")
-    return 0 if summary["pass"] else 1
+    oracle = f"; oracle {word[j == m]} ({j}/{m})" if m else ""
+    print(f"{scenario}: {word[k == n]} ({k}/{n} checks){oracle}")
+    return 0 if k == n else 1
 
 
 def _ensemble(cfg: ExperimentConfig):
@@ -149,11 +149,7 @@ def _write_bounds(cfg: ExperimentConfig, out: str | None) -> str:
     report = bounds.bounds_report(
         c, cfg.checkpoints, cfg.delta_grid, alpha=cfg.alpha, init_sq=_init_sq(cfg)
     )
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out is not None:
-        with open(os.path.join(out, "bounds.json"), "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return _write_json(report, out, "bounds")
 
 
 def _cmd_simulate(cfg: ExperimentConfig, out: str | None) -> int:
@@ -182,25 +178,13 @@ def _write_trajectory(cfg: ExperimentConfig, path: str) -> None:
     bundle = make_path_bundle(cfg.seed, 0, cfg.steps, cfg.dt, cfg.model.dim, cfg.obs.obs_dim)
     rec = simulate_coupled(cfg.model, cfg.obs, cfg.x0, cfg.filters, bundle, cfg.record_every)
     c = bounds.problem_constants(cfg.model, cfg.obs, cfg.filters[0][1])
-    tau = np.asarray(bounds.tau_t(c, rec.times))
     d = cfg.model.dim
-    cols = (
-        ["t"]
-        + [f"x_{i}" for i in range(d)]
-        + [f"xhat_{i}" for i in range(d)]
-        + ["trace_P", "trace_envelope"]
+    cols = ["t", *(f"{v}_{i}" for v in ("x", "xhat") for i in range(d)), "trace_P", "trace_envelope"]
+    # the trace at cfg.record_steps(), the grid simulate_coupled recorded on
+    table = np.column_stack(
+        [rec.times, rec.signal, rec.means[0], rec.traces[0, cfg.record_steps()], bounds.tau_t(c, rec.times)]
     )
-    full_pos = [int(round(t / cfg.dt)) for t in rec.times]
-    rows = []
-    for i, t in enumerate(rec.times):
-        row = {"t": float(t)}
-        for k in range(d):
-            row[f"x_{k}"] = float(rec.signal[i, k])
-            row[f"xhat_{k}"] = float(rec.means[0, i, k])
-        row["trace_P"] = float(rec.traces[0, full_pos[i]])
-        row["trace_envelope"] = float(tau[i])
-        rows.append(row)
-    _write_csv(path, cols, rows)
+    _write_csv(path, cols, [dict(zip(cols, line)) for line in table.tolist()])
 
 
 # The preconditions of each check, (check, broken(cfg), message); those of
@@ -240,17 +224,21 @@ def _forgetting(cfg: ExperimentConfig, result, out: str | None) -> dict:
 def _run_checks(cfg: ExperimentConfig, out: str | None, command: str, scenario: str) -> int:
     """Run a scenario's slice of the battery, or under report every check that applies."""
     init_sq, deltas = _init_sq(cfg), cfg.delta_grid
-    # The rows of every check, in report's row order.  Each lambda looks its
-    # estimator up when called, so a name patched on this module is seen.
+    # Every check, in report's row order: (its CSV, whether it reads the
+    # ensemble, its rows).  Each lambda looks its estimator up when called,
+    # so a name patched on this module is seen.
     battery = {
-        "events-signal": lambda r: estimate_event_probability(r, deltas, "signal", init_sq=init_sq),
-        "events-ekf": lambda r: estimate_event_probability(r, deltas, "ekf", init_sq=init_sq),
-        "moments": lambda r: estimate_moments(r, cfg.n_orders),
-        "trace": lambda r: [verify_trace_bound(r)],
-        "chi2": lambda r: [estimate_chi2_laplace(cfg.filters[0][1], cfg.n_trials, cfg.seed)],
-        "ekf-laplace": lambda r: [estimate_ekf_laplace(r, cfg.eps)],
-        "forgetting": lambda r: [_forgetting(cfg, r, out)],
-        "gronwall": lambda r: gronwall_test_process(**cfg.gronwall_kwargs()),
+        "events-signal": ("events", True,
+                          lambda r: estimate_event_probability(r, deltas, "signal", init_sq=init_sq)),
+        "events-ekf": ("events", True,
+                       lambda r: estimate_event_probability(r, deltas, "ekf", init_sq=init_sq)),
+        "moments": ("moments", True, lambda r: estimate_moments(r, cfg.n_orders)),
+        "trace": ("trace", True, lambda r: [verify_trace_bound(r)]),
+        "chi2": ("laplace", False,
+                 lambda r: [estimate_chi2_laplace(cfg.filters[0][1], cfg.n_trials, cfg.seed)]),
+        "ekf-laplace": ("laplace", True, lambda r: [estimate_ekf_laplace(r, cfg.eps)]),
+        "forgetting": (None, True, lambda r: [_forgetting(cfg, r, out)]),
+        "gronwall": ("gronwall", False, lambda r: gronwall_test_process(**cfg.gronwall_kwargs())),
     }
     skip = {"forgetting": len(cfg.filters) < 2, "gronwall": cfg.gronwall is None}
     names = [n for n in battery if not skip.get(n)] if command == "report" else SCENARIOS[scenario][1]
@@ -259,10 +247,9 @@ def _run_checks(cfg: ExperimentConfig, out: str | None, command: str, scenario: 
             raise ConfigError(message)
     if command == "report":
         _write_bounds(cfg, out)
-    # chi2 and gronwall draw their own samples; every other check reads the ensemble
-    result = _ensemble(cfg) if set(names) - {"chi2", "gronwall"} else None
-    details = [row for n in battery if n in names for row in battery[n](result)]
-    return _emit(_summary(scenario, details), out, command)
+    result = _ensemble(cfg) if any(battery[n][1] for n in names) else None
+    checks = [(csv_name, rows(result)) for n, (csv_name, _, rows) in battery.items() if n in names]
+    return _emit(scenario, checks, out, command)
 
 
 def _scenario(cfg: ExperimentConfig, command: str, override: str | None) -> str:
@@ -318,6 +305,10 @@ def run_cli(argv) -> int:
         return 2
     except (EkbfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's message names the array; a bare MemoryError has none
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
 
 

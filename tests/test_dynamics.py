@@ -196,12 +196,12 @@ def test_divergence_guard_freezes_and_flags():
 
 def _guarded_step_by_formula(stepper, xhat, P, dy, active):
     """The Euler step with the divergence mask written out from its definition."""
-    dt, guard = stepper.dt, DIVERGENCE_GUARD
+    dt, guard, model, obs = stepper.dt, DIVERGENCE_GUARD, stepper.model, stepper.obs
     mv = lambda M, v: np.einsum("...ij,...j->...i", M, v)  # noqa: E731
-    gain = np.matmul(P, stepper.gain_map)
-    new_x = xhat + stepper.model.drift(xhat) * dt + mv(gain, dy - mv(stepper.B, xhat) * dt)
-    JP = np.matmul(stepper.model.drift_jacobian(xhat), P)
-    new_P = P + dt * (JP + np.swapaxes(JP, -1, -2) + stepper.R1 - P @ stepper.S @ P)
+    gain = np.matmul(P, obs.gain_map)
+    new_x = xhat + model.drift(xhat) * dt + mv(gain, dy - mv(obs.B, xhat) * dt)
+    JP = np.matmul(model.drift_jacobian(xhat), P)
+    new_P = P + dt * (JP + np.swapaxes(JP, -1, -2) + model.R1 - P @ obs.S @ P)
     new_P = linalg.psd_project_stack(0.5 * (new_P + np.swapaxes(new_P, -1, -2)))
     healthy = np.isfinite(new_P).all(axis=(-2, -1)) & (
         np.einsum("...i,...i->...", new_x, new_x) <= guard**2

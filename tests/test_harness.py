@@ -884,6 +884,21 @@ def test_cli_runtime_error_exits_three(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: all samples overflowed or diverged"]
 
 
+@pytest.mark.parametrize(
+    "failure, line",
+    [(MemoryError(), "error: out of memory"),
+     (MemoryError("Unable to allocate 7.28 TiB"), "error: out of memory: Unable to allocate 7.28 TiB")],
+)
+def test_cli_out_of_memory_exits_three(tmp_path, capsys, failure, line):
+    # an array too large to allocate fails the run, not a check, and says so
+    # in one line even when the error carries no message; the error is
+    # raised here, never by a real allocation
+    path = _write_cfg(tmp_path, _base_config())
+    with mock.patch.object(cli, "run_ensemble", side_effect=failure):
+        assert run_cli(["verify", "--scenario", "trace-bound", "--config", path]) == 3
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 @pytest.mark.parametrize("command", ["check", "report"])
 @pytest.mark.parametrize("below", ["", "sub"])
 def test_cli_rejects_out_that_cannot_be_a_directory(tmp_path, capsys, command, below):
@@ -1022,15 +1037,13 @@ def test_cli_rejects_zero_gain_sensor_for_the_forgetting_rate(tmp_path, capsys, 
 def test_emit_returns_one_when_any_check_fails(tmp_path, capsys):
     # honest configs essentially never FAIL (the bounds hold), so drive the
     # verdict plumbing directly
-    from ekbf.harness.cli import _emit, _summary
+    from ekbf.harness.cli import _emit
 
     details = [
         {"t": 1.0, "pass": True, "paper_ref": "event-radius-filter"},
         {"t": 5.0, "pass": False, "paper_ref": "event-radius-filter"},
     ]
-    summary = _summary("ekf-vs-signal", details)
-    assert summary["pass"] is False
-    code = _emit(summary, str(tmp_path), "verify")
+    code = _emit("ekf-vs-signal", [("events", details)], str(tmp_path), "verify")
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL (1/2 checks)" in out
@@ -1044,14 +1057,29 @@ def test_emit_returns_one_when_any_check_fails(tmp_path, capsys):
 def test_emit_shows_oracle_misses_but_exits_on_pass_alone(tmp_path, capsys):
     # the bound holds while the simulated moment misses its exact value: the
     # line and the summary show it, and the exit code still reads pass alone
-    from ekbf.harness.cli import _emit, _summary
+    from ekbf.harness.cli import _emit
 
     details = [{"t": 1.0, "n": 2, "kind": "homogeneous", "oracle": 0.5, "oracle_pass": False,
                 "pass": True, "paper_ref": "gronwall-envelope"}]
-    assert _emit(_summary("gronwall-test", details), str(tmp_path), "gronwall") == 0
+    assert _emit("gronwall-test", [("gronwall", details)], str(tmp_path), "gronwall") == 0
     assert capsys.readouterr().out == "gronwall-test: PASS (1/1 checks); oracle FAIL (0/1)\n"
     on_disk = json.loads((tmp_path / "gronwall.json").read_text())
     assert on_disk["pass"] is True and on_disk["oracle_pass"] is False
+
+
+def test_emit_routes_each_check_to_its_csv(tmp_path, capsys):
+    # rows go to the CSV their check names, in check order; a check named
+    # None reaches the summary alone, and a check with no rows writes no file
+    from ekbf.harness.cli import _emit
+
+    first, second = {"t": 1.0, "pass": True}, {"t": 2.0, "pass": True}
+    rate = {"status": "ok", "pass": True, "paper_ref": "forgetting-rate"}
+    checks = [("events", [first]), (None, [rate]), ("moments", []), ("events", [second])]
+    assert _emit("report", checks, str(tmp_path), "report") == 0
+    assert capsys.readouterr().out == "report: PASS (3/3 checks)\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv", "report.json"]
+    assert (tmp_path / "events.csv").read_text() == "t,pass\n1,1\n2,1\n"
+    assert json.loads((tmp_path / "report.json").read_text())["details"] == [first, rate, second]
 
 
 def _strict_json(path):
@@ -1063,6 +1091,16 @@ def _strict_json(path):
 
 def _csv_header(path):
     return path.read_text().splitlines()[0].split(",")
+
+
+# The check CSV of each paper_ref, as the README's table of output files gives it.
+_CHECK_CSVS = {
+    "event-radius-signal": "events", "event-radius-filter": "events",
+    "moment-envelope-signal": "moments", "moment-envelope-filter-mean": "moments",
+    "initial-error-laplace": "laplace", "filter-error-laplace": "laplace",
+    "trace-envelope": "trace",
+    "gronwall-envelope": "gronwall", "gronwall-sourced-envelope": "gronwall",
+}
 
 
 def test_check_csv_columns_are_the_fields_their_rows_carry(tmp_path):
@@ -1082,8 +1120,8 @@ def test_check_csv_columns_are_the_fields_their_rows_carry(tmp_path):
         assert run_cli(argv + ["--config", path, "--out", str(out)]) in (0, 1)
         families = {}
         for row in _strict_json(out / summary)["details"]:
-            if row["paper_ref"] in cli._CSV_STEMS:
-                families.setdefault(cli._CSV_STEMS[row["paper_ref"]], []).append(row)
+            if row["paper_ref"] in _CHECK_CSVS:
+                families.setdefault(_CHECK_CSVS[row["paper_ref"]], []).append(row)
         written = {p.stem for p in out.glob("*.csv")}
         assert written == set(families), name
         for stem, rows in families.items():
@@ -1144,6 +1182,32 @@ def test_cli_simulate_prints_counts_and_claims_no_check(tmp_path, capsys):
     header, *rows = (out / "ensemble.csv").read_text().splitlines()
     assert header == "t,mean_signal_err_sq,mean_filter_err_sq,mean_dev_sq,n_diverged"
     assert [r.split(",")[0] for r in rows] == ["0.5", "1"]
+
+
+def test_cli_simulate_trajectory_is_trial_zero_on_its_record_grid(tmp_path):
+    # trajectory.csv is simulate_coupled's record of trial 0, the trace of
+    # filter 0 at the record steps and the trace envelope there; 7 does not
+    # divide the 100 steps, so the final step closes the grid
+    raw = _base_config(
+        init={"x0": [0.3, -0.2], "xhat0": [0.0, 0.1], "P0": [[1.0, 0.2], [0.2, 0.5]]}, **QC2_CONFIG
+    )
+    raw["sim"]["record_every"] = 7
+    path = _write_cfg(tmp_path, raw)
+    assert run_cli(["simulate", "--config", path, "--out", str(tmp_path / "sim")]) == 0
+    header, *lines = (tmp_path / "sim" / "trajectory.csv").read_text().splitlines()
+    assert header == "t,x_0,x_1,xhat_0,xhat_1,trace_P,trace_envelope"
+    cfg = config_from_dict(raw)
+    bundle = make_path_bundle(cfg.seed, 0, cfg.steps, cfg.dt, 2, 2)
+    rec = simulate_coupled(cfg.model, cfg.obs, cfg.x0, cfg.filters, bundle, 7)
+    steps = [*range(0, 100, 7), 100]
+    np.testing.assert_array_equal(rec.times, np.array(steps) * cfg.dt)
+    c = bounds.problem_constants(cfg.model, cfg.obs, cfg.filters[0][1])
+    table = np.array([[float(v) for v in line.split(",")] for line in lines])
+    np.testing.assert_array_equal(table[:, 0], rec.times)
+    np.testing.assert_array_equal(table[:, 1:3], rec.signal)
+    np.testing.assert_array_equal(table[:, 3:5], rec.means[0])
+    np.testing.assert_array_equal(table[:, 5], rec.traces[0, steps])
+    np.testing.assert_array_equal(table[:, 6], bounds.tau_t(c, rec.times))
 
 
 def test_cli_simulate_and_gronwall(tmp_path):

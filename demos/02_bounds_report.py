@@ -18,7 +18,7 @@ DELTA_GRID = [0.5, 1.0, 2.0, 4.0]
 
 
 def show(name, c):
-    report = bounds_report(c, t_grid=T_GRID, delta_grid=DELTA_GRID, alpha=1.1)
+    report = bounds_report(c, t_grid=T_GRID, delta_grid=DELTA_GRID, alpha=1.1, init_sq=0.0)
     print("== %s ==" % name)
     print("constants: jac decay %g, jac lipschitz %g, one-sided decay %g, tr(R1) %g, sensor gain %g"
           % (c.jac_decay, c.jac_lip, c.drift_decay, c.noise_trace, c.sensor_gain))

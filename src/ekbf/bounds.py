@@ -8,7 +8,7 @@ directly from its algebraic definition and pinned by frozen-value tests.
 The constants bundle:
   jac_decay    decay rate of the symmetrized drift Jacobian (conservative), > 0
   jac_lip      Lipschitz constant of the Jacobian
-  drift_decay  one-sided monotonicity rate of the drift (>= jac_decay/2), > 0
+  drift_decay  one-sided monotonicity rate of the drift, jac_decay/2 by construction
   noise_trace  trace of the signal noise covariance
   sensor_gain  spectral norm of B^T R2^{-1} B
   prior_trace  trace of the initial filter covariance
@@ -320,7 +320,7 @@ def laplace_time_avg_rhs(eps: float, a: float, v: float, integral_u: float) -> f
     return float(np.exp(0.5 * (a / v) * (eps / (1.0 + np.sqrt(1.0 - eps))) * integral_u))
 
 
-def bounds_report(c: ProblemConstants, t_grid, delta_grid, alpha: float, init_sq: float = 0.0) -> dict:
+def bounds_report(c: ProblemConstants, t_grid, delta_grid, alpha: float, init_sq: float) -> dict:
     """Every envelope on the given grids as plain data; pi_t = tau_t^2 sensor_gain / noise_trace."""
     t_grid = [float(t) for t in np.asarray(t_grid, dtype=float)]
     delta_grid = [float(d) for d in np.asarray(delta_grid, dtype=float)]

@@ -89,18 +89,18 @@ def draw_increments(gens, steps: int, dt: float, dims, buf: np.ndarray):
 class PathBundle:
     """Pre-drawn Brownian increments for one trial.
 
-    dW and dV have shape (steps, dim) and variance dt per coordinate.
+    dW and dV have one row per step, shapes (steps, dim), and variance dt
+    per coordinate.
     """
 
     dt: float
-    steps: int
     dW: np.ndarray
     dV: np.ndarray
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise InvalidArgument("dt must be positive")
-        if self.dW.shape[0] != self.steps or self.dV.shape[0] != self.steps:
+        if self.dW.shape[0] != self.dV.shape[0]:
             raise DimensionMismatch("increment arrays must have one row per step")
 
 
@@ -117,7 +117,7 @@ def make_path_bundle(
     for start, w, v in draw_increments([trial_rng(seed, trial)], steps, dt, (signal_dim, obs_dim), buf):
         dW[start : start + w.shape[1]] = w[0]
         dV[start : start + v.shape[1]] = v[0]
-    return PathBundle(dt=dt, steps=steps, dW=dW, dV=dV)
+    return PathBundle(dt=dt, dW=dW, dV=dV)
 
 
 class FilterState(NamedTuple):
@@ -158,18 +158,18 @@ class Stepper:
         """Sensor increment dY generated by the state x over one step."""
         return linalg.matvec(self.obs.B, x) * self.dt + linalg.matvec(self.obs.R2_sqrt, dv)
 
-    def filter_step(self, xhat, P, dy, active=None):
+    def filter_step(self, xhat, P, dy, active):
         """One explicit Euler step of the mean and covariance recursions.
 
         Batched over leading dimensions, which broadcast: xhat (..., d),
         P (..., d, d) and dy (..., r) may each carry size-1 axes where the
         others do not.  A P shared by many rows stays shared while the
         Jacobian is state-independent, so its Riccati step runs once; a
-        state-dependent Jacobian widens it to one P per row.  Rows where the
-        update leaves the admissible region keep their previous value (which
-        widens a shared P) and are reported in the returned boolean mask
-        (True = still healthy).  The covariance is symmetrized and
-        eigenvalue-clipped after every step.
+        state-dependent Jacobian widens it to one P per row.  Rows that are
+        not active, or where the update leaves the admissible region, keep
+        their previous value (which widens a shared P) and are reported in
+        the returned boolean mask (True = still healthy).  The covariance is
+        symmetrized and eigenvalue-clipped after every step.
         """
         dt, obs = self.dt, self.obs
         innovation = dy - linalg.matvec(obs.B, xhat) * dt
@@ -184,9 +184,7 @@ class Stepper:
         # or infinite mean, so only P needs its own finiteness check.  new_x
         # has a row for every row of P, so P's per-row checks run only when
         # one of its whole-array checks fails.
-        healthy = linalg.sumsq(new_x) <= DIVERGENCE_GUARD**2
-        if active is not None:
-            healthy &= active
+        healthy = (linalg.sumsq(new_x) <= DIVERGENCE_GUARD**2) & active
         tr = np.abs(linalg.trace_stack(new_P))
         if not (healthy.all() and tr.max() <= DIVERGENCE_GUARD and np.isfinite(new_P).all()):
             healthy &= np.isfinite(new_P).all(axis=(-2, -1)) & (tr <= DIVERGENCE_GUARD)
@@ -322,7 +320,7 @@ def simulate_coupled(
     stepper = Stepper(model, bundle.dt, obs)
     n_f = len(filters)
 
-    steps = bundle.steps
+    steps = bundle.dW.shape[0]
     rec_idx, rec_pos = step_grid(record_grid(steps, record_every), steps, "record")
     n_rec = rec_idx.size
 

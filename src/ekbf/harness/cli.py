@@ -139,16 +139,11 @@ def _ensemble(cfg: ExperimentConfig):
     )
 
 
-def _init_sq(cfg: ExperimentConfig) -> float:
-    return float(linalg.sumsq(cfg.x0 - cfg.filters[0][0]))
-
-
 def _write_bounds(cfg: ExperimentConfig, out: str | None) -> str:
     """The envelope report as JSON text, also written to bounds.json under out."""
     c = bounds.problem_constants(cfg.model, cfg.obs, cfg.filters[0][1])
-    report = bounds.bounds_report(
-        c, cfg.checkpoints, cfg.delta_grid, alpha=cfg.alpha, init_sq=_init_sq(cfg)
-    )
+    init_sq = float(linalg.sumsq(cfg.x0 - cfg.filters[0][0]))
+    report = bounds.bounds_report(c, cfg.checkpoints, cfg.delta_grid, alpha=cfg.alpha, init_sq=init_sq)
     return _write_json(report, out, "bounds")
 
 
@@ -208,7 +203,7 @@ def _forgetting(cfg: ExperimentConfig, result, out: str | None) -> dict:
     """The forgetting row; its curves also go to forgetting.csv under out."""
     report = estimate_forgetting_rate(result, cfg.eps, cfg.alpha)
     if out is not None:
-        curves = forgetting_curves(result, report.get("exponent"))
+        curves = forgetting_curves(result)
         rows = [
             dict({name: float(curve[i]) for name, curve in curves.items()}, t=float(t))
             for i, t in enumerate(result.record_times)
@@ -223,15 +218,12 @@ def _forgetting(cfg: ExperimentConfig, result, out: str | None) -> dict:
 
 def _run_checks(cfg: ExperimentConfig, out: str | None, command: str, scenario: str) -> int:
     """Run a scenario's slice of the battery, or under report every check that applies."""
-    init_sq, deltas = _init_sq(cfg), cfg.delta_grid
     # Every check, in report's row order: (its CSV, whether it reads the
     # ensemble, its rows).  Each lambda looks its estimator up when called,
     # so a name patched on this module is seen.
     battery = {
-        "events-signal": ("events", True,
-                          lambda r: estimate_event_probability(r, deltas, "signal", init_sq=init_sq)),
-        "events-ekf": ("events", True,
-                       lambda r: estimate_event_probability(r, deltas, "ekf", init_sq=init_sq)),
+        "events-signal": ("events", True, lambda r: estimate_event_probability(r, cfg.delta_grid, "signal")),
+        "events-ekf": ("events", True, lambda r: estimate_event_probability(r, cfg.delta_grid, "ekf")),
         "moments": ("moments", True, lambda r: estimate_moments(r, cfg.n_orders)),
         "trace": ("trace", True, lambda r: [verify_trace_bound(r)]),
         "chi2": ("laplace", False,

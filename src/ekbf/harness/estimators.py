@@ -92,13 +92,15 @@ class EnsembleResult:
     initial mean.  trace_gap_max is the per-trial maximum over the full step
     grid of tr(P_t) minus the trace envelope.  delta_sq holds the squared
     joint distance between the first two filters on the record grid.
-    diverged marks the trials where filter 0 or 1 froze.
+    diverged marks the trials where filter 0 or 1 froze.  init_sq is the
+    squared offset |x0 - mean0|^2 of the reference filter's initial mean.
     """
 
     dt: float
     n_trials: int
     seed: int
     constants: bounds.ProblemConstants
+    init_sq: float
     checkpoint_times: np.ndarray
     signal_err_sq: np.ndarray
     filter_err_sq: np.ndarray
@@ -181,6 +183,7 @@ def run_ensemble(
         n_trials=n_trials,
         seed=seed,
         constants=consts,
+        init_sq=float(linalg.sumsq(x0 - means0[0])),
         checkpoint_times=cp * dt,
         signal_err_sq=sig_err,
         filter_err_sq=fil_err,
@@ -192,17 +195,13 @@ def run_ensemble(
     )
 
 
-def estimate_event_probability(
-    result: EnsembleResult,
-    delta_grid,
-    kind: str,
-    init_sq: float = 0.0,
-) -> list[dict]:
+def estimate_event_probability(result: EnsembleResult, delta_grid, kind: str) -> list[dict]:
     """Empirical frequency of the error staying inside its radius, per (t, delta).
 
     kind selects the error process: "signal" compares the signal to the
     noise-free flow against the signal radius; "ekf" compares the filter
-    mean to the signal against the filter radius.  Diverged trials count as
+    mean to the signal against the filter radius, which forgets the run's
+    own initial offset result.init_sq.  Diverged trials count as
     failures of the filter event; the signal event depends on no filter, so
     it ignores them.  A row passes when the Wilson interval reaches the
     1 - exp(-delta) threshold.
@@ -219,7 +218,7 @@ def estimate_event_probability(
             if kind == "signal":
                 radius = bounds.signal_radius(c, delta)
             else:
-                radius = bounds.ekf_radius(c, delta, t, init_sq)
+                radius = bounds.ekf_radius(c, delta, t, result.init_sq)
             ok = (err[:, i] <= radius) & alive
             est = wilson_interval(int(ok.sum()), result.n_trials)
             threshold = 1.0 - np.exp(-delta)
@@ -361,18 +360,18 @@ def fit_window(times) -> np.ndarray:
     return times >= FORGETTING_BURN_IN * times[-1]
 
 
-def forgetting_curves(result: EnsembleResult, exponent: float | None = None) -> dict:
-    """Per record time, the means of delta, delta^2 and (given the exponent) delta^{exponent/2}.
+def forgetting_curves(result: EnsembleResult) -> dict:
+    """Per record time, the means of delta, delta^2 and delta^{exponent/2}.
 
-    Means run over surviving trials (all trials when none survived), each a
+    The exponent is bounds.lyapunov_rate's for the run's constants.  Means
+    run over surviving trials (all trials when none survived), each a
     pairwise sum over one contiguous row per record time.
     """
+    _, exponent = bounds.lyapunov_rate(result.constants)
     alive = ~result.diverged
     dsq = np.ascontiguousarray((result.delta_sq[alive] if alive.any() else result.delta_sq).T)
-    curves = {"mean_delta_n1": dsq.mean(axis=1), "mean_delta_n2": (dsq**2).mean(axis=1)}
-    if exponent is not None:
-        curves["mean_delta_pow"] = (dsq ** (exponent / 2.0)).mean(axis=1)
-    return curves
+    return {"mean_delta_n1": dsq.mean(axis=1), "mean_delta_n2": (dsq**2).mean(axis=1),
+            "mean_delta_pow": (dsq ** (exponent / 2.0)).mean(axis=1)}
 
 
 def estimate_forgetting_rate(result: EnsembleResult, eps: float, alpha: float) -> dict:
@@ -384,17 +383,18 @@ def estimate_forgetting_rate(result: EnsembleResult, eps: float, alpha: float) -
     slope's 95% slack.  Also checks that the raw moments mean delta^n,
     n = 1, 2, show no increasing trend (one-sided Mann-Kendall at 5%).
     conditions_hold reports the paper's spectral-gap and small-noise
-    conditions at margin alpha.
+    conditions at margin alpha.  A run without the distance record, which
+    needs two filters and a record grid, is an InvalidArgument.
     """
     if result.delta_sq is None:
-        return {"status": "degenerate_input", "pass": True, "paper_ref": "forgetting-rate"}
+        raise InvalidArgument("the forgetting rate needs two filters and a record grid")
     c = result.constants
     rate, exponent = bounds.lyapunov_rate(c)
     conditions = bounds.check_conditions(c, alpha=alpha)
     alive = ~result.diverged
     if not alive.any():
         return {"status": "inconclusive", "pass": False, "paper_ref": "forgetting-rate"}
-    curves = forgetting_curves(result, exponent)
+    curves = forgetting_curves(result)
     times = result.record_times
     if curves["mean_delta_n1"][0] == 0.0:
         return {"status": "degenerate_input", "pass": True, "paper_ref": "forgetting-rate"}

@@ -14,9 +14,10 @@ the nonparametric bootstrap resamples the sampling unit.  Indices are
 drawn in blocks of BOOTSTRAP_BLOCK rows that continue the Generator's
 stream; each index row gathers the k statistics into one reused (k, n)
 buffer, and each mean is the same pairwise sum as over the whole
-(n_resamples, n) index matrix.  Intervals are therefore bit for bit those
-of the whole-matrix formula applied to each statistic alone, while memory
-stays a block of indices and k rows.
+(BOOTSTRAP_RESAMPLES, n) index matrix.  Intervals are therefore bit for
+bit those of the whole-matrix formula applied to each statistic alone,
+while memory stays a block of indices and k rows.  Both constants are
+read at call time.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ def wilson_interval(successes: int, n: int) -> EstimateWithCI:
     return EstimateWithCI(point=p, ci_low=low, ci_high=high)
 
 
-def bootstrap_mean_ci(samples, rng: np.random.Generator, n_resamples: int = BOOTSTRAP_RESAMPLES):
-    """Percentile bootstrap intervals for means, resampled from rng.
+def bootstrap_mean_ci(samples, rng: np.random.Generator):
+    """Percentile bootstrap intervals for means, BOOTSTRAP_RESAMPLES resamples from rng.
 
     samples is a (k, n) array of k statistics of the same n units.  Every
     resample draws one row of n unit indices and gathers all k statistics
@@ -84,8 +85,6 @@ def bootstrap_mean_ci(samples, rng: np.random.Generator, n_resamples: int = BOOT
     bit for bit that of samples[j:j + 1] alone under an identically seeded
     rng.  Returns a list of k EstimateWithCI.
     """
-    if n_resamples < 1:
-        raise InvalidArgument("n_resamples must be >= 1")
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise InvalidArgument("samples must be a (statistics, units) array")
@@ -96,10 +95,10 @@ def bootstrap_mean_ci(samples, rng: np.random.Generator, n_resamples: int = BOOT
     if n == 1 or k == 0:
         means = samples  # nothing to resample; a one-unit interval is its point
     else:
-        means = np.empty((k, n_resamples))
+        means = np.empty((k, BOOTSTRAP_RESAMPLES))
         buf = np.empty((k, n))
-        for lo in range(0, n_resamples, BOOTSTRAP_BLOCK):
-            idx = rng.integers(0, n, size=(min(BOOTSTRAP_BLOCK, n_resamples - lo), n))
+        for lo in range(0, BOOTSTRAP_RESAMPLES, BOOTSTRAP_BLOCK):
+            idx = rng.integers(0, n, size=(min(BOOTSTRAP_BLOCK, BOOTSTRAP_RESAMPLES - lo), n))
             for r, row in enumerate(idx):
                 # indices lie in [0, n), so "clip" gathers without a bounds pass
                 np.take(samples, row, axis=1, out=buf, mode="clip")

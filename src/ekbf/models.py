@@ -52,23 +52,22 @@ class RegularityConstants:
     jac_decay   : rate lambda such that the symmetrized Jacobian stays below
                   -lambda (conservatively for gradient flows, see _GradientFlow)
     jac_lip     : Lipschitz constant of the Jacobian map
-    drift_decay : one-sided monotonicity rate of the drift itself;
-                  always at least jac_decay / 2
+    drift_decay : one-sided monotonicity rate of the drift itself, which is
+                  jac_decay / 2 by construction
     """
 
     jac_decay: float
     jac_lip: float
-    drift_decay: float
 
     def __post_init__(self):
         if not (self.jac_decay > 0.0):
             raise ModelNotContractive(f"jac_decay must be positive, got {self.jac_decay}")
         if self.jac_lip < 0.0:
             raise InvalidArgument("jac_lip must be non-negative")
-        if self.drift_decay < 0.5 * self.jac_decay - 1e-12:
-            raise InvalidArgument(
-                f"drift_decay {self.drift_decay} below jac_decay/2 = {0.5 * self.jac_decay}"
-            )
+
+    @property
+    def drift_decay(self) -> float:
+        return 0.5 * self.jac_decay
 
 
 def _check_noise(R1, dim: int) -> np.ndarray:
@@ -103,8 +102,7 @@ class LinearModel:
         return self.A
 
     def regularity_constants(self) -> RegularityConstants:
-        decay = -linalg.sym_spectral_abscissa(self.A)
-        return RegularityConstants(jac_decay=decay, jac_lip=0.0, drift_decay=0.5 * decay)
+        return RegularityConstants(jac_decay=-linalg.sym_spectral_abscissa(self.A), jac_lip=0.0)
 
 
 class _GradientFlow:
@@ -130,10 +128,7 @@ class _GradientFlow:
 
     def regularity_constants(self) -> RegularityConstants:
         curv, lip = self._curvature_bounds()
-        decay = 0.5 * self.beta * curv
-        return RegularityConstants(
-            jac_decay=decay, jac_lip=self.beta * lip, drift_decay=0.5 * decay
-        )
+        return RegularityConstants(jac_decay=0.5 * self.beta * curv, jac_lip=self.beta * lip)
 
 
 @dataclass(frozen=True)
@@ -316,11 +311,7 @@ class TransformedModel:
             )
         base_c = self.base.regularity_constants()
         c = float(np.sqrt(scale2))
-        return RegularityConstants(
-            jac_decay=base_c.jac_decay,
-            jac_lip=base_c.jac_lip / c,
-            drift_decay=base_c.drift_decay,
-        )
+        return RegularityConstants(jac_decay=base_c.jac_decay, jac_lip=base_c.jac_lip / c)
 
 
 @dataclass(frozen=True)

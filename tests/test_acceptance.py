@@ -149,7 +149,7 @@ def test_criterion_5_riccati_cross_check():
     x = np.zeros((1, 1))
     P = np.ones((1, 1, 1))
     for _ in range(20_000):
-        x, P, ok = stepper.filter_step(x, P, np.zeros((1, 1)))
+        x, P, ok = stepper.filter_step(x, P, np.zeros((1, 1)), active=True)
         assert ok.all()
     got = float(P[0, 0, 0])
     want = np.sqrt(2.0) - 1.0

@@ -53,7 +53,7 @@ def test_tau_frozen_and_vectorized():
 
 
 def test_sigma_pi_frozen():
-    report = bounds.bounds_report(OU_C0, [3.0], [1.0], alpha=1.1)
+    report = bounds.bounds_report(OU_C0, [3.0], [1.0], alpha=1.1, init_sq=0.0)
     assert report["pi_t"] == [pytest.approx(0.25)]
     assert report["pi_limit"] == pytest.approx(0.25)
     assert report["sigma_sq_t"] == [pytest.approx(1.5)]
@@ -265,7 +265,7 @@ def test_bounds_report_serializes():
     assert blob["conditions"]["alpha"] == 1.1
     assert blob["rate"] is not None and blob["exponent"] is not None
     # deterministic prior: no chi normalizer, emitted as null
-    r0 = bounds.bounds_report(OU_C0, [1.0], [1.0], alpha=1.0 + 1e-9)
+    r0 = bounds.bounds_report(OU_C0, [1.0], [1.0], alpha=1.0 + 1e-9, init_sq=0.0)
     assert json.loads(json.dumps(r0))["chi_normalizer"] is None
 
 

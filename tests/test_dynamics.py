@@ -118,7 +118,7 @@ def test_riccati_converges_to_algebraic_root():
     P = np.array([[[1.0]]])
     x = np.array([[0.0]])
     for _ in range(10000):
-        x, P, ok = stepper.filter_step(x, P, np.zeros((1, 1)))
+        x, P, ok = stepper.filter_step(x, P, np.zeros((1, 1)), active=True)
         assert ok.all()
     assert P[0, 0, 0] == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-3)
 
@@ -244,14 +244,13 @@ def test_filter_step_guard_matches_its_formula():
         assert g.shape == w.shape and np.array_equal(g, w)
     assert got[1].shape == (2, 4, 2, 2) and np.array_equal(got[1][0, 2], shared[0, 0])
 
-    # an all-healthy step, with and without a mask, returns the full mask
+    # an all-healthy step returns the full mask
     healthy_x = np.where(np.abs(xhat) < 1e3, xhat, 0.0)
-    for mask in (None, np.ones((2, 4), dtype=bool)):
-        got = stepper.filter_step(healthy_x, shared, dy, mask)
-        want = _guarded_step_by_formula(stepper, healthy_x, shared, dy, True)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and np.array_equal(g, w)
-        assert got[2].all() and got[1].shape == (2, 1, 2, 2)
+    got = stepper.filter_step(healthy_x, shared, dy, np.ones((2, 4), dtype=bool))
+    want = _guarded_step_by_formula(stepper, healthy_x, shared, dy, True)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    assert got[2].all() and got[1].shape == (2, 1, 2, 2)
 
 
 def _spd(draw, scale):

@@ -115,11 +115,12 @@ def test_bootstrap_streaming_matches_whole_matrix(k, n, n_resamples, block, seed
     # k statistics of the same n units share one resample stream: row j is
     # bit for bit the whole-matrix interval of x[j] alone
     x = np.random.default_rng(data_seed).lognormal(size=(k, n))
-    with mock.patch.object(stats, "BOOTSTRAP_BLOCK", block):
+    with mock.patch.object(stats, "BOOTSTRAP_BLOCK", block), \
+            mock.patch.object(stats, "BOOTSTRAP_RESAMPLES", n_resamples):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-        ests = bootstrap_mean_ci(x, rng, n_resamples=n_resamples)
+        ests = bootstrap_mean_ci(x, rng)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-        (single,) = bootstrap_mean_ci(x[:1], rng, n_resamples=n_resamples)
+        (single,) = bootstrap_mean_ci(x[:1], rng)
     assert len(ests) == k
     assert single == ests[0]  # a (1, n) sample is one statistic
     for row, est in zip(x, ests):
@@ -160,12 +161,6 @@ def test_one_bootstrap_per_sample_set(monkeypatch):
         y0=1.0, u=0.5, v=0.2,
     )
     assert sorted(calls) == [(2, 100), (4, 100)]  # sourced rows, homogeneous rows
-
-
-@pytest.mark.parametrize("n_resamples", [0, -3])
-def test_bootstrap_rejects_nonpositive_resamples(n_resamples):
-    with pytest.raises(InvalidArgument):
-        bootstrap_mean_ci(np.arange(10.0)[None], np.random.default_rng(1), n_resamples=n_resamples)
 
 
 def test_estimate_with_ci_invariant():
@@ -431,6 +426,28 @@ def test_forgetting_degenerate_on_identical_inits():
     report = estimate_forgetting_rate(res, eps=0.5, alpha=1.1)
     assert report["status"] == "degenerate_input"
     assert report["pass"]
+
+
+def test_forgetting_rejects_a_run_without_its_record():
+    # one filter, or two without a record grid, leave no distance to fit
+    with_one = _ou_ensemble(n_trials=20, steps=50, seed=38, record=range(0, 51, 5))
+    filters = [(np.zeros(1), np.ones((1, 1))), (np.ones(1), np.ones((1, 1)))]
+    unrecorded = _ou_ensemble(n_trials=20, steps=50, seed=38, filters=filters)
+    for res in (with_one, unrecorded):
+        assert res.delta_sq is None
+        with pytest.raises(InvalidArgument, match="two filters and a record grid"):
+            estimate_forgetting_rate(res, eps=0.5, alpha=1.1)
+
+
+def test_filter_event_radius_reads_the_runs_initial_offset():
+    # x0 = 0 and a filter started at 1: the radius forgets |x0 - xhat0|^2 = 1
+    res = _ou_ensemble(n_trials=50, steps=100, seed=3, filters=[(np.ones(1), np.ones((1, 1)))])
+    rows = estimate_event_probability(res, [1.0, 2.0], "ekf")
+    assert len(rows) == 4
+    for row in rows:
+        want = bounds.ekf_radius(res.constants, row["delta"], row["t"], 1.0)
+        assert row["radius"] == float(want)
+    assert res.init_sq == 1.0
 
 
 def test_forgetting_runs_on_distinct_inits():
@@ -863,6 +880,19 @@ def test_forgetting_csv_reproduces_verdict(tmp_path):
     assert (fit.rate, fit.stderr) == (row["fitted_rate"], row["rate_stderr"])
     assert increasing_trend_pvalue(t, curve["mean_delta_n1"]) == row["trend_pvalue_n1"]
     assert increasing_trend_pvalue(t, curve["mean_delta_n2"]) == row["trend_pvalue_n2"]
+
+
+def test_forgetting_csv_fills_the_power_curve_on_identical_filters(tmp_path):
+    # a degenerate row carries no exponent, but the curve still has one
+    cfg = _base_config(init={"x0": [0.0], "filters": [[[0.0], [[1.0]]], [[0.0], [[1.0]]]]})
+    out = tmp_path / "out"
+    assert run_cli(["forgetting", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    row = json.loads((out / "forgetting.json").read_text())["details"][0]
+    assert row["status"] == "degenerate_input"
+    lines = (out / "forgetting.csv").read_text().splitlines()
+    assert lines[0] == "t,mean_delta_pow,mean_delta_n1,mean_delta_n2"
+    assert len(lines) == 22  # the header and record times 0, 0.05, ..., 1
+    assert all(line.split(",")[1:] == ["0", "0", "0"] for line in lines[1:])
 
 
 def test_cli_exit_codes(tmp_path):

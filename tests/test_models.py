@@ -132,9 +132,9 @@ def test_linear_model_constants_and_rejection():
 
 def test_regularity_constants_validation():
     with pytest.raises(ModelNotContractive):
-        RegularityConstants(jac_decay=0.0, jac_lip=0.0, drift_decay=1.0)
+        RegularityConstants(jac_decay=0.0, jac_lip=0.0)
     with pytest.raises(InvalidArgument):
-        RegularityConstants(jac_decay=2.0, jac_lip=0.0, drift_decay=0.5)
+        RegularityConstants(jac_decay=2.0, jac_lip=-1.0)
 
 
 def _interacting():

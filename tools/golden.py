@@ -23,6 +23,11 @@ process each.
 
 numpy's SIMD transcendental functions may differ by an ulp across CPUs, so
 only compare checkouts on one machine; no digest is stored.
+
+Last it prints each side's size: the lines of src/ekbf that hold a
+tokenize token other than a comment, a line break, indentation or the
+encoding marker, so docstrings count and blank or comment-only lines do
+not.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 COMMANDS = (
@@ -48,6 +54,9 @@ COMMANDS = (
     ("report",),
 )
 MAX_DIFF_LINES = 20
+# tokens that make no line count toward a checkout's size
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENCODING, tokenize.ENDMARKER}
 
 
 def _workload_configs(root: Path, side: str) -> dict:
@@ -57,6 +66,16 @@ def _workload_configs(root: Path, side: str) -> dict:
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
     spec.loader.exec_module(module)
     return {"ou_config-1.json": module.ou_config(1), "fg_config-1.json": module.fg_config(1)}
+
+
+def _src_lines(root: Path) -> int:
+    """Lines of root/src/ekbf that hold a token other than NOT_CODE; a string counts every line it spans."""
+    total = 0
+    for path in sorted((root / "src" / "ekbf").rglob("*.py")):
+        with open(path, "rb") as fh:
+            total += len({line for tok in tokenize.tokenize(fh.readline) if tok.type not in NOT_CODE
+                          for line in range(tok.start[0], tok.end[0] + 1)})
+    return total
 
 
 def _prepare(root: Path, work: Path) -> dict:
@@ -150,6 +169,8 @@ def main(argv: list) -> int:
                 print("\n".join("  " + line for line in found))
             sys.stdout.flush()
         print(f"{differing} of {len(labels)} runs differ")
+    old_lines, new_lines = (_src_lines(root) for root in roots)
+    print(f"src/ekbf lines: old {old_lines}, new {new_lines}")
     return 1 if differing else 0
 
 

@@ -14,8 +14,8 @@ Stepper(model, dt, obs) always has a sensor; the noise-free flow needs
 none, so deterministic_flow runs its own RK4 stages on model.drift.
 
 This module is the one home of the seeding policy: every other random
-stream of the package (bootstraps, chi-square samples, Gronwall paths)
-comes from stream(), under a key no trial uses.
+stream of the package (Laplace bootstraps, chi-square samples, Gronwall
+paths) comes from stream(), under a key no trial uses.
 
 The bank keeps one covariance per filter while the Riccati flow does not
 depend on the data (a state-independent Jacobian, as for LinearModel) and
@@ -46,12 +46,11 @@ DIVERGENCE_GUARD = 1e8
 
 # Purposes of the streams that are not trial noise.  stream() keys them
 # (purpose, index), and a 2-tuple never equals a trial's 1-tuple key (k,).
-# Like NOISE_BLOCK, these keys are part of the on-disk format.
-MOMENT_BOOTSTRAP = 1  # index 0: every moment row
+# Like NOISE_BLOCK, these keys are part of the on-disk format.  Purposes 1
+# and 5 are unused; renumbering the others would move their bits.
 EKF_LAPLACE_BOOTSTRAP = 2  # index 0
 CHI2 = 3  # index 0: samples, 1: their bootstrap
 GRONWALL_PATHS = 4  # index 0: homogeneous process, 1: sourced process
-GRONWALL_BOOTSTRAP = 5  # index 0: homogeneous rows, 1: sourced rows
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

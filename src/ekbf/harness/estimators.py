@@ -15,11 +15,9 @@ diverged when filter 0 or 1 froze, since no estimator reads any other
 filter.
 
 Every other random stream comes from dynamics.stream under its own
-(purpose, index) key, one per sample set: the bootstrap of a sample set
-resamples its units once for every statistic of that set, so all moment
-rows share one stream and each Gronwall process's rows another.  The
-chi-square samples and the two Gronwall processes each draw from one
-stream.  No key equals a trial's, so no interval reuses the noise of the
+(purpose, index) key.  The chi-square samples and the two Gronwall
+processes each draw from one stream, and each Laplace row's bootstrap from
+another.  No key equals a trial's, so no interval reuses the noise of the
 trials it summarizes.
 
 Estimators compare recorded trial statistics against the closed-form
@@ -29,7 +27,9 @@ slug naming the bound under test, its `pass` verdict and, where an exact
 value is known, its `oracle` and `oracle_pass`.  Every field of a CSV-bound
 row is named in ROW_FIELDS, with one meaning per name; a row leaves out the
 fields it has no value for, and never fills them with NaN or a verdict.
-Moment, Laplace and Gronwall rows are bootstrap intervals of a mean, and
+Moment, Laplace and Gronwall rows are 95% intervals of a mean: the
+moment and Gronwall rows normal intervals (stats.normal_mean_ci), the
+heavy-tailed Laplace rows percentile bootstraps (stats.bootstrap_mean_ci).
 _interval_row is the one home of their verdicts: `pass` is ci_low <= bound
 and `oracle_pass` is ci_low <= oracle <= ci_high.  The forgetting row is
 JSON-only; its verdict and forgetting.csv share forgetting_curves.
@@ -45,9 +45,7 @@ from .. import bounds, linalg
 from ..dynamics import (
     CHI2,
     EKF_LAPLACE_BOOTSTRAP,
-    GRONWALL_BOOTSTRAP,
     GRONWALL_PATHS,
-    MOMENT_BOOTSTRAP,
     NOISE_BLOCK,
     Stepper,
     advance,
@@ -61,15 +59,15 @@ from ..dynamics import (
 )
 from ..errors import InvalidArgument
 from .stats import (Z95, EstimateWithCI, bootstrap_mean_ci, fit_decay_rate, increasing_trend_pvalue,
-                    wilson_interval)
+                    normal_mean_ci, wilson_interval)
 
 # Trials are processed in fixed chunks, which bounds the noise and state
 # held at once; changing this constant changes no results (noise is
 # per-trial and rows are width-independent).
 CHUNK = 1024
 
-# Highest moment order n the bootstrap estimates reliably; higher moments
-# are too tail-sensitive.
+# Highest moment order n whose interval is trusted; higher moments are too
+# tail-sensitive.
 MAX_MOMENT_ORDER = 4
 
 # Every field a CSV-bound check row may carry, in column order: a check
@@ -254,22 +252,21 @@ def estimate_moments(result: EnsembleResult, orders) -> list[dict]:
 
     For each checkpoint and order n: the signal-vs-flow moment against the
     stationary signal envelope, and the filter-mean-vs-flow moment against
-    the time-dependent filter envelope.  A row passes when the bootstrap
-    ci_low sits at or below the bound.  Every row is resampled over the
-    same trials, in one bootstrap.  Orders above MAX_MOMENT_ORDER are
-    rejected.
+    the time-dependent filter envelope.  A row passes when the normal
+    interval's ci_low sits at or below the bound.  Orders above
+    MAX_MOMENT_ORDER are rejected.
     """
     if any(n > MAX_MOMENT_ORDER for n in orders):
         raise InvalidArgument(f"moment orders above {MAX_MOMENT_ORDER} are too tail-sensitive")
     c = result.constants
     errors = {"signal": result.signal_err_sq, "filter-mean": result.mean_dev_sq}
     cells = [(i, n, kind) for i in range(result.checkpoint_times.size) for n in orders for kind in errors]
-    # one row per (checkpoint, order, kind), all resampled over the same trials;
-    # fromiter fills the table row by row, holding no list of rows beside it
+    # one row per (checkpoint, order, kind); fromiter fills the table row by
+    # row, holding no list of rows beside it
     samples = np.fromiter((errors[kind][:, i] ** n for i, n, kind in cells),
                           np.dtype((float, result.n_trials)), len(cells))
     rows = []
-    for (i, n, kind), est in zip(cells, bootstrap_mean_ci(samples, stream(result.seed, MOMENT_BOOTSTRAP))):
+    for (i, n, kind), est in zip(cells, normal_mean_ci(samples)):
         t = float(result.checkpoint_times[i])
         if kind == "signal":
             bound, slug = bounds.signal_moment_bound(c, n) ** n, "moment-envelope-signal"
@@ -457,9 +454,10 @@ def gronwall_test_process(
     bounds.gronwall_sourced_moment is the row's oracle, and rows of other
     orders carry none.
     Each process draws its (n_paths,) normals one Euler step at a time from
-    its own stream, so the noise held at once is one step's.  Each
-    process's rows come from one bootstrap of its paths on the calling
-    thread, keyed by the process index.
+    its own stream, keyed by the process index, so the noise held at once
+    is one step's.  Every row is a normal interval of its paths; clipped to
+    the samples' range, a sourced row's interval stays non-negative, so its
+    x -> x^{2/n} map keeps the ends in order.
     """
     if dt <= 0 or T <= dt:
         raise InvalidArgument("need 0 < dt < T")
@@ -470,8 +468,8 @@ def gronwall_test_process(
     steps = int(round(T / dt))
     cp_idx = sorted({max(1, int(round(0.5 * T / dt))), steps})
 
-    def resampled(index, y_init, drift_const, bracket_lin, cells):
-        """Intervals of E Y_s^{n/2} per (s, n) of cells, from one bootstrap of process index."""
+    def intervals(index, y_init, drift_const, bracket_lin, cells):
+        """Intervals of E Y_s^{n/2} per (s, n) of cells, from the paths of process index."""
         rng = stream(seed, GRONWALL_PATHS, index)
         y = np.full(n_paths, float(y_init))
         snaps = {}
@@ -482,15 +480,13 @@ def gronwall_test_process(
             np.maximum(y, 0.0, out=y)
             if k in cp_idx:
                 snaps[k] = y  # the next step builds a new array
-        samples = np.fromiter((snaps[s] ** (n / 2.0) for s, n in cells),
-                              np.dtype((float, n_paths)), len(cells))
-        # one bootstrap per process: a process's rows share its resamples
-        return bootstrap_mean_ci(samples, stream(seed, GRONWALL_BOOTSTRAP, index))
+        return normal_mean_ci(np.fromiter((snaps[s] ** (n / 2.0) for s, n in cells),
+                                          np.dtype((float, n_paths)), len(cells)))
 
     rows = []
     if y0 > 0:
         cells = [(s, n) for s in cp_idx for n in orders]
-        for (s, n), est in zip(cells, resampled(0, y0, 0.0, 0.0, cells)):
+        for (s, n), est in zip(cells, intervals(0, y0, 0.0, 0.0, cells)):
             m, t = n / 2.0, s * dt
             oracle = y0**m * np.exp(-m * a * t + m * (m - 1.0) * w * t / 2.0)
             bound = y0**m * np.exp(0.5 * (-n * a + n * (n - 1.0) * w / 2.0) * t)
@@ -498,7 +494,7 @@ def gronwall_test_process(
                                       t=float(t), n=int(n), kind="homogeneous"))
     if u > 0 or v > 0:
         t, cells = steps * dt, [(steps, n) for n in orders]
-        for (_, n), est in zip(cells, resampled(1, 0.0, u, v, cells)):
+        for (_, n), est in zip(cells, intervals(1, 0.0, u, v, cells)):
             # the sourced envelope bounds (E Y^{n/2})^{2/n}, a monotone map of the interval
             est = EstimateWithCI(*(x ** (2.0 / n) for x in (est.point, est.ci_low, est.ci_high)))
             oracle = bounds.gronwall_sourced_moment(n, t, a, w, u, v)

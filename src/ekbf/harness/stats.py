@@ -1,23 +1,27 @@
 """Small statistical toolbox shared by the estimators.
 
 Confidence machinery is deliberately boring: Wilson intervals for
-proportions, percentile bootstrap for means, the Mann-Kendall test for
-trend detection, and least squares on logs for decay rates.  Everything
-here is numpy and the standard library.
+proportions, normal intervals and the percentile bootstrap for means, the
+Mann-Kendall test for trend detection, and least squares on logs for decay
+rates.  Everything here is numpy and the standard library.
 
-The bootstrap knows no seeding policy: its caller hands it a Generator
-(from dynamics.stream, keyed by the sample set the intervals are for).
-One call serves every statistic of a sample set, given as its one input
-shape: a (k, n) array of k statistics of the same n units.  Each resample
-is one row of unit indices, and all k statistics are gathered with it, as
-the nonparametric bootstrap resamples the sampling unit.  Indices are
-drawn in blocks of BOOTSTRAP_BLOCK rows that continue the Generator's
-stream; each index row gathers the k statistics into one reused (k, n)
-buffer, and each mean is the same pairwise sum as over the whole
-(BOOTSTRAP_RESAMPLES, n) index matrix.  Intervals are therefore bit for
-bit those of the whole-matrix formula applied to each statistic alone,
-while memory stays a block of indices and k rows.  Both constants are
-read at call time.
+Both mean intervals take one input shape: a (k, n) array of k statistics
+of the same n units, and row j's interval is bit for bit that of
+samples[j:j + 1] alone.  normal_mean_ci is a closed form per row, used by
+the moment and Gronwall rows: on their samples its miss rates are within
+two standard errors of the bootstrap's (tools/coverage.py).
+
+The bootstrap serves the heavy-tailed Laplace rows and knows no seeding
+policy: its caller hands it a Generator (from dynamics.stream, keyed by the
+sample set the intervals are for).  Each resample is one row of unit
+indices, and all k statistics are gathered with it, as the nonparametric
+bootstrap resamples the sampling unit.  Indices are drawn in blocks of
+BOOTSTRAP_BLOCK rows that continue the Generator's stream; each index row
+gathers the k statistics into one reused (k, n) buffer, and each mean is
+the same pairwise sum as over the whole (BOOTSTRAP_RESAMPLES, n) index
+matrix.  Intervals are therefore bit for bit those of the whole-matrix
+formula applied to each statistic alone, while memory stays a block of
+indices and k rows.  Both constants are read at call time.
 """
 
 from __future__ import annotations
@@ -76,6 +80,39 @@ def wilson_interval(successes: int, n: int) -> EstimateWithCI:
     return EstimateWithCI(point=p, ci_low=low, ci_high=high)
 
 
+def _mean_table(samples) -> np.ndarray:
+    """samples as a (k, n) float array with n >= 1, the one shape of a mean interval's input."""
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2:
+        raise InvalidArgument("samples must be a (statistics, units) array")
+    if samples.shape[1] < 1:
+        raise InvalidArgument("need at least one sample")
+    return samples
+
+
+def normal_mean_ci(samples):
+    """Normal 95% intervals for means: mean +- Z95 s / sqrt(n) per row.
+
+    samples is a (k, n) array of k statistics of the same n units, as for
+    bootstrap_mean_ci; s is the ddof = 1 deviation of each contiguous row,
+    so row j's interval is bit for bit that of samples[j:j + 1] alone.  Each
+    end is clipped to its row's sample range, where a percentile interval
+    always lies, so an interval of non-negative samples stays non-negative.
+    A one-unit row's interval is its point.  Returns a list of k
+    EstimateWithCI.
+    """
+    samples = _mean_table(samples)
+    n = samples.shape[1]
+    out = []
+    for row in samples:
+        point = float(row.mean())
+        half = Z95 * float(row.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+        low = max(point - half, float(row.min()))
+        high = min(point + half, float(row.max()))
+        out.append(EstimateWithCI(point, min(low, point), max(high, point)))
+    return out
+
+
 def bootstrap_mean_ci(samples, rng: np.random.Generator):
     """Percentile bootstrap intervals for means, BOOTSTRAP_RESAMPLES resamples from rng.
 
@@ -85,12 +122,8 @@ def bootstrap_mean_ci(samples, rng: np.random.Generator):
     bit for bit that of samples[j:j + 1] alone under an identically seeded
     rng.  Returns a list of k EstimateWithCI.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2:
-        raise InvalidArgument("samples must be a (statistics, units) array")
+    samples = _mean_table(samples)
     k, n = samples.shape
-    if n < 1:
-        raise InvalidArgument("need at least one sample")
     points = [float(row.mean()) for row in samples]
     if n == 1 or k == 0:
         means = samples  # nothing to resample; a one-unit interval is its point

@@ -34,6 +34,7 @@ from ekbf.harness.stats import (
     bootstrap_mean_ci,
     fit_decay_rate,
     increasing_trend_pvalue,
+    normal_mean_ci,
     wilson_interval,
 )
 from ekbf.models import LinearModel, QuadraticCubicModel, observation_params
@@ -144,23 +145,105 @@ def test_bootstrap_edge_shapes():
         bootstrap_mean_ci(np.arange(3.0), rng)
 
 
-def test_one_bootstrap_per_sample_set(monkeypatch):
+def test_normal_ci_edge_shapes():
+    assert normal_mean_ci(np.empty((0, 5))) == []
+    one_unit = normal_mean_ci(np.array([[2.0], [3.0]]))
+    assert [(e.ci_low, e.point, e.ci_high) for e in one_unit] == [(2.0, 2.0, 2.0), (3.0, 3.0, 3.0)]
+    (flat,) = normal_mean_ci(np.full((1, 7), 2.5))  # zero variance: the interval is the point
+    assert (flat.ci_low, flat.point, flat.ci_high) == (2.5, 2.5, 2.5)
+    with pytest.raises(InvalidArgument):
+        normal_mean_ci(np.empty((2, 0)))
+    with pytest.raises(InvalidArgument):
+        normal_mean_ci(np.ones((2, 2, 2)))
+    with pytest.raises(InvalidArgument):  # one statistic is a (1, n) array
+        normal_mean_ci(np.arange(3.0))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(k=st.integers(1, 5), n=st.integers(2, 3000), data_seed=st.integers(0, 2**32 - 1))
+def test_normal_ci_rows_independent_and_inside_the_samples(k, n, data_seed):
+    # row j of a (k, n) table is bit for bit a one-row call, and both ends
+    # lie within the row's samples, as a percentile interval's do
+    x = np.random.default_rng(data_seed).lognormal(sigma=2.0, size=(k, n))
+    ests = normal_mean_ci(x)
+    assert len(ests) == k
+    for j, (row, est) in enumerate(zip(x, ests)):
+        assert normal_mean_ci(x[j:j + 1]) == [est]
+        assert est.point == float(row.mean())
+        half = stats.Z95 * float(row.std(ddof=1)) / np.sqrt(n)
+        assert est.ci_low == max(est.point - half, row.min())
+        assert est.ci_high == min(est.point + half, row.max())
+        assert row.min() <= est.ci_low <= est.ci_high <= row.max()
+
+
+def test_normal_ci_lower_side_coverage_on_gaussian_powers():
+    """The side `pass` reads misses a true Z^2 or Z^4 mean at most 0.048 of the time.
+
+    A row FAILs when ci_low lies above its bound, so on a correct simulator
+    a false FAIL needs the true mean below ci_low: the lower side's miss,
+    nominally 0.025.  Over 400 independent replications the miss count of
+    a calibrated lower side is Binomial(400, 0.025), whose rate has standard
+    deviation sqrt(0.025 * 0.975 / 400) = 0.0078.  The tolerance is three
+    of them, 0.025 + 3 * 0.0078 = 0.048: a calibrated lower side exceeds
+    it, 20 misses or more, with binomial probability 0.003.  Each replication is 2000 standard
+    normals Z, and the rows are Z^2 and Z^4 with means 1 and 3: the samples
+    of the order-1 and order-2 moment rows, the orders the shipped configs
+    use, are scaled copies, and the interval is scale-equivariant.
+    """
+    reps, n = 400, 2000
+    z2 = np.random.default_rng(2303).standard_normal((reps, n)) ** 2
+    ests = normal_mean_ci(np.concatenate([z2, z2**2]))
+    low = np.array([e.ci_low for e in ests]).reshape(2, reps)
+    tol = 0.025 + 3.0 * np.sqrt(0.025 * 0.975 / reps)
+    miss = (np.array([[1.0], [3.0]]) < low).mean(axis=1)
+    assert np.all(miss <= tol), (miss, tol)
+
+
+def test_bootstrap_only_for_laplace_rows(monkeypatch):
+    # moment and Gronwall rows take the closed form; each Laplace row
+    # resamples its one statistic once
     res = _ou_ensemble(n_trials=200, steps=100, seed=38)
     calls = []
 
-    def counting(samples, rng, *args, **kwargs):
+    def counting(samples, rng):
         calls.append(np.shape(samples))
-        return stats.bootstrap_mean_ci(samples, rng, *args, **kwargs)
+        return stats.bootstrap_mean_ci(samples, rng)
 
     monkeypatch.setattr(estimators, "bootstrap_mean_ci", counting)
-    estimate_moments(res, [1, 2])  # 2 checkpoints x 2 orders x 2 kinds
-    assert calls == [(8, 200)]
-    calls.clear()
+    estimate_moments(res, [1, 2])
     gronwall_test_process(
         a=1.0, w=0.3, dt=1e-2, T=1.0, n_paths=100, seed=39, orders=(1, 2),
         y0=1.0, u=0.5, v=0.2,
     )
-    assert sorted(calls) == [(2, 100), (4, 100)]  # sourced rows, homogeneous rows
+    assert calls == []
+    estimate_ekf_laplace(res, 0.5)
+    assert calls == [(1, 200)]
+    calls.clear()
+    estimate_chi2_laplace(np.eye(1), 300, 40)
+    assert calls == [(1, 300)]
+
+
+def test_sourced_row_with_a_negative_normal_end_maps_to_zero(monkeypatch):
+    # half the sourced paths sit at the clip 0 after two wide steps, so the
+    # unclipped normal end of E Y_T is negative; the row's x -> x^{2/n} map
+    # then reads 0 at n = 2 and 4, not NaN, and the row is no InvalidArgument
+    tables = []
+
+    def recording(samples):
+        tables.append(np.array(samples))
+        return stats.normal_mean_ci(samples)
+
+    monkeypatch.setattr(estimators, "normal_mean_ci", recording)
+    rows = gronwall_test_process(
+        a=1.0, w=0.0, dt=0.5, T=1.0, n_paths=3, seed=5, orders=(2, 4), y0=0.0, u=0.01, v=10.0,
+    )
+    (samples,) = tables
+    for row, sample in zip(rows, samples):
+        unclipped = sample.mean() - stats.Z95 * sample.std(ddof=1) / np.sqrt(sample.size)
+        assert sample.min() == 0.0 and unclipped < 0.0
+        assert row["ci_low"] == 0.0
+        assert np.isfinite([row["estimate"], row["ci_high"]]).all()
+        assert row["ci_low"] <= row["estimate"] <= row["ci_high"]
 
 
 def test_estimate_with_ci_invariant():
@@ -755,11 +838,9 @@ def test_report_streams_are_independent(tmp_path, monkeypatch):
     assert not repeated, f"streams used twice: {repeated}"
     # trials keep (k,); every other stream has its own (purpose, index)
     assert {k for _, k in keys if len(k) == 1} == {(k,) for k in range(50)}
-    assert sorted(k for _, k in keys if len(k) != 1) == sorted(
-        [(1, 0)]  # every moment row: one bootstrap of the trials
-        + [(2, 0), (3, 0), (3, 1), (4, 0), (4, 1)]
-        + [(5, 0), (5, 1)]  # one bootstrap per Gronwall process
-    )
+    # moment and Gronwall rows take a closed-form interval and draw nothing;
+    # their retired bootstrap purposes 1 and 5 renumber no other key
+    assert sorted(k for _, k in keys if len(k) != 1) == [(2, 0), (3, 0), (3, 1), (4, 0), (4, 1)]
     assert {e for e, _ in keys} == {7}
 
 

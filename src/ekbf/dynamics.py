@@ -13,14 +13,19 @@ do not depend on the batch width and the two callers agree bit for bit.
 Stepper(model, dt, obs) always has a sensor; the noise-free flow needs
 none, so deterministic_flow runs its own RK4 stages on model.drift.
 
-This module is the one home of the seeding policy: every other random
-stream of the package (Laplace bootstraps, chi-square samples, Gronwall
-paths) comes from stream(), under a key no trial uses.
+This module is the one home of the seeding policy.  Trial k's stream is
+numpy's PCG64 seeded by SeedSequence(seed, spawn_key=(k,)); trial_states
+replays that seeding for a whole range of trials in one vectorized uint32
+pass, and the drawer points one generator at each trial's state in turn.
+Every other random stream of the package (Laplace bootstraps, chi-square
+samples, Gronwall paths) comes from stream(), under a key no trial uses.
 
 The bank keeps one covariance per filter while the Riccati flow does not
 depend on the data (a state-independent Jacobian, as for LinearModel) and
 one per trial and filter otherwise; broadcasting picks the width, so the
-same code serves both.
+same code serves both.  A RiccatiFlow carries that shared covariance from
+one call of advance to the next, so a run of many chunks takes each shared
+Riccati step once.
 """
 
 from __future__ import annotations
@@ -63,23 +68,96 @@ def stream(seed: int, purpose: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(purpose, index)))
 
 
-def draw_increments(gens, steps: int, dt: float, dims, buf: np.ndarray):
-    """Yield (start, dW, dV) noise blocks, one generator per trial.
+# numpy's SeedSequence: a pool of four uint32 words and its hash constants;
+# PCG64's 128-bit LCG multiplier.  trial_states replays both bit for bit.
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
 
-    dims is (signal_dim, obs_dim); buf (m_max, n) holds at least len(gens)
-    trials of min(NOISE_BLOCK, steps) * sum(dims) normals.  Per block, one
-    draw per generator fills its trial's row with its signal block, then its
-    observation block; dW (m, nb, signal_dim) and dV (m, nb, obs_dim) are
-    views of buf, variance dt per coordinate, valid until the next draw.
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays, its constant h advancing by mult per call."""
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ h
+        h = h * mult & _M32
+        v = v * h
+        return v ^ (v >> 16)
+
+    return hashmix
+
+
+def trial_states(seed: int, lo: int, hi: int) -> list:
+    """The PCG64 states trial_rng(seed, k) starts from, for k = lo .. hi - 1.
+
+    Each is a dict as PCG64.state reads.  One vectorized uint32 pass over
+    the trials replays SeedSequence(seed, spawn_key=(k,)): the seed's 32-bit
+    words, padded to the pool of four, and then the word k are hashed and
+    mixed into the pool; the pool's eight generated words seed PCG64's
+    128-bit (state, inc) as PCG64(seed_seq) does.  numpy gives a trial past
+    2**32 - 1 a second spawn-key word, so such trials are refused.
     """
-    (d, r), m, root = dims, len(gens), np.sqrt(dt)
+    seed = int(seed)
+    if seed < 0 or lo < 0 or hi > 1 << 32:
+        raise InvalidArgument("trial streams need seed >= 0 and trials in [0, 2**32)")
+    words = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL - len(words))
+    entropy = [np.full(hi - lo, w, np.uint32) for w in words] + [np.arange(lo, hi, dtype=np.uint32)]
+
+    def mix(x, y):
+        v = _MIX_L * x - _MIX_R * y
+        return v ^ (v >> 16)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(e) for e in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    out = [hashmix(pool[i % _POOL]).astype(np.uint64) for i in range(8)]
+    # little-endian word pairs make four uint64s: (seed high, low, inc high, low)
+    v0, v1, v2, v3 = ((out[i] | out[i + 1] << np.uint64(32)).tolist() for i in range(0, 8, 2))
+    states = []
+    for a, b, c, e in zip(v0, v1, v2, v3):
+        inc = ((c << 64 | e) << 1 | 1) & _M128
+        state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _M128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def draw_increments(gen, states, steps: int, dt: float, dims, buf: np.ndarray):
+    """Yield (start, dW, dV) noise blocks, one PCG64 state per trial.
+
+    gen is a Generator over PCG64; before each trial's draw it is set to
+    that trial's state (trial_states), so one generator serves every trial
+    and each trial's draws are those of its own stream.  A trial's state is
+    read back after its draw only when another block follows.  dims is
+    (signal_dim, obs_dim); buf (m_max, n) holds at least len(states) trials
+    of min(NOISE_BLOCK, steps) * sum(dims) normals.  Per block, one draw per
+    trial fills its row with its signal block, then its observation block;
+    dW (m, nb, signal_dim) and dV (m, nb, obs_dim) are views of buf,
+    variance dt per coordinate, valid until the next draw.
+    """
+    (d, r), states, root = dims, list(states), np.sqrt(dt)
+    m, bits = len(states), gen.bit_generator
     if buf.shape[0] < m or buf.shape[1] < min(NOISE_BLOCK, steps) * (d + r):
         raise DimensionMismatch("the noise buffer holds fewer trials or steps than a block")
     for start in range(0, steps, NOISE_BLOCK):
         nb = min(NOISE_BLOCK, steps - start)
         block = buf[:m, : nb * (d + r)]
-        for j, g in enumerate(gens):
-            g.standard_normal(block[j].shape, out=block[j])
+        for j in range(m):
+            bits.state = states[j]
+            gen.standard_normal(block[j].shape, out=block[j])
+            if start + nb < steps:
+                states[j] = bits.state
         block *= root
         yield start, block[:, : nb * d].reshape(m, nb, d), block[:, nb * d :].reshape(m, nb, r)
 
@@ -107,13 +185,16 @@ def make_path_bundle(
     seed: int, trial: int, steps: int, dt: float, signal_dim: int, obs_dim: int
 ) -> PathBundle:
     """Draw the canonical increment arrays for one trial."""
+    states = trial_states(seed, trial, trial + 1)
     if steps < 1:
         raise InvalidArgument("steps must be positive")
     if dt <= 0.0:
         raise InvalidArgument("dt must be positive")
     dW, dV = np.empty((steps, signal_dim)), np.empty((steps, obs_dim))
     buf = np.empty((1, min(NOISE_BLOCK, steps) * (signal_dim + obs_dim)))
-    for start, w, v in draw_increments([trial_rng(seed, trial)], steps, dt, (signal_dim, obs_dim), buf):
+    gen = np.random.Generator(np.random.PCG64())  # its state is set to the trial's before drawing
+    blocks = draw_increments(gen, states, steps, dt, (signal_dim, obs_dim), buf)
+    for start, w, v in blocks:
         dW[start : start + w.shape[1]] = w[0]
         dV[start : start + v.shape[1]] = v[0]
     return PathBundle(dt=dt, dW=dW, dV=dV)
@@ -157,40 +238,78 @@ class Stepper:
         """Sensor increment dY generated by the state x over one step."""
         return linalg.matvec(self.obs.B, x) * self.dt + linalg.matvec(self.obs.R2_sqrt, dv)
 
-    def filter_step(self, xhat, P, dy, active):
+    def filter_step(self, xhat, P, dy, active, flow=None, k: int = 0):
         """One explicit Euler step of the mean and covariance recursions.
 
         Batched over leading dimensions, which broadcast: xhat (..., d),
         P (..., d, d) and dy (..., r) may each carry size-1 axes where the
         others do not.  A P shared by many rows stays shared while the
         Jacobian is state-independent, so its Riccati step runs once; a
-        state-dependent Jacobian widens it to one P per row.  Rows that are
-        not active, or where the update leaves the admissible region, keep
-        their previous value (which widens a shared P) and are reported in
-        the returned boolean mask (True = still healthy).  The covariance is
-        symmetrized and eigenvalue-clipped after every step.
+        state-dependent Jacobian widens it to one P per row.  Given a
+        RiccatiFlow whose shared covariance after k steps is P, a
+        state-independent Jacobian reads the flow's row k (the gain, the
+        next covariance and its guard verdict), which the first caller to
+        reach step k writes.  Rows that are not active, or where the update
+        leaves the admissible region, keep their previous value (which
+        widens a shared P) and are reported in the returned boolean mask
+        (True = still healthy).  The covariance is symmetrized and
+        eigenvalue-clipped after every step.
         """
         dt, obs = self.dt, self.obs
-        innovation = dy - linalg.matvec(obs.B, xhat) * dt
-        gain = P @ obs.gain_map
         J = self.model.drift_jacobian(xhat)
+        if flow is not None and np.ndim(J) == 2:
+            if flow.filled == k:
+                flow.gain[k], flow.P[k] = self._covariance_step(P, J)
+                flow.ok[k] = _covariance_ok(flow.P[k])
+                flow.filled += 1
+            gain, new_P, P_ok = flow.gain[k], flow.P[k], flow.ok[k]
+        else:
+            gain, new_P = self._covariance_step(P, J)
+            # per-row verdicts only when a whole-array check fails
+            fine = np.abs(linalg.trace_stack(new_P)).max() <= DIVERGENCE_GUARD
+            P_ok = True if fine and np.isfinite(new_P).all() else _covariance_ok(new_P)
+        innovation = dy - linalg.matvec(obs.B, xhat) * dt
         new_x = xhat + self.model.drift(xhat) * dt + linalg.matvec(gain, innovation)
-        JP = J @ P
-        new_P = P + dt * (JP + JP.swapaxes(-1, -2) + self.model.R1 - P @ obs.S @ P)
-        new_P = linalg.psd_project_stack(linalg.symmetrize_stack(new_P))
 
         # |x|^2 <= GUARD^2 exactly when |x| <= GUARD, and is False for a NaN
-        # or infinite mean, so only P needs its own finiteness check.  new_x
-        # has a row for every row of P, so P's per-row checks run only when
-        # one of its whole-array checks fails.
+        # or infinite mean, so only P needs its own finiteness check
         healthy = (linalg.sumsq(new_x) <= DIVERGENCE_GUARD**2) & active
-        tr = np.abs(linalg.trace_stack(new_P))
-        if not (healthy.all() and tr.max() <= DIVERGENCE_GUARD and np.isfinite(new_P).all()):
-            healthy &= np.isfinite(new_P).all(axis=(-2, -1)) & (tr <= DIVERGENCE_GUARD)
+        if not (healthy.all() and np.all(P_ok)):
+            healthy &= P_ok
             keep = healthy[..., None]
             new_x = np.where(keep, new_x, xhat)
             new_P = np.where(keep[..., None], new_P, P)
         return new_x, new_P, healthy
+
+    def _covariance_step(self, P, J):
+        """The gain P @ gain_map and the projected Euler step of the Riccati flow from P."""
+        JP = J @ P
+        new_P = P + self.dt * (JP + JP.swapaxes(-1, -2) + self.model.R1 - P @ self.obs.S @ P)
+        return P @ self.obs.gain_map, linalg.psd_project_stack(linalg.symmetrize_stack(new_P))
+
+
+def _covariance_ok(P) -> np.ndarray:
+    """Per-row guard verdict on covariances (..., d, d): finite, and |tr P| <= DIVERGENCE_GUARD."""
+    return np.isfinite(P).all(axis=(-2, -1)) & (np.abs(linalg.trace_stack(P)) <= DIVERGENCE_GUARD)
+
+
+class RiccatiFlow:
+    """The bank's shared covariance flow, kept across every chunk of a run.
+
+    Row k holds step k of a state-independent Riccati flow, counting from
+    0: gain[k] (n_f, 1, d, r) the gain the step used, P[k] (n_f, 1, d, d)
+    the covariance it yields, after k + 1 steps, and ok[k] (n_f, 1) the
+    guard verdict on P[k].  Rows below filled are written: the first chunk
+    to reach step k writes row k and every later chunk reads it, so a
+    shared Riccati step runs once per filter per run.  The arrays are
+    allocated once, for every step.
+    """
+
+    def __init__(self, n_f: int, d: int, r: int, steps: int):
+        self.P = np.empty((steps, n_f, 1, d, d))
+        self.gain = np.empty((steps, n_f, 1, d, r))
+        self.ok = np.empty((steps, n_f, 1), dtype=bool)
+        self.filled = 0
 
 
 def deterministic_flow(model, x0, dt: float, steps: int) -> np.ndarray:
@@ -224,7 +343,7 @@ def initial_bank(filters, d: int):
     return means0, covs0
 
 
-def advance(stepper: Stepper, x0, means0, covs0, m: int, blocks, on_step):
+def advance(stepper: Stepper, x0, means0, covs0, m: int, blocks, on_step, flow=None):
     """Run m trials from x0 (d,) and their filter bank through every noise block.
 
     The bank starts at initial_bank's means0 and covs0 and is xh (n_f, m, d),
@@ -234,8 +353,10 @@ def advance(stepper: Stepper, x0, means0, covs0, m: int, blocks, on_step):
     blocks yields (start, dW, dV) with dW (m, nb, d) and dV (m, nb, r), as
     draw_increments does; the observation increment (m, r) broadcasts
     against every filter of a trial.  Filters that trip the divergence guard
-    freeze.  on_step(k, x, xh, P) is called at step 0 and after every step
-    k.  Returns the final health mask.
+    freeze.  flow, a RiccatiFlow of the run that started at covs0, serves
+    the shared covariance until a frozen row widens P; from then on this
+    call steps its own.  on_step(k, x, xh, P) is called at step 0 and after
+    every step k.  Returns the final health mask.
     """
     x = np.repeat(x0[None], m, axis=0)
     xh = np.repeat(means0[:, None], m, axis=1)
@@ -246,7 +367,10 @@ def advance(stepper: Stepper, x0, means0, covs0, m: int, blocks, on_step):
     for start, dW, dV in blocks:
         for j in range(dW.shape[1]):
             dy = stepper.obs_increment(x, dV[:, j])
-            xh, P, active = stepper.filter_step(xh, P, dy, active)
+            xh, P, active = stepper.filter_step(xh, P, dy, active, flow, start + j)
+            # a frozen row widened P: it no longer follows the shared flow
+            if flow is not None and not active.all():
+                flow = None
             x = stepper.signal_step(x, dW[:, j])
             on_step(start + j + 1, x, xh, P)
     return active

@@ -10,7 +10,12 @@ so a single trial re-simulated with simulate_coupled reproduces the
 engine bit for bit and output bytes do not depend on chunk size.  Every
 chunk runs on the calling thread, in order, and draws its noise blocks
 into one buffer that the run allocates once, one draw per trial per
-block; nothing in the package starts a thread.  A trial counts as
+block; nothing in the package starts a thread.  A chunk seeds no
+generator per trial: it takes one, trial lo's from trial_rng, and the
+drawer points it at each trial's state from dynamics.trial_states, one
+vectorized pass per chunk.  The run's one RiccatiFlow carries a
+state-independent Riccati flow from chunk to chunk, so each shared
+covariance step runs once per filter per run.  A trial counts as
 diverged when filter 0 or 1 froze, since no estimator reads any other
 filter.
 
@@ -47,6 +52,7 @@ from ..dynamics import (
     EKF_LAPLACE_BOOTSTRAP,
     GRONWALL_PATHS,
     NOISE_BLOCK,
+    RiccatiFlow,
     Stepper,
     advance,
     bank_delta_sq,
@@ -56,6 +62,7 @@ from ..dynamics import (
     step_grid,
     stream,
     trial_rng,
+    trial_states,
 )
 from ..errors import InvalidArgument
 from .stats import (Z95, EstimateWithCI, bootstrap_mean_ci, fit_decay_rate, increasing_trend_pvalue,
@@ -150,11 +157,12 @@ def run_ensemble(
     gap = np.full(n_trials, -np.inf)
     diverged = np.empty(n_trials, dtype=bool)
     dsq = np.empty((n_trials, rec.size)) if with_delta else None
-    # one noise buffer serves every chunk and block of the run
+    # one noise buffer and one shared Riccati flow serve every chunk of the run
     noise = np.empty((min(CHUNK, n_trials), min(NOISE_BLOCK, steps) * (d + obs.obs_dim)))
+    flow = RiccatiFlow(len(filters), d, obs.obs_dim, steps)
 
     # trials lo..hi-1 fill their rows of the run's arrays; a chunk's
-    # generators live in this frame, so they go before the next chunk's
+    # trial states live in this frame, so they go before the next chunk's
     def run_chunk(lo, hi):
         rows, chunk_gap = slice(lo, hi), gap[lo:hi]
 
@@ -168,10 +176,12 @@ def run_ensemble(
             if with_delta and rec_pos[s] >= 0:
                 dsq[rows, rec_pos[s]] = bank_delta_sq(xh, P)
 
-        gens = [trial_rng(seed, k) for k in range(lo, hi)]
-        blocks = draw_increments(gens, steps, dt, (d, obs.obs_dim), noise)
+        # one generator per chunk, trial lo's, is pointed at each trial's state
+        blocks = draw_increments(trial_rng(seed, lo), trial_states(seed, lo, hi), steps, dt,
+                                 (d, obs.obs_dim), noise)
+        active = advance(stepper, x0, means0, covs0, hi - lo, blocks, record, flow)
         # only filters 0 and 1 are read, so only they mark a trial diverged
-        diverged[rows] = ~advance(stepper, x0, means0, covs0, hi - lo, blocks, record)[:2].all(axis=0)
+        diverged[rows] = ~active[:2].all(axis=0)
 
     for lo in range(0, n_trials, CHUNK):
         run_chunk(lo, min(lo + CHUNK, n_trials))

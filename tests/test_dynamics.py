@@ -9,6 +9,7 @@ from ekbf.dynamics import (
     DIVERGENCE_GUARD,
     NOISE_BLOCK,
     FilterState,
+    RiccatiFlow,
     Stepper,
     advance,
     check_step_size,
@@ -17,8 +18,9 @@ from ekbf.dynamics import (
     make_path_bundle,
     simulate_coupled,
     trial_rng,
+    trial_states,
 )
-from ekbf.errors import DimensionMismatch, UnstableStep
+from ekbf.errors import DimensionMismatch, InvalidArgument, UnstableStep
 from ekbf.models import LinearModel, QuadraticCubicModel, observation_params
 
 OU = LinearModel(np.array([[-1.0]]), np.array([[1.0]]))
@@ -50,9 +52,9 @@ def test_draw_increments_fills_the_given_buffers():
     # every block is a view of the buffer, the last one shorter
     steps = NOISE_BLOCK + 10
     buf = np.empty((3, NOISE_BLOCK * 3))
-    gens = [trial_rng(9, k) for k in range(2)]
     shapes = []
-    for start, dW, dV in draw_increments(gens, steps, 0.01, (2, 1), buf):
+    blocks = draw_increments(trial_rng(9, 0), trial_states(9, 0, 2), steps, 0.01, (2, 1), buf)
+    for start, dW, dV in blocks:
         assert np.shares_memory(dW, buf) and np.shares_memory(dV, buf)
         shapes.append((start, dW.shape, dV.shape))
     assert shapes == [(0, (2, NOISE_BLOCK, 2), (2, NOISE_BLOCK, 1)),
@@ -62,10 +64,11 @@ def test_draw_increments_fills_the_given_buffers():
 
 
 class _CountingGenerator:
-    """A trial stream that records the size of every standard_normal call."""
+    """A generator that records the size of every standard_normal call."""
 
     def __init__(self, gen, sizes):
         self._gen, self._sizes = gen, sizes
+        self.bit_generator = gen.bit_generator
 
     def standard_normal(self, size=None, **kwargs):
         self._sizes.append(size)
@@ -80,10 +83,10 @@ def test_one_buffer_drawer_matches_the_stream_order():
     steps, m, d, r, dt = NOISE_BLOCK + 3, 2, 2, 1, 0.01
     buf = np.empty((m, NOISE_BLOCK * (d + r)))
     sizes = []
-    gens = [_CountingGenerator(trial_rng(5, k), sizes) for k in range(m)]
+    gen, states = _CountingGenerator(trial_rng(5, 0), sizes), trial_states(5, 0, m)
     refs = [trial_rng(5, k) for k in range(m)]
     starts = []
-    for start, dW, dV in draw_increments(gens, steps, dt, (d, r), buf):
+    for start, dW, dV in draw_increments(gen, states, steps, dt, (d, r), buf):
         nb = min(NOISE_BLOCK, steps - start)
         assert dW.shape == (m, nb, d) and dV.shape == (m, nb, r)
         for j, ref in enumerate(refs):
@@ -94,9 +97,41 @@ def test_one_buffer_drawer_matches_the_stream_order():
     # one call per trial per block, each naming its size
     assert sizes == [(NOISE_BLOCK * (d + r),)] * m + [(3 * (d + r),)] * m
     with pytest.raises(DimensionMismatch):  # one trial short
-        next(draw_increments(gens, steps, dt, (d, r), buf[: m - 1]))
+        next(draw_increments(gen, states, steps, dt, (d, r), buf[: m - 1]))
     with pytest.raises(DimensionMismatch):  # one step short
-        next(draw_increments(gens, steps, dt, (d, r), buf[:, : (NOISE_BLOCK - 1) * (d + r)]))
+        next(draw_increments(gen, states, steps, dt, (d, r), buf[:, : (NOISE_BLOCK - 1) * (d + r)]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**128 + 1])
+def test_trial_states_match_numpy_seeding(seed):
+    # one to five seed words, with trials on both sides of 2**16; the states
+    # are numpy's own, and a draw from one equals the trial stream's draw
+    hi = 2**16 + 40
+    states = trial_states(seed, 0, hi)
+    assert len(states) == hi
+    trials = [*range(40), *range(2**16 - 40, hi), *range(40, 2**16 - 40, 997)]
+    gen = np.random.Generator(np.random.PCG64(0))
+    for k in trials:
+        want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))).state
+        assert states[k] == want, k
+        gen.bit_generator.state = states[k]
+        assert np.array_equal(gen.standard_normal(7), trial_rng(seed, k).standard_normal(7)), k
+    # a range that starts past 0 gives the same states
+    assert trial_states(seed, 2**16 - 3, 2**16 + 3) == states[2**16 - 3 : 2**16 + 3]
+
+
+def test_trial_states_refuse_what_numpy_keys_otherwise():
+    # numpy keys trial 2**32 and above with two spawn-key words: refused, as
+    # are negative trials and seeds; the last one-word trial is numpy's
+    last = 2**32 - 1
+    assert trial_states(3, last, last + 1)[0] == np.random.PCG64(
+        np.random.SeedSequence(3, spawn_key=(last,))).state
+    refused = [(3, last, last + 2), (3, 2**32, 2**32 + 1), (3, 0, 2**40), (-1, 0, 1), (3, -1, 1)]
+    for seed, lo, hi in refused:
+        with pytest.raises(InvalidArgument):
+            trial_states(seed, lo, hi)
+    with pytest.raises(InvalidArgument):
+        make_path_bundle(seed=3, trial=-1, steps=5, dt=0.01, signal_dim=1, obs_dim=1)
 
 
 def test_ou_variance_matches_closed_form():
@@ -290,10 +325,12 @@ def test_covariance_psd_and_finite_after_every_step(data):
         w = np.linalg.eigvalsh(P)
         assert np.all(w[..., 0] >= -linalg.EIG_ZERO_BAND * np.maximum(1.0, w[..., -1]))
 
-    gens = [trial_rng(draw(st.integers(0, 2**32 - 1), label="seed"), k) for k in range(m)]
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
     with np.errstate(over="ignore", invalid="ignore"):  # blown-up rows freeze
-        blocks = draw_increments(gens, 40, dt, (2, 2), np.empty((m, 40 * 4)))
-        advance(stepper, np.zeros(2), means0, P0, m, blocks, check)
+        blocks = draw_increments(trial_rng(seed, 0), trial_states(seed, 0, m), 40, dt, (2, 2),
+                                 np.empty((m, 40 * 4)))
+        # a linear model's shared covariance steps through the run's flow
+        advance(stepper, np.zeros(2), means0, P0, m, blocks, check, RiccatiFlow(n_f, 2, 2, 40))
     assert steps_seen == list(range(41))  # step 0 is checked too
 
 

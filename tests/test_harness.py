@@ -372,17 +372,7 @@ def test_engine_matches_single_trial_api_bitwise(case):
             assert np.array_equal(res.delta_sq[trial], rec.delta)
 
 
-@settings(max_examples=20, deadline=None, database=None)
-@given(data=st.data())
-def test_engine_invariant_to_chunk_size(data):
-    n_trials = data.draw(st.integers(1, 40), label="n_trials")
-    # one-row chunks are where a width-dependent product shows most often
-    chunk = data.draw(st.just(1) | st.integers(1, n_trials), label="chunk")
-    n_filters = data.draw(st.integers(1, 3), label="n_filters")
-    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    model, obs = data.draw(
-        st.sampled_from([(QC2, OBS2), (QC2_SKEW, OBS2_SKEW), (LIN2, OBS2_SKEW)]), label="model"
-    )
+def _assert_chunk_invariant(model, obs, n_trials, chunk, n_filters, seed):
     filters = [(np.array([1.0 - f, 0.5 * f]), (0.5 + f) * np.eye(2)) for f in range(n_filters)]
 
     def run():
@@ -400,10 +390,33 @@ def test_engine_invariant_to_chunk_size(data):
         assert (a is None and b is None) or np.array_equal(a, b), name
 
 
+@settings(max_examples=20, deadline=None, database=None)
+@given(data=st.data())
+def test_engine_invariant_to_chunk_size(data):
+    n_trials = data.draw(st.integers(1, 40), label="n_trials")
+    # one-row chunks are where a width-dependent product shows most often
+    chunk = data.draw(st.just(1) | st.integers(1, n_trials), label="chunk")
+    n_filters = data.draw(st.integers(1, 3), label="n_filters")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    model, obs = data.draw(
+        st.sampled_from([(QC2, OBS2), (QC2_SKEW, OBS2_SKEW), (LIN2, OBS2_SKEW)]), label="model"
+    )
+    _assert_chunk_invariant(model, obs, n_trials, chunk, n_filters, seed)
+
+
+@pytest.mark.parametrize("model, obs", [(QC2, OBS2), (LIN2, OBS2_SKEW)], ids=["qc2", "lin2"])
+def test_engine_chunks_of_one_trial_match_the_whole_width(model, obs):
+    # at one trial per chunk a per-row covariance has the shape of a shared
+    # one, so only the Jacobian tells the engine whether the run's shared
+    # Riccati flow applies
+    _assert_chunk_invariant(model, obs, 6, 1, 2, 2024)
+
+
 @pytest.mark.parametrize("frozen", [False, True])
 def test_linear_engine_projects_one_covariance_per_filter(monkeypatch, frozen):
     # a linear model's Riccati flow ignores the data: one covariance per
-    # filter until a filter freezes, then one per trial and filter
+    # filter and step for the whole run, however many chunks share it, until
+    # a filter freezes; from then on each chunk steps one per trial and filter
     rows = []
     project = linalg.psd_project_stack
 
@@ -416,12 +429,23 @@ def test_linear_engine_projects_one_covariance_per_filter(monkeypatch, frozen):
     if frozen:
         filters.append((np.array([5e8, 0.0]), np.eye(2)))
     n_f, m, steps = len(filters), 7, 30
-    res = run_ensemble(
-        LIN2, OBS2_SKEW, np.zeros(2), filters, 0.01, steps, m, 44, checkpoint_steps=[steps],
-    )
-    # the frozen third filter is read by no estimator, so no trial is diverged
-    assert not res.diverged.any()
-    assert rows == ([n_f] + [n_f * m] * (steps - 1) if frozen else [n_f] * steps)
+    want = {
+        (False, 7): [n_f] * steps,
+        (False, 3): [n_f] * steps,
+        (True, 7): [n_f] + [n_f * 7] * (steps - 1),
+        # the first chunk's step 0 writes the shared flow; the freeze then
+        # widens every chunk, whose later steps are its own: 3 + 3 + 1 trials
+        (True, 3): [n_f] + [n_f * 3] * (steps - 1) + [n_f * 3] * (steps - 1) + [n_f] * (steps - 1),
+    }
+    for chunk in (7, 3):
+        rows.clear()
+        monkeypatch.setattr(estimators, "CHUNK", chunk)
+        res = run_ensemble(
+            LIN2, OBS2_SKEW, np.zeros(2), filters, 0.01, steps, m, 44, checkpoint_steps=[steps],
+        )
+        # the frozen third filter is read by no estimator, so no trial is diverged
+        assert not res.diverged.any()
+        assert rows == want[frozen, chunk], chunk
 
 
 def test_no_command_starts_a_thread(tmp_path, monkeypatch):
@@ -804,6 +828,29 @@ class _RecordedSeedSequence(np.random.SeedSequence):
         self.created.append((self.entropy, tuple(self.spawn_key)))
 
 
+class _StateLog:
+    """A trial generator that records every state set on its bit generator."""
+
+    def __init__(self, gen, log):
+        self._gen, self._log = gen, log
+
+    @property
+    def bit_generator(self):
+        return self
+
+    @property
+    def state(self):
+        return self._gen.bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self._log.append(value)
+        self._gen.bit_generator.state = value
+
+    def standard_normal(self, *args, **kwargs):
+        return self._gen.standard_normal(*args, **kwargs)
+
+
 def test_report_interval_rows_follow_one_rule(tmp_path):
     # every moment, Laplace and Gronwall row is judged the same way
     cfg = _base_config()
@@ -831,13 +878,20 @@ def test_report_streams_are_independent(tmp_path, monkeypatch):
     cfg["gronwall"] = {"a": 1.0, "w": 0.5, "u": 0.3, "v": 0.2, "n_paths": 200}
     path = _write_cfg(tmp_path, cfg)
     monkeypatch.setattr(_RecordedSeedSequence, "created", [])
+    trial_rng, states = estimators.trial_rng, []
+    monkeypatch.setattr(estimators, "trial_rng", lambda seed, k: _StateLog(trial_rng(seed, k), states))
     with mock.patch.object(np.random, "SeedSequence", _RecordedSeedSequence):
         run_cli(["report", "--config", path, "--out", str(tmp_path / "out")])
     keys = _RecordedSeedSequence.created
     repeated = sorted({k for k in keys if keys.count(k) > 1})
     assert not repeated, f"streams used twice: {repeated}"
-    # trials keep (k,); every other stream has its own (purpose, index)
-    assert {k for _, k in keys if len(k) == 1} == {(k,) for k in range(50)}
+    # trials keep (k,): trial k's draws come from exactly one state, the
+    # one numpy seeds from (k,); every other stream has its own (purpose, index)
+    assert states == [np.random.PCG64(np.random.SeedSequence(7, spawn_key=(k,))).state
+                      for k in range(50)]
+    # the one one-word key is the chunk's generator, trial 0's own stream:
+    # any other stream keyed (k,) would share trial k's draws
+    assert [k for _, k in keys if len(k) == 1] == [(0,)]
     # moment and Gronwall rows take a closed-form interval and draw nothing;
     # their retired bootstrap purposes 1 and 5 renumber no other key
     assert sorted(k for _, k in keys if len(k) != 1) == [(2, 0), (3, 0), (3, 1), (4, 0), (4, 1)]

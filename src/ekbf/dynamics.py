@@ -2,16 +2,22 @@
 
 All steppers accept leading batch dimensions.  One driver, advance(), runs
 every coupled simulation: m trials of signal and observation, and a bank
-of filters fed the same observation increments, through every block of
-pre-drawn noise; simulate_coupled passes a whole PathBundle as one block
-at m = 1, the ensemble engine a chunk of trials.  The one drawer,
-draw_increments, fills one buffer with one draw per trial per block from
-the trial's counter-derived stream, so a PathBundle and a batched run see
-the same increments.  Every product in a step is a linalg.matvec (ascending
-multiply-adds) or one small matrix product per covariance, so a row's bits
-do not depend on the batch width and the two callers agree bit for bit.
-Stepper(model, dt, obs) always has a sensor; the noise-free flow needs
-none, so deterministic_flow runs its own RK4 stages on model.drift.
+of filters fed the same observation increments, through every tile of
+pre-drawn noise; simulate_coupled passes a whole PathBundle as one tile at
+m = 1, the ensemble engine a chunk of trials.  The trials' state is one
+array, the signal stacked over the filter means, and each step is one
+kernel call, Stepper.filter_step, which evaluates the drift and the sensor
+once on the whole stack.  While no filter has frozen, one whole-array test
+stands for the divergence guard.  The one drawer, draw_increments, fills
+one buffer with one draw per trial per block from the trial's
+counter-derived stream, then hands each block over time-major, TILE steps
+at a time and scaled on that copy, so a step reads contiguous rows; a
+PathBundle and a batched run see the same increments.  Every product in a
+step is a linalg.matvec (ascending multiply-adds) or one small matrix
+product per covariance, so a row's bits do not depend on the batch width
+and the two callers agree bit for bit.  Stepper(model, dt, obs) always has
+a sensor; the noise-free flow needs none, so deterministic_flow runs its
+own RK4 stages on model.drift.
 
 This module is the one home of the seeding policy.  Trial k's stream is
 numpy's PCG64 seeded by SeedSequence(seed, spawn_key=(k,)); trial_states
@@ -43,6 +49,10 @@ from .models import ObservationModel
 # steps, signal block first then observation block.  Changing it would change
 # every seeded result, so treat it as part of the on-disk format.
 NOISE_BLOCK = 4096
+
+# The drawer hands each block to the stepper time-major, this many steps at
+# a time.  Like the engine's chunk size, it changes no result.
+TILE = 16
 
 # A filter whose mean norm or covariance trace passes this guard is recorded
 # as diverged and frozen rather than allowed to overflow.
@@ -133,8 +143,14 @@ def trial_states(seed: int, lo: int, hi: int) -> list:
     return states
 
 
-def draw_increments(gen, states, steps: int, dt: float, dims, buf: np.ndarray):
-    """Yield (start, dW, dV) noise blocks, one PCG64 state per trial.
+def noise_buffers(m: int, steps: int, dims):
+    """The drawer's two buffers for m trials: a block row per trial and a time-major tile."""
+    d, r = dims
+    return np.empty((m, min(NOISE_BLOCK, steps) * (d + r))), np.empty((min(TILE, steps), m, d + r))
+
+
+def draw_increments(gen, states, steps: int, dt: float, dims, buf: np.ndarray, tile: np.ndarray):
+    """Yield (start, noise) tiles of increments, one PCG64 state per trial.
 
     gen is a Generator over PCG64; before each trial's draw it is set to
     that trial's state (trial_states), so one generator serves every trial
@@ -142,14 +158,21 @@ def draw_increments(gen, states, steps: int, dt: float, dims, buf: np.ndarray):
     read back after its draw only when another block follows.  dims is
     (signal_dim, obs_dim); buf (m_max, n) holds at least len(states) trials
     of min(NOISE_BLOCK, steps) * sum(dims) normals.  Per block, one draw per
-    trial fills its row with its signal block, then its observation block;
-    dW (m, nb, signal_dim) and dV (m, nb, obs_dim) are views of buf,
-    variance dt per coordinate, valid until the next draw.
+    trial fills its row with its signal block, then its observation block.
+    The block is then handed over time-major, a tile of at most
+    tile.shape[0] steps at a time: tile (n_t, m_max, sum(dims)) takes the
+    tile's increments, scaled by sqrt(dt) on the copy, and noise =
+    tile[:nt, :m] is yielded, valid until the next tile.  Row j of noise is
+    step start + j: noise[j, i] holds trial i's signal increment, then its
+    observation increment, each of variance dt per coordinate.  The tile
+    length moves no bit.
     """
     (d, r), states, root = dims, list(states), np.sqrt(dt)
-    m, bits = len(states), gen.bit_generator
+    m, bits, n_t = len(states), gen.bit_generator, tile.shape[0]
     if buf.shape[0] < m or buf.shape[1] < min(NOISE_BLOCK, steps) * (d + r):
         raise DimensionMismatch("the noise buffer holds fewer trials or steps than a block")
+    if tile.shape[1] < m or tile.shape[2] != d + r:
+        raise DimensionMismatch("the noise tile holds fewer trials than a block or rows of another width")
     for start in range(0, steps, NOISE_BLOCK):
         nb = min(NOISE_BLOCK, steps - start)
         block = buf[:m, : nb * (d + r)]
@@ -158,8 +181,12 @@ def draw_increments(gen, states, steps: int, dt: float, dims, buf: np.ndarray):
             gen.standard_normal(block[j].shape, out=block[j])
             if start + nb < steps:
                 states[j] = bits.state
-        block *= root
-        yield start, block[:, : nb * d].reshape(m, nb, d), block[:, nb * d :].reshape(m, nb, r)
+        W, V = block[:, : nb * d].reshape(m, nb, d), block[:, nb * d :].reshape(m, nb, r)
+        for t in range(0, nb, n_t):
+            noise = tile[: min(n_t, nb - t), :m]
+            np.multiply(W[:, t : t + len(noise)].swapaxes(0, 1), root, out=noise[..., :d])
+            np.multiply(V[:, t : t + len(noise)].swapaxes(0, 1), root, out=noise[..., d:])
+            yield start + t, noise
 
 
 @dataclass(frozen=True)
@@ -190,13 +217,12 @@ def make_path_bundle(
         raise InvalidArgument("steps must be positive")
     if dt <= 0.0:
         raise InvalidArgument("dt must be positive")
+    dims = (signal_dim, obs_dim)
     dW, dV = np.empty((steps, signal_dim)), np.empty((steps, obs_dim))
-    buf = np.empty((1, min(NOISE_BLOCK, steps) * (signal_dim + obs_dim)))
     gen = np.random.Generator(np.random.PCG64())  # its state is set to the trial's before drawing
-    blocks = draw_increments(gen, states, steps, dt, (signal_dim, obs_dim), buf)
-    for start, w, v in blocks:
-        dW[start : start + w.shape[1]] = w[0]
-        dV[start : start + v.shape[1]] = v[0]
+    for start, noise in draw_increments(gen, states, steps, dt, dims, *noise_buffers(1, steps, dims)):
+        dW[start : start + len(noise)] = noise[:, 0, :signal_dim]
+        dV[start : start + len(noise)] = noise[:, 0, signal_dim:]
     return PathBundle(dt=dt, dW=dW, dV=dV)
 
 
@@ -231,55 +257,81 @@ class Stepper:
         self.R1_sqrt = linalg.sym_sqrt(model.R1)
 
     def signal_step(self, x: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        """Euler-Maruyama update of the state equation."""
+        """Euler-Maruyama update of the state equation alone; filter_step steps z[0] the same way."""
         return x + self.model.drift(x) * self.dt + linalg.matvec(self.R1_sqrt, dw)
 
     def obs_increment(self, x: np.ndarray, dv: np.ndarray) -> np.ndarray:
-        """Sensor increment dY generated by the state x over one step."""
+        """Sensor increment dY generated by the state x over one step, as filter_step forms it."""
         return linalg.matvec(self.obs.B, x) * self.dt + linalg.matvec(self.obs.R2_sqrt, dv)
 
-    def filter_step(self, xhat, P, dy, active, flow=None, k: int = 0):
-        """One explicit Euler step of the mean and covariance recursions.
+    def filter_step(self, z, P, noise, active=None, flow=None, k: int = 0):
+        """One explicit Euler step of the signal and of its filter bank.
 
-        Batched over leading dimensions, which broadcast: xhat (..., d),
-        P (..., d, d) and dy (..., r) may each carry size-1 axes where the
-        others do not.  A P shared by many rows stays shared while the
-        Jacobian is state-independent, so its Riccati step runs once; a
-        state-dependent Jacobian widens it to one P per row.  Given a
-        RiccatiFlow whose shared covariance after k steps is P, a
-        state-independent Jacobian reads the flow's row k (the gain, the
-        next covariance and its guard verdict), which the first caller to
-        reach step k writes.  Rows that are not active, or where the update
-        leaves the admissible region, keep their previous value (which
-        widens a shared P) and are reported in the returned boolean mask
-        (True = still healthy).  The covariance is symmetrized and
-        eigenvalue-clipped after every step.
+        z (1 + n_f, ..., d) stacks the signal z[0] over the filter means
+        z[1:], and noise (..., d + r) holds the step's signal increment dw,
+        then its observation increment dv.  One pass evaluates drift(z) and
+        B z dt for every row, forms the observation increment
+        dy = sqrt(R2) dv + B z[0] dt, moves each filter mean by its gain
+        times its innovation dy - B z[1:] dt, and the signal by sqrt(R1) dw.
+        The bank is batched over leading dimensions, which broadcast:
+        P (n_f, ..., d, d) may carry size-1 axes where z does not.  A P
+        shared by many rows stays shared while the Jacobian is
+        state-independent, so its Riccati step runs once; a state-dependent
+        Jacobian widens it to one P per row.  Given a RiccatiFlow whose
+        shared covariance after k steps is P, a state-independent Jacobian
+        reads the flow's row k (the gain, the next covariance and its guard
+        verdicts), which the first caller to reach step k writes.  The
+        covariance is symmetrized and eigenvalue-clipped after every step.
+
+        active is the (n_f, ...) mask of the filters still stepping, or True
+        or None when all are.  Filters that are not active, or whose update
+        leaves the admissible region, keep their previous mean and
+        covariance (which widens a shared P); the signal is never guarded.
+        Returns the next z and P and the mask of healthy filters.  While
+        every filter is active, one whole-array test stands for the guard,
+        and the mask and the freeze are built only when it fails; then, for
+        active=None, the returned mask is None as long as no filter froze.
         """
-        dt, obs = self.dt, self.obs
-        J = self.model.drift_jacobian(xhat)
+        dt, obs, model = self.dt, self.obs, self.model
+        d, xh = z.shape[-1], z[1:]
+        J = model.drift_jacobian(xh)
         if flow is not None and np.ndim(J) == 2:
-            if flow.filled == k:
+            if len(flow.fine) == k:
                 flow.gain[k], flow.P[k] = self._covariance_step(P, J)
                 flow.ok[k] = _covariance_ok(flow.P[k])
-                flow.filled += 1
-            gain, new_P, P_ok = flow.gain[k], flow.P[k], flow.ok[k]
+                flow.fine.append(bool(flow.ok[k].all()))
+            gain, new_P = flow.gain[k], flow.P[k]
+            P_ok = True if flow.fine[k] else flow.ok[k]
         else:
             gain, new_P = self._covariance_step(P, J)
             # per-row verdicts only when a whole-array check fails
             fine = np.abs(linalg.trace_stack(new_P)).max() <= DIVERGENCE_GUARD
             P_ok = True if fine and np.isfinite(new_P).all() else _covariance_ok(new_P)
-        innovation = dy - linalg.matvec(obs.B, xhat) * dt
-        new_x = xhat + self.model.drift(xhat) * dt + linalg.matvec(gain, innovation)
+        # in place on fresh arrays: each sum is the one the separate signal,
+        # sensor and filter updates formed, with its two terms commuted
+        Bz = linalg.matvec(obs.B, z)
+        Bz *= dt
+        dy = linalg.matvec(obs.R2_sqrt, noise[..., d:])
+        dy += Bz[0]
+        new_z = model.drift(z) * dt
+        new_z += z
+        new_z[0] += linalg.matvec(self.R1_sqrt, noise[..., :d])
+        new_z[1:] += linalg.matvec(gain, dy - Bz[1:])
 
         # |x|^2 <= GUARD^2 exactly when |x| <= GUARD, and is False for a NaN
         # or infinite mean, so only P needs its own finiteness check
-        healthy = (linalg.sumsq(new_x) <= DIVERGENCE_GUARD**2) & active
-        if not (healthy.all() and np.all(P_ok)):
-            healthy &= P_ok
+        sq = linalg.sumsq(new_z[1:])
+        every = active is None or active is True
+        if every and P_ok is True and sq.max() <= DIVERGENCE_GUARD**2:
+            return new_z, new_P, None if active is None else np.ones(sq.shape, dtype=bool)
+        healthy = (sq <= DIVERGENCE_GUARD**2) & P_ok
+        if not every:
+            healthy &= active
+        if not healthy.all():
             keep = healthy[..., None]
-            new_x = np.where(keep, new_x, xhat)
+            new_z[1:] = np.where(keep, new_z[1:], xh)
             new_P = np.where(keep[..., None], new_P, P)
-        return new_x, new_P, healthy
+        return new_z, new_P, healthy
 
     def _covariance_step(self, P, J):
         """The gain P @ gain_map and the projected Euler step of the Riccati flow from P."""
@@ -298,10 +350,11 @@ class RiccatiFlow:
 
     Row k holds step k of a state-independent Riccati flow, counting from
     0: gain[k] (n_f, 1, d, r) the gain the step used, P[k] (n_f, 1, d, d)
-    the covariance it yields, after k + 1 steps, and ok[k] (n_f, 1) the
-    guard verdict on P[k].  Rows below filled are written: the first chunk
-    to reach step k writes row k and every later chunk reads it, so a
-    shared Riccati step runs once per filter per run.  The arrays are
+    the covariance it yields, after k + 1 steps, ok[k] (n_f, 1) the guard
+    verdict on P[k], and fine[k] the one bool "every row of ok[k] holds".
+    The first len(fine) rows are written: the first chunk to reach step k
+    writes row k and every later chunk reads it, so a shared Riccati step
+    and its guard reduction run once per filter per run.  The arrays are
     allocated once, for every step.
     """
 
@@ -309,7 +362,7 @@ class RiccatiFlow:
         self.P = np.empty((steps, n_f, 1, d, d))
         self.gain = np.empty((steps, n_f, 1, d, r))
         self.ok = np.empty((steps, n_f, 1), dtype=bool)
-        self.filled = 0
+        self.fine = []
 
 
 def deterministic_flow(model, x0, dt: float, steps: int) -> np.ndarray:
@@ -344,36 +397,36 @@ def initial_bank(filters, d: int):
 
 
 def advance(stepper: Stepper, x0, means0, covs0, m: int, blocks, on_step, flow=None):
-    """Run m trials from x0 (d,) and their filter bank through every noise block.
+    """Run m trials from x0 (d,) and their filter bank through every noise tile.
 
-    The bank starts at initial_bank's means0 and covs0 and is xh (n_f, m, d),
-    P (n_f, m_P, d, d) with m_P 1 or m, and the health mask active (n_f, m):
-    filter f of trial i is xh[f, i], and its covariance is P[f, 0] while the
-    filter's covariance is shared by all trials, P[f, i] once it is not.
-    blocks yields (start, dW, dV) with dW (m, nb, d) and dV (m, nb, r), as
-    draw_increments does; the observation increment (m, r) broadcasts
-    against every filter of a trial.  Filters that trip the divergence guard
+    The trials' state is one array z (1 + n_f, m, d): the signal z[0] and,
+    from initial_bank's means0 and covs0, the filter means z[1:], with
+    P (n_f, m_P, d, d), m_P 1 or m.  Filter f of trial i is z[1 + f, i],
+    and its covariance is P[f, 0] while the filter's covariance is shared
+    by all trials, P[f, i] once it is not.  blocks yields (start, noise)
+    with noise (nt, m, d + r), as draw_increments does, and each step is one
+    Stepper.filter_step on z.  Filters that trip the divergence guard
     freeze.  flow, a RiccatiFlow of the run that started at covs0, serves
     the shared covariance until a frozen row widens P; from then on this
     call steps its own.  on_step(k, x, xh, P) is called at step 0 and after
-    every step k.  Returns the final health mask.
+    every step k, with the views x = z[0] and xh = z[1:].  Returns the
+    final (n_f, m) health mask.
     """
-    x = np.repeat(x0[None], m, axis=0)
-    xh = np.repeat(means0[:, None], m, axis=1)
+    n_f, d = means0.shape
+    z = np.empty((1 + n_f, m, d))
+    z[0], z[1:] = x0, means0[:, None]
     # every filter starts with one covariance, shared by all trials
     P = covs0[:, None]
-    active = np.ones((len(means0), m), dtype=bool)
-    on_step(0, x, xh, P)
-    for start, dW, dV in blocks:
-        for j in range(dW.shape[1]):
-            dy = stepper.obs_increment(x, dV[:, j])
-            xh, P, active = stepper.filter_step(xh, P, dy, active, flow, start + j)
+    active = None  # no filter has frozen, so no mask is kept
+    on_step(0, z[0], z[1:], P)
+    for start, noise in blocks:
+        for j in range(len(noise)):
+            z, P, active = stepper.filter_step(z, P, noise[j], active, flow, start + j)
             # a frozen row widened P: it no longer follows the shared flow
-            if flow is not None and not active.all():
+            if active is not None:
                 flow = None
-            x = stepper.signal_step(x, dW[:, j])
-            on_step(start + j + 1, x, xh, P)
-    return active
+            on_step(start + j + 1, z[0], z[1:], P)
+    return np.ones((n_f, m), dtype=bool) if active is None else active
 
 
 def bank_delta_sq(xh, P) -> np.ndarray:
@@ -430,7 +483,7 @@ def simulate_coupled(
 ) -> TrialRecord:
     """Run one signal/observation path and a bank of filters on it.
 
-    This is advance() at m = 1 with the whole bundle as its one block.
+    This is advance() at m = 1 with the whole bundle as its one tile.
     Every filter sees the identical observation increments.  Filters that
     trip the divergence guard freeze and are flagged rather than aborting
     the trial.
@@ -461,8 +514,9 @@ def simulate_coupled(
             if delta is not None:
                 delta[i] = bank_delta_sq(xh, P)[0]
 
-    block = (0, bundle.dW[None], bundle.dV[None])
-    active = advance(stepper, x0, means0, covs0, 1, [block], record)[:, 0]
+    # the whole bundle is one time-major tile of one trial
+    noise = np.concatenate([bundle.dW, bundle.dV], axis=1)[:, None]
+    active = advance(stepper, x0, means0, covs0, 1, [(0, noise)], record)[:, 0]
 
     return TrialRecord(
         times=rec_idx * bundle.dt,

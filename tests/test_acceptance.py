@@ -146,10 +146,10 @@ def test_criterion_5_riccati_cross_check():
     model = LinearModel(np.array([[-1.0]]), np.array([[1.0]]))
     obs = observation_params(np.array([[1.0]]), np.array([[1.0]]))
     stepper = Stepper(model, 1e-3, obs)
-    x = np.zeros((1, 1))
+    z = np.zeros((2, 1))  # the signal and one filter mean, at rest
     P = np.ones((1, 1, 1))
     for _ in range(20_000):
-        x, P, ok = stepper.filter_step(x, P, np.zeros((1, 1)), active=True)
+        z, P, ok = stepper.filter_step(z, P, np.zeros(2), active=True)
         assert ok.all()
     got = float(P[0, 0, 0])
     want = np.sqrt(2.0) - 1.0

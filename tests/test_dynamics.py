@@ -8,6 +8,7 @@ from ekbf import linalg
 from ekbf.dynamics import (
     DIVERGENCE_GUARD,
     NOISE_BLOCK,
+    TILE,
     FilterState,
     RiccatiFlow,
     Stepper,
@@ -16,6 +17,7 @@ from ekbf.dynamics import (
     deterministic_flow,
     draw_increments,
     make_path_bundle,
+    noise_buffers,
     simulate_coupled,
     trial_rng,
     trial_states,
@@ -49,18 +51,22 @@ def test_path_bundle_reproducible_and_blocked():
 
 
 def test_draw_increments_fills_the_given_buffers():
-    # every block is a view of the buffer, the last one shorter
-    steps = NOISE_BLOCK + 10
-    buf = np.empty((3, NOISE_BLOCK * 3))
+    # each block is drawn into the block buffer and handed over time-major,
+    # TILE steps at a time through views of the tile buffer, the block's
+    # last tile shorter; the block buffer keeps the unscaled draws
+    steps, dt = NOISE_BLOCK + 10, 0.01
+    buf, tile = np.empty((3, NOISE_BLOCK * 3)), np.empty((TILE, 3, 3))
     shapes = []
-    blocks = draw_increments(trial_rng(9, 0), trial_states(9, 0, 2), steps, 0.01, (2, 1), buf)
-    for start, dW, dV in blocks:
-        assert np.shares_memory(dW, buf) and np.shares_memory(dV, buf)
-        shapes.append((start, dW.shape, dV.shape))
-    assert shapes == [(0, (2, NOISE_BLOCK, 2), (2, NOISE_BLOCK, 1)),
-                      (NOISE_BLOCK, (2, 10, 2), (2, 10, 1))]
-    bundle = make_path_bundle(seed=9, trial=1, steps=steps, dt=0.01, signal_dim=2, obs_dim=1)
-    assert np.array_equal(buf[1, :20].reshape(10, 2), bundle.dW[NOISE_BLOCK:])
+    blocks = draw_increments(trial_rng(9, 0), trial_states(9, 0, 2), steps, dt, (2, 1), buf, tile)
+    for start, noise in blocks:
+        assert np.shares_memory(noise, tile) and not np.shares_memory(noise, buf)
+        shapes.append((start, noise.shape))
+    assert shapes == [(lo + t, (min(TILE, n - t), 2, 3))
+                      for lo, n in ((0, NOISE_BLOCK), (NOISE_BLOCK, 10)) for t in range(0, n, TILE)]
+    bundle = make_path_bundle(seed=9, trial=1, steps=steps, dt=dt, signal_dim=2, obs_dim=1)
+    assert np.array_equal(buf[1, :20].reshape(10, 2) * np.sqrt(dt), bundle.dW[NOISE_BLOCK:])
+    assert np.array_equal(noise[:, 1, :2], bundle.dW[NOISE_BLOCK:])
+    assert np.array_equal(noise[:, 1, 2:], bundle.dV[NOISE_BLOCK:])
 
 
 class _CountingGenerator:
@@ -77,29 +83,39 @@ class _CountingGenerator:
 
 def test_one_buffer_drawer_matches_the_stream_order():
     # each trial fills its [signal block | observation block] row with one
-    # draw, so the yielded increments are a signal draw followed by an
-    # observation draw from the trial's stream, the short last block too; a
+    # draw, so the handed-over increments are a signal draw followed by an
+    # observation draw from the trial's stream, scaled by sqrt(dt), the
+    # short last block too; every step is handed over once, in order; a
     # buffer with too few trials or steps is refused rather than drawn short
     steps, m, d, r, dt = NOISE_BLOCK + 3, 2, 2, 1, 0.01
-    buf = np.empty((m, NOISE_BLOCK * (d + r)))
+    buf, tile = np.empty((m, NOISE_BLOCK * (d + r))), np.empty((3, m, d + r))
     sizes = []
     gen, states = _CountingGenerator(trial_rng(5, 0), sizes), trial_states(5, 0, m)
-    refs = [trial_rng(5, k) for k in range(m)]
-    starts = []
-    for start, dW, dV in draw_increments(gen, states, steps, dt, (d, r), buf):
-        nb = min(NOISE_BLOCK, steps - start)
-        assert dW.shape == (m, nb, d) and dV.shape == (m, nb, r)
-        for j, ref in enumerate(refs):
-            assert np.array_equal(dW[j], ref.standard_normal((nb, d)) * np.sqrt(dt))
-            assert np.array_equal(dV[j], ref.standard_normal((nb, r)) * np.sqrt(dt))
-        starts.append(start)
-    assert starts == [0, NOISE_BLOCK]
+    want_w, want_v = np.empty((steps, m, d)), np.empty((steps, m, r))
+    for j in range(m):
+        ref = trial_rng(5, j)
+        for start in (0, NOISE_BLOCK):
+            nb = min(NOISE_BLOCK, steps - start)
+            want_w[start : start + nb, j] = ref.standard_normal((nb, d)) * np.sqrt(dt)
+            want_v[start : start + nb, j] = ref.standard_normal((nb, r)) * np.sqrt(dt)
+    seen = []
+    for start, noise in draw_increments(gen, states, steps, dt, (d, r), buf, tile):
+        nt = len(noise)
+        assert noise.shape == (nt, m, d + r) and 1 <= nt <= 3
+        assert np.array_equal(noise[..., :d], want_w[start : start + nt])
+        assert np.array_equal(noise[..., d:], want_v[start : start + nt])
+        seen += range(start, start + nt)
+    assert seen == list(range(steps))
     # one call per trial per block, each naming its size
     assert sizes == [(NOISE_BLOCK * (d + r),)] * m + [(3 * (d + r),)] * m
     with pytest.raises(DimensionMismatch):  # one trial short
-        next(draw_increments(gen, states, steps, dt, (d, r), buf[: m - 1]))
+        next(draw_increments(gen, states, steps, dt, (d, r), buf[: m - 1], tile))
     with pytest.raises(DimensionMismatch):  # one step short
-        next(draw_increments(gen, states, steps, dt, (d, r), buf[:, : (NOISE_BLOCK - 1) * (d + r)]))
+        next(draw_increments(gen, states, steps, dt, (d, r), buf[:, : (NOISE_BLOCK - 1) * (d + r)], tile))
+    with pytest.raises(DimensionMismatch):  # a tile one trial short
+        next(draw_increments(gen, states, steps, dt, (d, r), buf, tile[:, : m - 1]))
+    with pytest.raises(DimensionMismatch):  # a tile of rows of another width
+        next(draw_increments(gen, states, steps, dt, (d, r), buf, tile[..., :d]))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**128 + 1])
@@ -134,6 +150,14 @@ def test_trial_states_refuse_what_numpy_keys_otherwise():
         make_path_bundle(seed=3, trial=-1, steps=5, dt=0.01, signal_dim=1, obs_dim=1)
 
 
+def _signal_step(stepper, x, dw):
+    """The signal row of one filter_step from x, beside one filter started at x."""
+    d = x.shape[-1]
+    P = np.eye(d).reshape((1,) * x.ndim + (d, d))
+    noise = np.concatenate([dw, np.zeros(dw.shape[:-1] + (stepper.obs.obs_dim,))], axis=-1)
+    return stepper.filter_step(np.stack([x, x]), P, noise)[0][0]
+
+
 def test_ou_variance_matches_closed_form():
     # batched Euler paths of dX = -X dt + dW from 0; Var X_T = (1 - e^{-2T})/2
     n, steps, dt = 2000, 500, 0.01
@@ -141,7 +165,7 @@ def test_ou_variance_matches_closed_form():
     rng = np.random.default_rng(77)
     x = np.zeros((n, 1))
     for _ in range(steps):
-        x = stepper.signal_step(x, rng.standard_normal((n, 1)) * np.sqrt(dt))
+        x = _signal_step(stepper, x, rng.standard_normal((n, 1)) * np.sqrt(dt))
     var = float(np.mean(x**2))
     want = 0.5 * (1.0 - np.exp(-2.0 * steps * dt))
     assert var == pytest.approx(want, rel=0.12)
@@ -151,9 +175,9 @@ def test_riccati_converges_to_algebraic_root():
     # scalar filter covariance: dP/dt = -2P + 1 - P^2, fixed point sqrt(2) - 1
     stepper = Stepper(OU, 1e-3, OBS1)
     P = np.array([[[1.0]]])
-    x = np.array([[0.0]])
+    z = np.array([[0.0], [0.0]])  # the signal and one filter mean, at rest
     for _ in range(10000):
-        x, P, ok = stepper.filter_step(x, P, np.zeros((1, 1)), active=True)
+        z, P, ok = stepper.filter_step(z, P, np.zeros(2), active=True)
         assert ok.all()
     assert P[0, 0, 0] == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-3)
 
@@ -171,8 +195,8 @@ def test_coupled_trajectories_contract_pathwise():
     gap0 = np.linalg.norm(x[0] - y[0])
     for k in range(steps):
         dw = rng.standard_normal((20, 2)) * np.sqrt(dt)
-        x = stepper.signal_step(x, dw)
-        y = stepper.signal_step(y, dw)
+        x = _signal_step(stepper, x, dw)
+        y = _signal_step(stepper, y, dw)
         t = (k + 1) * dt
         gaps = np.linalg.norm(x - y, axis=1)
         assert np.all(gaps <= gap0 * np.exp(-lam * t) * (1.0 + 10.0 * dt))
@@ -199,7 +223,7 @@ def test_signal_step_first_order_in_dt():
         stepper = Stepper(OU, dt, OBS1)
         x = np.array([1.0])
         for _ in range(int(round(1.0 / dt))):
-            x = stepper.signal_step(x, np.zeros(1))
+            x = _signal_step(stepper, x, np.zeros(1))
         return float(x[0])
 
     err1 = abs(endpoint(0.01) - np.exp(-1.0))
@@ -229,10 +253,18 @@ def test_divergence_guard_freezes_and_flags():
     assert np.all(rec.means[1] == 5e8)
 
 
-def _guarded_step_by_formula(stepper, xhat, P, dy, active):
-    """The Euler step with the divergence mask written out from its definition."""
+def _guarded_step_by_formula(stepper, z, P, noise, active):
+    """The Euler step with the divergence mask written out from its definition.
+
+    The signal z[0] moves by its own Euler-Maruyama step and feeds the
+    observation increment; only the filter means z[1:] are guarded.
+    """
     dt, guard, model, obs = stepper.dt, DIVERGENCE_GUARD, stepper.model, stepper.obs
     mv = lambda M, v: np.einsum("...ij,...j->...i", M, v)  # noqa: E731
+    d = z.shape[-1]
+    x, xhat, dw, dv = z[0], z[1:], noise[..., :d], noise[..., d:]
+    dy = mv(obs.B, x) * dt + mv(obs.R2_sqrt, dv)
+    new_signal = (x + model.drift(x) * dt + mv(stepper.R1_sqrt, dw))[None]
     gain = np.matmul(P, obs.gain_map)
     new_x = xhat + model.drift(xhat) * dt + mv(gain, dy - mv(obs.B, xhat) * dt)
     JP = np.matmul(model.drift_jacobian(xhat), P)
@@ -244,48 +276,72 @@ def _guarded_step_by_formula(stepper, xhat, P, dy, active):
     healthy &= np.abs(np.einsum("...ii->...", new_P)) <= guard
     healthy &= active
     if healthy.all():  # nothing froze: a shared covariance stays shared
-        return new_x, new_P, healthy
+        return np.concatenate([new_signal, new_x]), new_P, healthy
     keep = healthy[..., None]
-    return np.where(keep, new_x, xhat), np.where(keep[..., None], new_P, P), healthy
+    return (np.concatenate([new_signal, np.where(keep, new_x, xhat)]),
+            np.where(keep[..., None], new_P, P), healthy)
 
 
 def test_filter_step_guard_matches_its_formula():
     # a bank of 2 filters x 4 trials at d = 2: per-row covariances with one
     # all-healthy row, a NaN covariance, a mean past the guard and a row
-    # already inactive; then a shared covariance that one frozen row widens
+    # already inactive; then a shared covariance that one frozen row widens.
+    # The signal of trial 1 sits past the guard too, and is never frozen
     model = LinearModel(np.array([[-1.0, 0.3], [0.0, -0.8]]), np.eye(2))
     obs = observation_params(np.array([[1.0, 0.5]]), np.array([[0.7]]))
     stepper = Stepper(model, 0.01, obs)
     rng = np.random.default_rng(21)
-    xhat = rng.standard_normal((2, 4, 2))
-    dy = rng.standard_normal((4, 1)) * 0.1
+    z = rng.standard_normal((3, 4, 2))
+    noise = rng.standard_normal((4, 3)) * 0.1
     P = np.broadcast_to(np.array([[1.0, 0.2], [0.2, 0.5]]), (2, 4, 2, 2)).copy()
     P[1, 1] = np.nan
-    xhat[0, 2] = [2e8, 0.0]
+    z[0, 1] = [3e8, 0.0]
+    z[1, 2] = [2e8, 0.0]
     active = np.ones((2, 4), dtype=bool)
     active[1, 3] = False
     with np.errstate(invalid="ignore"):
-        got = stepper.filter_step(xhat, P, dy, active)
-        want = _guarded_step_by_formula(stepper, xhat, P, dy, active)
+        got = stepper.filter_step(z, P, noise, active)
+        want = _guarded_step_by_formula(stepper, z, P, noise, active)
     for g, w in zip(got, want):
         assert g.shape == w.shape and np.array_equal(g, w, equal_nan=True)
     assert got[2].tolist() == [[True, True, False, True], [True, False, True, False]]
+    assert got[0][0, 1, 0] > DIVERGENCE_GUARD
 
     shared = P[:, :1].copy()
     shared[1] = np.eye(2)
-    got = stepper.filter_step(xhat, shared, dy, np.ones((2, 4), dtype=bool))
-    want = _guarded_step_by_formula(stepper, xhat, shared, dy, np.ones((2, 4), dtype=bool))
+    got = stepper.filter_step(z, shared, noise, np.ones((2, 4), dtype=bool))
+    want = _guarded_step_by_formula(stepper, z, shared, noise, np.ones((2, 4), dtype=bool))
     for g, w in zip(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)
     assert got[1].shape == (2, 4, 2, 2) and np.array_equal(got[1][0, 2], shared[0, 0])
 
-    # an all-healthy step returns the full mask
-    healthy_x = np.where(np.abs(xhat) < 1e3, xhat, 0.0)
-    got = stepper.filter_step(healthy_x, shared, dy, np.ones((2, 4), dtype=bool))
-    want = _guarded_step_by_formula(stepper, healthy_x, shared, dy, True)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and np.array_equal(g, w)
-    assert got[2].all() and got[1].shape == (2, 1, 2, 2)
+    # an all-healthy step returns the full mask, for a mask or True alike,
+    # and None for None, which stands for the mask no caller has built yet
+    healthy_z = np.where(np.abs(z) < 1e3, z, 0.0)
+    want = _guarded_step_by_formula(stepper, healthy_z, shared, noise, True)
+    for active in (np.ones((2, 4), dtype=bool), True, None):
+        got = stepper.filter_step(healthy_z, shared, noise, active)
+        for g, w in zip(got[:2], want[:2]):
+            assert g.shape == w.shape and np.array_equal(g, w)
+        assert got[2] is None if active is None else got[2].shape == (2, 4) and got[2].all()
+        assert got[1].shape == (2, 1, 2, 2)
+
+
+def test_signal_step_and_obs_increment_are_the_kernels_rows():
+    # the signal row of filter_step is signal_step, and its filter rows see
+    # obs_increment's observation increment, bit for bit
+    model, obs = _qc2(), observation_params(np.array([[1.0, 0.5]]), np.array([[0.7]]))
+    stepper = Stepper(model, 0.01, obs)
+    rng = np.random.default_rng(5)
+    z, noise = rng.standard_normal((3, 4, 2)), rng.standard_normal((4, 3)) * 0.1
+    P = np.broadcast_to(np.array([[1.0, 0.2], [0.2, 0.5]]), (2, 1, 2, 2))
+    new_z, _, _ = stepper.filter_step(z, P, noise)
+    assert np.array_equal(new_z[0], stepper.signal_step(z[0], noise[:, :2]))
+    dy = stepper.obs_increment(z[0], noise[:, 2:])
+    gain = P @ obs.gain_map
+    innovation = dy - linalg.matvec(obs.B, z[1:]) * stepper.dt
+    want = z[1:] + model.drift(z[1:]) * stepper.dt + linalg.matvec(gain, innovation)
+    assert np.array_equal(new_z[1:], want)
 
 
 def _spd(draw, scale):
@@ -328,7 +384,7 @@ def test_covariance_psd_and_finite_after_every_step(data):
     seed = draw(st.integers(0, 2**32 - 1), label="seed")
     with np.errstate(over="ignore", invalid="ignore"):  # blown-up rows freeze
         blocks = draw_increments(trial_rng(seed, 0), trial_states(seed, 0, m), 40, dt, (2, 2),
-                                 np.empty((m, 40 * 4)))
+                                 *noise_buffers(m, 40, (2, 2)))
         # a linear model's shared covariance steps through the run's flow
         advance(stepper, np.zeros(2), means0, P0, m, blocks, check, RiccatiFlow(n_f, 2, 2, 40))
     assert steps_seen == list(range(41))  # step 0 is checked too

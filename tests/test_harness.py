@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ekbf import bounds, linalg
+from ekbf import bounds, dynamics, linalg
 from ekbf.dynamics import FilterState, make_path_bundle, simulate_coupled
 from ekbf.errors import ConfigError, InvalidArgument
 from ekbf.harness import cli, estimators, stats
@@ -51,6 +51,10 @@ QC2_SKEW = QuadraticCubicModel(
     np.array([[1.2, 0.3], [0.3, 0.9]]), np.array([0.1, -0.2]), np.array([[1.0, 0.4], [0.4, 0.7]]),
     0.8, np.array([[0.5, 0.1], [0.1, 0.4]]),
 )
+# d = 3, non-normal (A A^T != A^T A), seen through a 2 x 3 sensor
+LIN3 = LinearModel(np.array([[-1.0, 0.8, 0.0], [0.0, -1.2, 0.6], [0.3, 0.0, -0.9]]),
+                   np.array([[0.5, 0.1, 0.0], [0.1, 0.4, 0.05], [0.0, 0.05, 0.3]]))
+OBS3 = observation_params(np.array([[1.0, 0.2, -0.3], [0.0, 1.0, 0.4]]), np.array([[1.0, 0.1], [0.1, 0.5]]))
 
 
 def _ou_ensemble(n_trials=200, steps=100, seed=51, filters=None, record=None):
@@ -347,6 +351,20 @@ BITWISE_CASES = {
         LIN2, OBS2_SKEW, np.zeros(2),
         [(np.zeros(2), np.eye(2)), (np.array([5e8, 0.0]), np.eye(2))],
     ),
+    # a bank of two linear filters at d = 1, the forgetting benchmark's shape
+    "ou-two-filters": (OU, OBS1, np.zeros(1), [(np.zeros(1), np.ones((1, 1))),
+                                               (np.array([2.0]), 0.5 * np.ones((1, 1)))]),
+    "lin3-two-filters": (
+        LIN3, OBS3, np.array([0.3, -0.2, 0.1]),
+        [(np.zeros(3), np.eye(3)), (np.array([1.0, -0.5, 0.2]), 0.5 * np.eye(3))],
+    ),
+    # the signal and filter 0 start just inside the guard on a barely
+    # decaying drift: trials 0, 2 and 4 of the chunk freeze filter 0 after
+    # 28 to 47 healthy steps of the shared flow, trial 3 never does
+    "ou-late-freeze": (
+        LinearModel(np.array([[-1e-9]]), np.array([[1.0]])), OBS1, np.array([1e8 - 0.5]),
+        [(np.array([1e8 - 0.5]), np.ones((1, 1))), (np.zeros(1), np.ones((1, 1)))],
+    ),
 }
 # simulate_coupled takes these cases' plain (mean, cov) pairs unwrapped
 BITWISE_CASES["qc2-plain-tuples"] = BITWISE_CASES["qc2-two-filters"]
@@ -367,22 +385,26 @@ def test_engine_matches_single_trial_api_bitwise(case):
             checkpoint_steps=[steps // 2, steps], record_steps=range(0, steps + 1, 10),
         )
         e = rec.signal[-1] - rec.means[f, -1]
-        assert res.filter_err_sq[trial, 1] == np.einsum("i,i->", e, e)  # bit-for-bit, not approx
+        # bit-for-bit, not approx; the engine sums |e|^2 in ascending order,
+        # which np.einsum matches only up to d = 2
+        assert res.filter_err_sq[trial, 1] == linalg.sumsq(e)
         if f == 0 and len(filters) > 1:
             assert np.array_equal(res.delta_sq[trial], rec.delta)
 
 
-def _assert_chunk_invariant(model, obs, n_trials, chunk, n_filters, seed):
-    filters = [(np.array([1.0 - f, 0.5 * f]), (0.5 + f) * np.eye(2)) for f in range(n_filters)]
+def _assert_engine_unchanged_by(patch, model, obs, n_trials, n_filters, seed):
+    """The arrays of one run equal those of the same run under patch, bit for bit."""
+    d = model.dim
+    filters = [(np.resize([1.0 - f, 0.5 * f], d), (0.5 + f) * np.eye(d)) for f in range(n_filters)]
 
     def run():
         return run_ensemble(
-            model, obs, np.zeros(2), filters, 0.01, 25, n_trials, seed,
+            model, obs, np.zeros(d), filters, 0.01, 25, n_trials, seed,
             checkpoint_steps=[10, 25], record_steps=range(0, 26, 5),
         )
 
     whole = run()
-    with mock.patch.object(estimators, "CHUNK", chunk):
+    with patch:
         split = run()
     for name in ("signal_err_sq", "filter_err_sq", "mean_dev_sq", "trace_gap_max",
                  "diverged", "delta_sq"):
@@ -399,9 +421,11 @@ def test_engine_invariant_to_chunk_size(data):
     n_filters = data.draw(st.integers(1, 3), label="n_filters")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     model, obs = data.draw(
-        st.sampled_from([(QC2, OBS2), (QC2_SKEW, OBS2_SKEW), (LIN2, OBS2_SKEW)]), label="model"
+        st.sampled_from([(QC2, OBS2), (QC2_SKEW, OBS2_SKEW), (LIN2, OBS2_SKEW), (OU, OBS1),
+                         (LIN3, OBS3)]), label="model"
     )
-    _assert_chunk_invariant(model, obs, n_trials, chunk, n_filters, seed)
+    _assert_engine_unchanged_by(mock.patch.object(estimators, "CHUNK", chunk),
+                                model, obs, n_trials, n_filters, seed)
 
 
 @pytest.mark.parametrize("model, obs", [(QC2, OBS2), (LIN2, OBS2_SKEW)], ids=["qc2", "lin2"])
@@ -409,7 +433,16 @@ def test_engine_chunks_of_one_trial_match_the_whole_width(model, obs):
     # at one trial per chunk a per-row covariance has the shape of a shared
     # one, so only the Jacobian tells the engine whether the run's shared
     # Riccati flow applies
-    _assert_chunk_invariant(model, obs, 6, 1, 2, 2024)
+    _assert_engine_unchanged_by(mock.patch.object(estimators, "CHUNK", 1), model, obs, 6, 2, 2024)
+
+
+@pytest.mark.parametrize("tile", [1, 3, 40])
+@pytest.mark.parametrize("model, obs", [(QC2, OBS2), (LIN3, OBS3)], ids=["qc2", "lin3"])
+def test_engine_invariant_to_tile_length(model, obs, tile):
+    # the noise is handed to the stepper in time-major tiles; one step per
+    # tile, tiles that straddle the record grid, and one tile longer than
+    # the 25-step run all give the same bits
+    _assert_engine_unchanged_by(mock.patch.object(dynamics, "TILE", tile), model, obs, 13, 2, 77)
 
 
 @pytest.mark.parametrize("frozen", [False, True])

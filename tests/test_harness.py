@@ -365,6 +365,13 @@ BITWISE_CASES = {
         LinearModel(np.array([[-1e-9]]), np.array([[1.0]])), OBS1, np.array([1e8 - 0.5]),
         [(np.array([1e8 - 0.5]), np.ones((1, 1))), (np.zeros(1), np.ones((1, 1)))],
     ),
+    # behind a sensor too weak to pull it down, the second filter's shared
+    # covariance passes the guard on its first step, so the shared flow's
+    # own verdict freezes it in every trial
+    "ou-covariance-guard": (
+        OU, observation_params(np.array([[1.0]]), np.array([[1e18]])), np.zeros(1),
+        [(np.zeros(1), np.ones((1, 1))), (np.zeros(1), 1.03e8 * np.ones((1, 1)))],
+    ),
 }
 # simulate_coupled takes these cases' plain (mean, cov) pairs unwrapped
 BITWISE_CASES["qc2-plain-tuples"] = BITWISE_CASES["qc2-two-filters"]
@@ -390,6 +397,20 @@ def test_engine_matches_single_trial_api_bitwise(case):
         assert res.filter_err_sq[trial, 1] == linalg.sumsq(e)
         if f == 0 and len(filters) > 1:
             assert np.array_equal(res.delta_sq[trial], rec.delta)
+
+
+@pytest.mark.parametrize("case, frozen", [("ou-late-freeze", [True, False, True, False, True]),
+                                          ("ou-covariance-guard", [True] * 5)])
+def test_engine_freezes_every_trial_as_the_single_trial_api_does(case, frozen):
+    # frozen or not, every trial of the chunk keeps the bits of its own run
+    model, obs, x0, filters = BITWISE_CASES[case]
+    seed, steps, dt = 31, 120, 0.01
+    res = run_ensemble(model, obs, x0, filters, dt, steps, 5, seed, checkpoint_steps=[60, steps])
+    for trial in range(5):
+        bundle = make_path_bundle(seed, trial, steps, dt, model.dim, obs.obs_dim)
+        rec = simulate_coupled(model, obs, x0, [FilterState(*f) for f in filters], bundle, 60)
+        assert res.diverged[trial] == rec.diverged.any() == frozen[trial], trial
+        assert np.array_equal(res.filter_err_sq[trial], linalg.sumsq(rec.signal[1:] - rec.means[0, 1:]))
 
 
 def _assert_engine_unchanged_by(patch, model, obs, n_trials, n_filters, seed):

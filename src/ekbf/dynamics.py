@@ -283,14 +283,14 @@ class Stepper:
         verdicts), which the first caller to reach step k writes.  The
         covariance is symmetrized and eigenvalue-clipped after every step.
 
-        active is the (n_f, ...) mask of the filters still stepping, or True
-        or None when all are.  Filters that are not active, or whose update
-        leaves the admissible region, keep their previous mean and
-        covariance (which widens a shared P); the signal is never guarded.
-        Returns the next z and P and the mask of healthy filters.  While
-        every filter is active, one whole-array test stands for the guard,
-        and the mask and the freeze are built only when it fails; then, for
-        active=None, the returned mask is None as long as no filter froze.
+        active is the (n_f, ...) mask of the filters still stepping, True
+        when all are, or None when all are and the caller keeps no mask.
+        Filters that are not active, or whose update leaves the admissible
+        region, keep their previous mean and covariance (which widens a
+        shared P); the signal is never guarded.  Returns the next z and P
+        and the mask of healthy filters.  With active=None one whole-array
+        test stands for the guard, and while it holds the step builds no
+        mask and returns None for it.
         """
         dt, obs, model = self.dt, self.obs, self.model
         d, xh = z.shape[-1], z[1:]
@@ -321,11 +321,10 @@ class Stepper:
         # |x|^2 <= GUARD^2 exactly when |x| <= GUARD, and is False for a NaN
         # or infinite mean, so only P needs its own finiteness check
         sq = linalg.sumsq(new_z[1:])
-        every = active is None or active is True
-        if every and P_ok is True and sq.max() <= DIVERGENCE_GUARD**2:
-            return new_z, new_P, None if active is None else np.ones(sq.shape, dtype=bool)
+        if active is None and P_ok is True and sq.max() <= DIVERGENCE_GUARD**2:
+            return new_z, new_P, None
         healthy = (sq <= DIVERGENCE_GUARD**2) & P_ok
-        if not every:
+        if active is not None:
             healthy &= active
         if not healthy.all():
             keep = healthy[..., None]

@@ -23,8 +23,8 @@ This module is the one home of the seeding policy.  Trial k's stream is
 numpy's PCG64 seeded by SeedSequence(seed, spawn_key=(k,)); trial_states
 replays that seeding for a whole range of trials in one vectorized uint32
 pass, and the drawer points one generator at each trial's state in turn.
-Every other random stream of the package (Laplace bootstraps, chi-square
-samples, Gronwall paths) comes from stream(), under a key no trial uses.
+Every other random stream of the package (chi-square samples, Gronwall
+paths) comes from stream(), under a key no trial uses.
 
 The bank keeps one covariance per filter while the Riccati flow does not
 depend on the data (a state-independent Jacobian, as for LinearModel) and
@@ -61,10 +61,10 @@ DIVERGENCE_GUARD = 1e8
 
 # Purposes of the streams that are not trial noise.  stream() keys them
 # (purpose, index), and a 2-tuple never equals a trial's 1-tuple key (k,).
-# Like NOISE_BLOCK, these keys are part of the on-disk format.  Purposes 1
-# and 5 are unused; renumbering the others would move their bits.
-EKF_LAPLACE_BOOTSTRAP = 2  # index 0
-CHI2 = 3  # index 0: samples, 1: their bootstrap
+# Like NOISE_BLOCK, these keys are part of the on-disk format.  Purposes 1,
+# 2 and 5 and the key (3, 1) keyed retired bootstraps and stay unused;
+# renumbering the others would move their bits.
+CHI2 = 3  # index 0: samples
 GRONWALL_PATHS = 4  # index 0: homogeneous process, 1: sourced process
 
 

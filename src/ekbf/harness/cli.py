@@ -19,8 +19,9 @@ no positive eigenvalue under the chi-square row, a record grid with fewer
 than 3 times past the forgetting burn-in, a zero-gain sensor under the
 forgetting row, or an --out that cannot be made a directory), 3 when the
 run itself fails (any other EkbfError, e.g. a Laplace row whose every
-sample overflowed or diverged, an OSError while writing a result file, or
-a MemoryError when an array cannot be allocated; a diverged filter
+trial diverged or has a non-finite exponent, an OSError while writing a
+result file, or a MemoryError when an array cannot be allocated; a
+Laplace mean past the float range is a FAIL, and a diverged filter
 freezes and is counted, not raised); 2 and 3
 print a one-line message to stderr.  check prints bounds.bounds_report's
 plain data as JSON, the text it also writes to bounds.json; simulate

@@ -23,9 +23,8 @@ filter.
 
 Every other random stream comes from dynamics.stream under its own
 (purpose, index) key.  The chi-square samples and the two Gronwall
-processes each draw from one stream, and each Laplace row's bootstrap from
-another.  No key equals a trial's, so no interval reuses the noise of the
-trials it summarizes.
+processes each draw from one stream; no interval draws any.  No key equals
+a trial's, so no row reuses the noise of the trials it summarizes.
 
 Estimators compare recorded trial statistics against the closed-form
 envelopes from the bounds module and return plain dict rows ready for CSV
@@ -36,9 +35,11 @@ row is named in ROW_FIELDS, with one meaning per name; a row leaves out the
 fields it has no value for, and never fills them with NaN or a verdict.
 Moment, Laplace and Gronwall rows are 95% intervals of a mean: the
 moment and Gronwall rows normal intervals (stats.normal_mean_ci), the
-heavy-tailed Laplace rows percentile bootstraps (stats.bootstrap_mean_ci).
-_interval_row is the one home of their verdicts: `pass` is ci_low <= bound
-and `oracle_pass` is ci_low <= oracle <= ci_high.  The forgetting row is
+heavy-tailed Laplace rows log-scale intervals of their exponents
+(stats.log_mean_exp_ci).  _interval_row is the one home of their
+verdicts: `pass` is ci_low <= bound and `oracle_pass` is
+ci_low <= oracle <= ci_high, both False when the estimate or an end is
+past the float range, which the row then leaves out.  The forgetting row is
 JSON-only; its verdict and forgetting.csv share forgetting_curves.
 """
 
@@ -51,7 +52,6 @@ import numpy as np
 from .. import bounds, linalg
 from ..dynamics import (
     CHI2,
-    EKF_LAPLACE_BOOTSTRAP,
     GRONWALL_PATHS,
     RiccatiFlow,
     Stepper,
@@ -67,8 +67,10 @@ from ..dynamics import (
     trial_states,
 )
 from ..errors import InvalidArgument
-from .stats import (Z95, EstimateWithCI, bootstrap_mean_ci, fit_decay_rate, increasing_trend_pvalue,
+from .stats import (Z95, EstimateWithCI, fit_decay_rate, increasing_trend_pvalue, log_mean_exp_ci,
                     normal_mean_ci, wilson_interval)
+# no row bootstraps; the name stays here because bench/tracer.py wraps it by name
+from .stats import bootstrap_mean_ci  # noqa: F401
 
 # Trials are processed in fixed chunks, which bounds the noise and state
 # held at once; changing this constant changes no results (noise is
@@ -167,9 +169,19 @@ def run_ensemble(
     # trial states live in this frame, so they go before the next chunk's
     def run_chunk(lo, hi):
         rows, chunk_gap = slice(lo, hi), gap[lo:hi]
+        # while P is shared its trace gap is one number per step, so the
+        # chunk keeps one running max and folds it into its rows once, when
+        # P widens or the chunk ends
+        shared_gap = np.full(1, -np.inf)
 
         def record(s, x, xh, P):
-            np.maximum(chunk_gap, linalg.trace_stack(P[0]) - tau_full[s], out=chunk_gap)
+            nonlocal shared_gap
+            step_gap = linalg.trace_stack(P[0]) - tau_full[s]
+            if shared_gap is not None and step_gap.size > 1:
+                np.maximum(chunk_gap, shared_gap, out=chunk_gap)
+                shared_gap = None
+            into = chunk_gap if shared_gap is None else shared_gap
+            np.maximum(into, step_gap, out=into)
             i = cp_pos[s]
             if i >= 0:
                 sig_err[rows, i] = linalg.sumsq(x - flow_x0[s])
@@ -182,6 +194,8 @@ def run_ensemble(
         blocks = draw_increments(trial_rng(seed, lo), trial_states(seed, lo, hi), steps, dt,
                                  (d, obs.obs_dim), *buffers)
         active = advance(stepper, x0, means0, covs0, hi - lo, blocks, record, flow)
+        if shared_gap is not None:
+            np.maximum(chunk_gap, shared_gap, out=chunk_gap)
         # only filters 0 and 1 are read, so only they mark a trial diverged
         diverged[rows] = ~active[:2].all(axis=0)
 
@@ -251,11 +265,18 @@ def estimate_event_probability(result: EnsembleResult, delta_grid, kind: str) ->
 
 
 def _interval_row(est: EstimateWithCI, bound, paper_ref: str, oracle=None, **fields) -> dict:
-    """The row of interval est against bound and, when given, the exact oracle."""
-    row = {**fields, "estimate": est.point, "ci_low": est.ci_low, "ci_high": est.ci_high,
-           "bound": float(bound), "pass": bool(est.ci_low <= bound), "paper_ref": paper_ref}
+    """The row of interval est against bound and, when given, the exact oracle.
+
+    An estimate or end past the float range is left out of the row, which
+    then FAILs both verdicts.
+    """
+    ends = {"estimate": est.point, "ci_low": est.ci_low, "ci_high": est.ci_high}
+    finite = {name: value for name, value in ends.items() if np.isfinite(value)}
+    held = len(finite) == len(ends)
+    row = {**fields, **finite, "bound": float(bound), "pass": held and bool(est.ci_low <= bound),
+           "paper_ref": paper_ref}
     if oracle is not None:
-        row.update(oracle=float(oracle), oracle_pass=bool(est.ci_low <= oracle <= est.ci_high))
+        row.update(oracle=float(oracle), oracle_pass=held and bool(est.ci_low <= oracle <= est.ci_high))
     return row
 
 
@@ -289,17 +310,18 @@ def estimate_moments(result: EnsembleResult, orders) -> list[dict]:
     return rows
 
 
-def _laplace_row(exponents, keep, rng, bound: float, paper_ref: str, **fields) -> dict:
-    """A Laplace row: the bootstrap mean of exp(exponents) over keep against bound.
+def _laplace_row(exponents, keep, bound: float, paper_ref: str, **fields) -> dict:
+    """A Laplace row: the log-scale interval of the mean of exp(exponents) over keep, against bound.
 
-    Samples outside keep or whose exponential overflows count in n_overflow.
+    keep leaves out diverged trials, and exponents that are not finite are
+    left out too; n_overflow counts both.  A finite exponent whose
+    exponential overflows stays in the mean, so the estimate or an end may
+    pass the float range, and the row then FAILs without them.
     """
-    with np.errstate(over="ignore"):
-        vals = np.exp(exponents)
-    keep = keep & np.isfinite(vals)
+    keep = keep & np.isfinite(exponents)
     if not keep.any():
-        raise InvalidArgument("all samples overflowed or diverged")
-    (est,) = bootstrap_mean_ci(vals[keep][None], rng)
+        raise InvalidArgument("every sample diverged or has a non-finite exponent")
+    (est,) = log_mean_exp_ci(exponents[keep][None])
     return _interval_row(est, bound, paper_ref, n_overflow=int(np.sum(~keep)), **fields)
 
 
@@ -307,7 +329,7 @@ def estimate_chi2_laplace(P0, n_samples: int, seed: int) -> dict:
     """Exponential moment of a Gaussian initial error against its ceiling.
 
     Samples Z ~ N(0, P0) and estimates E exp(|Z|^2 / (4 d rho(P0))), which
-    the envelope caps at e regardless of P0.  n_overflow counts non-finite samples.
+    the envelope caps at e regardless of P0.  n_overflow counts non-finite exponents.
     """
     P0 = linalg.as_symmetric(np.atleast_2d(np.asarray(P0, dtype=float)))
     d = P0.shape[0]
@@ -317,25 +339,28 @@ def estimate_chi2_laplace(P0, n_samples: int, seed: int) -> dict:
     if n_samples < 2:
         raise InvalidArgument("need at least two samples")
     z = stream(seed, CHI2, 0).standard_normal((n_samples, d)) @ linalg.sym_sqrt(P0).T
-    return _laplace_row(linalg.sumsq(z) / (4.0 * d * rho), True, stream(seed, CHI2, 1), np.e,
-                        "initial-error-laplace", mode="chi2", n_samples=n_samples)
+    return _laplace_row(linalg.sumsq(z) / (4.0 * d * rho), True, np.e, "initial-error-laplace",
+                        mode="chi2", n_samples=n_samples)
+
+
+def filter_laplace_coefficient(c: bounds.ProblemConstants, eps: float) -> float:
+    """The filter Laplace row's exponent coefficient (1-eps) drift_decay / (4 e sigma_sq_limit noise_trace)."""
+    return float((1.0 - eps) * c.drift_decay / (4.0 * np.e * bounds.sigma_sq_limit(c) * c.noise_trace))
 
 
 def estimate_ekf_laplace(result: EnsembleResult, eps: float) -> dict:
     """Exponential moment of the late-time filter error against its ceiling.
 
-    Uses the final checkpoint, exponent coefficient
-    (1-eps) * drift_decay / (4 e sigma_sq_limit noise_trace), and the
-    closed-form right-hand side with the 1/4 source-to-bracket ratio.
-    n_overflow counts the trials that diverged or are not finite.
+    Uses the final checkpoint, the exponent coefficient of
+    filter_laplace_coefficient, and the closed-form right-hand side with
+    the 1/4 source-to-bracket ratio.  n_overflow counts the trials that
+    diverged or whose exponent is not finite.
     """
-    c = result.constants
-    coef = (1.0 - eps) * c.drift_decay / (4.0 * np.e * bounds.sigma_sq_limit(c) * c.noise_trace)
+    coef = filter_laplace_coefficient(result.constants, eps)
     return _laplace_row(
-        coef * result.filter_err_sq[:, -1], ~result.diverged,
-        stream(result.seed, EKF_LAPLACE_BOOTSTRAP), bounds.laplace_rhs(eps, 0.25, 1.0),
+        coef * result.filter_err_sq[:, -1], ~result.diverged, bounds.laplace_rhs(eps, 0.25, 1.0),
         "filter-error-laplace", mode="ekf", t=float(result.checkpoint_times[-1]), eps=float(eps),
-        coefficient=float(coef),
+        coefficient=coef,
     )
 
 

@@ -1,27 +1,31 @@
 """Small statistical toolbox shared by the estimators.
 
 Confidence machinery is deliberately boring: Wilson intervals for
-proportions, normal intervals and the percentile bootstrap for means, the
-Mann-Kendall test for trend detection, and least squares on logs for decay
-rates.  Everything here is numpy and the standard library.
+proportions, normal intervals, log-scale intervals and the percentile
+bootstrap for means, the Mann-Kendall test for trend detection, and least
+squares on logs for decay rates.  Everything here is numpy and the
+standard library.
 
-Both mean intervals take one input shape: a (k, n) array of k statistics
-of the same n units, and row j's interval is bit for bit that of
-samples[j:j + 1] alone.  normal_mean_ci is a closed form per row, used by
-the moment and Gronwall rows: on their samples its miss rates are within
-two standard errors of the bootstrap's (tools/coverage.py).
+The three mean intervals take one input shape: a (k, n) array of k
+statistics of the same n units, and row j's interval is bit for bit that
+of samples[j:j + 1] alone.  normal_mean_ci is a closed form per row, used
+by the moment and Gronwall rows.  log_mean_exp_ci is a closed form on the
+log scale for means of exp(x), used by the heavy-tailed Laplace rows: it
+takes the exponents x and overflows only in its final exponential.  On
+each family's samples their miss rates are within two standard errors of
+the bootstrap's (tools/coverage.py).
 
-The bootstrap serves the heavy-tailed Laplace rows and knows no seeding
-policy: its caller hands it a Generator (from dynamics.stream, keyed by the
-sample set the intervals are for).  Each resample is one row of unit
-indices, and all k statistics are gathered with it, as the nonparametric
-bootstrap resamples the sampling unit.  Indices are drawn in blocks of
-BOOTSTRAP_BLOCK rows that continue the Generator's stream; each index row
-gathers the k statistics into one reused (k, n) buffer, and each mean is
-the same pairwise sum as over the whole (BOOTSTRAP_RESAMPLES, n) index
-matrix.  Intervals are therefore bit for bit those of the whole-matrix
-formula applied to each statistic alone, while memory stays a block of
-indices and k rows.  Both constants are read at call time.
+The bootstrap is the reference those closed forms are scored against and
+backs no row.  It knows no seeding policy: its caller hands it a
+Generator.  Each resample is one row of unit indices, and all k statistics
+are gathered with it, as the nonparametric bootstrap resamples the
+sampling unit.  Indices are drawn in blocks of BOOTSTRAP_BLOCK rows that
+continue the Generator's stream; each index row gathers the k statistics
+into one reused (k, n) buffer, and each mean is the same pairwise sum as
+over the whole (BOOTSTRAP_RESAMPLES, n) index matrix.  Intervals are
+therefore bit for bit those of the whole-matrix formula applied to each
+statistic alone, while memory stays a block of indices and k rows.  Both
+constants are read at call time.
 """
 
 from __future__ import annotations
@@ -109,6 +113,36 @@ def normal_mean_ci(samples):
         half = Z95 * float(row.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
         low = max(point - half, float(row.min()))
         high = min(point + half, float(row.max()))
+        out.append(EstimateWithCI(point, min(low, point), max(high, point)))
+    return out
+
+
+def log_mean_exp_ci(exponents):
+    """Log-scale 95% intervals for means of exp(x), from the exponents x.
+
+    exponents is a (k, n) array of finite exponents of k statistics of the
+    same n units, as for normal_mean_ci.  Per row, with M = max x and
+    w = exp(x - M), the mean's log is M + log(mean w), and its half-width
+    on the log scale is the delta method's Z95 s_w / (mean w sqrt(n)), s_w
+    the ddof = 1 deviation of w.  Each end on the log scale is clipped to
+    the row's range [min x, M], so the interval lies within the samples
+    exp(x), as a percentile interval does; a one-unit row's interval is its
+    point.  Nothing overflows before the final exponentials, which may read
+    inf.  Row j's interval is bit for bit that of exponents[j:j + 1] alone.
+    Returns a list of k EstimateWithCI.
+    """
+    exponents = _mean_table(exponents)
+    n = exponents.shape[1]
+    out = []
+    for row in exponents:
+        top = float(row.max())
+        w = np.exp(row - top)
+        w_bar = float(w.mean())
+        log_point = top + math.log(w_bar)
+        half = Z95 * float(w.std(ddof=1)) / (w_bar * math.sqrt(n)) if n > 1 else 0.0
+        with np.errstate(over="ignore"):
+            low, point, high = np.exp([max(log_point - half, float(row.min())), log_point,
+                                       min(log_point + half, top)]).tolist()
         out.append(EstimateWithCI(point, min(low, point), max(high, point)))
     return out
 

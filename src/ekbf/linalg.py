@@ -116,6 +116,8 @@ def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     has the same bits at any batch width and memory layout, unlike x @ M.T,
     whose BLAS kernel may sum one row differently from many.
     """
+    if x.shape[-1] == 1:  # x[..., None, 0] is x itself: one product
+        return M[..., 0] * x
     out = M[..., 0] * x[..., None, 0]
     for j in range(1, x.shape[-1]):
         out += M[..., j] * x[..., None, j]

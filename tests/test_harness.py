@@ -34,6 +34,7 @@ from ekbf.harness.stats import (
     bootstrap_mean_ci,
     fit_decay_rate,
     increasing_trend_pvalue,
+    log_mean_exp_ci,
     normal_mean_ci,
     wilson_interval,
 )
@@ -203,28 +204,118 @@ def test_normal_ci_lower_side_coverage_on_gaussian_powers():
     assert np.all(miss <= tol), (miss, tol)
 
 
-def test_bootstrap_only_for_laplace_rows(monkeypatch):
-    # moment and Gronwall rows take the closed form; each Laplace row
-    # resamples its one statistic once
-    res = _ou_ensemble(n_trials=200, steps=100, seed=38)
-    calls = []
+@settings(max_examples=60, deadline=None, database=None)
+@given(k=st.integers(1, 5), n=st.integers(2, 3000), scale=st.floats(0.1, 400.0),
+       data_seed=st.integers(0, 2**32 - 1))
+def test_log_mean_exp_ci_rows_independent_and_inside_the_samples(k, n, scale, data_seed):
+    # row j of a (k, n) table of exponents is bit for bit a one-row call,
+    # and both ends lie within the row's samples exp(x), even where exp(x)
+    # overflows for the largest exponents
+    x = scale * np.random.default_rng(data_seed).standard_normal((k, n)) ** 2
+    ests = log_mean_exp_ci(x)
+    assert len(ests) == k
+    for j, (row, est) in enumerate(zip(x, ests)):
+        assert log_mean_exp_ci(x[j:j + 1]) == [est]
+        w = np.exp(row - row.max())
+        with np.errstate(over="ignore"):
+            samples = np.exp(row)
+            point = np.exp(row.max() + np.log(w.mean()))
+        assert samples.min() <= est.ci_low <= est.point <= est.ci_high <= samples.max()
+        assert est.point == pytest.approx(point, rel=1e-15)
 
-    def counting(samples, rng):
-        calls.append(np.shape(samples))
+
+def test_log_mean_exp_ci_edge_shapes():
+    assert log_mean_exp_ci(np.empty((0, 5))) == []
+    one_unit = log_mean_exp_ci(np.array([[0.0], [1.0]]))
+    assert [(e.ci_low, e.point, e.ci_high) for e in one_unit] == [(1.0, 1.0, 1.0), (np.e, np.e, np.e)]
+    (flat,) = log_mean_exp_ci(np.full((1, 7), 0.5))  # zero variance: the interval is the point
+    assert flat.ci_low == flat.point == flat.ci_high == np.exp(0.5)
+    with pytest.raises(InvalidArgument):
+        log_mean_exp_ci(np.empty((2, 0)))
+    with pytest.raises(InvalidArgument):
+        log_mean_exp_ci(np.ones((2, 2, 2)))
+    with pytest.raises(InvalidArgument):  # one statistic is a (1, n) array
+        log_mean_exp_ci(np.arange(3.0))
+
+
+def test_log_mean_exp_ci_matches_the_mean_where_nothing_overflows():
+    # on the log scale the point is the sample mean of exp(x) up to rounding
+    x = np.random.default_rng(71).standard_normal((3, 5000)) ** 2 / 4
+    for row, est in zip(x, log_mean_exp_ci(x)):
+        assert est.point == pytest.approx(np.exp(row).mean(), rel=1e-13)
+        assert est.ci_low < est.point < est.ci_high
+
+
+def test_laplace_row_keeps_an_overflowing_sample():
+    # exp(800) overflows, yet the sample stays in the mean: the estimate
+    # passes the float range, so the row FAILs with no estimate or end, and
+    # n_overflow counts no dropped sample; dropping it would leave 999 ones
+    # and a PASS against e
+    exponents = np.zeros(1000)
+    exponents[-1] = 800.0
+    row = estimators._laplace_row(exponents, True, np.e, "initial-error-laplace", mode="chi2")
+    assert row["pass"] is False and row["n_overflow"] == 0
+    assert not {"estimate", "ci_low", "ci_high"} & set(row)
+    json.loads(json.dumps(row), parse_constant=lambda c: pytest.fail(f"row holds {c}"))
+    # a non-finite exponent or a diverged trial is left out and counted
+    exponents[-1] = np.inf
+    keep = np.ones(1000, dtype=bool)
+    keep[0] = False
+    row = estimators._laplace_row(exponents, keep, np.e, "initial-error-laplace", mode="chi2")
+    assert row["pass"] and row["n_overflow"] == 2
+    assert row["estimate"] == row["ci_low"] == row["ci_high"] == 1.0
+    with pytest.raises(InvalidArgument):
+        estimators._laplace_row(exponents, np.zeros(1000, dtype=bool), np.e, "initial-error-laplace")
+
+
+def test_log_mean_exp_ci_lower_side_coverage_on_laplace_samples():
+    """The side `pass` reads misses a true Laplace mean at most 0.048 of the time.
+
+    The tolerance is that of
+    test_normal_ci_lower_side_coverage_on_gaussian_powers.  Each of the 400
+    replications is 2000 standard normals Z, and the rows are the exponents
+    of the two Laplace rows on the benchmark's OU run: Z^2 / 4 (the
+    chi-square row at P0 = 1), with E exp(Z^2 / 4) = sqrt(2), and c v Z^2
+    (the filter row, c v = 0.030657 * 0.41716), with
+    E exp(c v Z^2) = (1 - 2 c v)^(-1/2).
+    """
+    reps, n, cv = 400, 2000, 0.030656620097620192 * 0.41716323157595303
+    z2 = np.random.default_rng(2707).standard_normal((reps, n)) ** 2
+    ests = log_mean_exp_ci(np.concatenate([z2 / 4.0, cv * z2]))
+    low = np.array([e.ci_low for e in ests]).reshape(2, reps)
+    tol = 0.025 + 3.0 * np.sqrt(0.025 * 0.975 / reps)
+    miss = (np.array([[np.sqrt(2.0)], [(1.0 - 2.0 * cv) ** -0.5]]) < low).mean(axis=1)
+    assert np.all(miss <= tol), (miss, tol)
+
+
+def test_no_row_bootstraps_and_each_laplace_row_takes_one_log_scale_interval(monkeypatch):
+    # moment, Gronwall and both Laplace rows take a closed form; each Laplace
+    # row calls the log-scale interval once on its one statistic
+    res = _ou_ensemble(n_trials=200, steps=100, seed=38)
+    boots, logs = [], []
+
+    def counting_bootstrap(samples, rng):
+        boots.append(np.shape(samples))
         return stats.bootstrap_mean_ci(samples, rng)
 
-    monkeypatch.setattr(estimators, "bootstrap_mean_ci", counting)
+    def counting_log_scale(exponents):
+        logs.append(np.shape(exponents))
+        return stats.log_mean_exp_ci(exponents)
+
+    monkeypatch.setattr(estimators, "bootstrap_mean_ci", counting_bootstrap)
+    monkeypatch.setattr(estimators, "log_mean_exp_ci", counting_log_scale)
     estimate_moments(res, [1, 2])
     gronwall_test_process(
         a=1.0, w=0.3, dt=1e-2, T=1.0, n_paths=100, seed=39, orders=(1, 2),
         y0=1.0, u=0.5, v=0.2,
     )
-    assert calls == []
+    assert logs == []
     estimate_ekf_laplace(res, 0.5)
-    assert calls == [(1, 200)]
-    calls.clear()
+    assert logs == [(1, 200)]
+    logs.clear()
     estimate_chi2_laplace(np.eye(1), 300, 40)
-    assert calls == [(1, 300)]
+    assert logs == [(1, 300)]
+    assert boots == []
 
 
 def test_sourced_row_with_a_negative_normal_end_maps_to_zero(monkeypatch):
@@ -402,15 +493,19 @@ def test_engine_matches_single_trial_api_bitwise(case):
 @pytest.mark.parametrize("case, frozen", [("ou-late-freeze", [True, False, True, False, True]),
                                           ("ou-covariance-guard", [True] * 5)])
 def test_engine_freezes_every_trial_as_the_single_trial_api_does(case, frozen):
-    # frozen or not, every trial of the chunk keeps the bits of its own run
+    # frozen or not, every trial of the chunk keeps the bits of its own run,
+    # its trace gap too: the shared steps' running max, folded in when a
+    # freeze widens P, and the per-trial steps after it
     model, obs, x0, filters = BITWISE_CASES[case]
     seed, steps, dt = 31, 120, 0.01
     res = run_ensemble(model, obs, x0, filters, dt, steps, 5, seed, checkpoint_steps=[60, steps])
+    tau = np.asarray(bounds.tau_t(res.constants, np.arange(steps + 1) * dt))
     for trial in range(5):
         bundle = make_path_bundle(seed, trial, steps, dt, model.dim, obs.obs_dim)
         rec = simulate_coupled(model, obs, x0, [FilterState(*f) for f in filters], bundle, 60)
         assert res.diverged[trial] == rec.diverged.any() == frozen[trial], trial
         assert np.array_equal(res.filter_err_sq[trial], linalg.sumsq(rec.signal[1:] - rec.means[0, 1:]))
+        assert res.trace_gap_max[trial] == np.max(rec.traces[0] - tau), trial
 
 
 def _assert_engine_unchanged_by(patch, model, obs, n_trials, n_filters, seed):
@@ -946,9 +1041,9 @@ def test_report_streams_are_independent(tmp_path, monkeypatch):
     # the one one-word key is the chunk's generator, trial 0's own stream:
     # any other stream keyed (k,) would share trial k's draws
     assert [k for _, k in keys if len(k) == 1] == [(0,)]
-    # moment and Gronwall rows take a closed-form interval and draw nothing;
-    # their retired bootstrap purposes 1 and 5 renumber no other key
-    assert sorted(k for _, k in keys if len(k) != 1) == [(2, 0), (3, 0), (3, 1), (4, 0), (4, 1)]
+    # every row takes a closed-form interval and draws nothing; the retired
+    # bootstrap keys (1, 0), (2, 0), (3, 1), (5, 0) and (5, 1) renumber no other key
+    assert sorted(k for _, k in keys if len(k) != 1) == [(3, 0), (4, 0), (4, 1)]
     assert {e for e, _ in keys} == {7}
 
 
@@ -1092,6 +1187,23 @@ def test_cli_exit_codes(tmp_path):
     # forgetting needs two filter initializations
     path = _write_cfg(tmp_path, _base_config())
     assert run_cli(["forgetting", "--config", path]) == 2
+
+
+def test_cli_filter_laplace_row_past_the_float_range_fails(tmp_path, capsys):
+    # a filter mean started 5000 away: every exponent c e^2 is finite but
+    # its exponential overflows, so the row keeps all 50 trials and FAILs
+    # (exit 1) with no estimate or interval in its CSV or strict JSON
+    cfg = _base_config(init={"x0": [0.0], "xhat0": [5000.0], "P0": [[1.0]]})
+    cfg["sim"]["T"] = 0.1
+    cfg["test"]["checkpoints"] = [0.1]
+    out = tmp_path / "out"
+    assert run_cli(["verify", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    (row,) = [d for d in _strict_json(out / "verify.json")["details"] if d["paper_ref"] == "filter-error-laplace"]
+    assert row["pass"] is False and row["n_overflow"] == 0
+    assert not {"estimate", "ci_low", "ci_high"} & set(row)
+    assert _csv_header(out / "laplace.csv") == ["mode", "t", "eps", "coefficient", "bound", "n_overflow",
+                                                 "pass", "paper_ref"]
 
 
 def test_cli_runtime_error_exits_three(tmp_path, capsys):

@@ -1,10 +1,11 @@
-"""Coverage of the two mean intervals against exact Euler oracles.
+"""Coverage of the closed-form mean intervals and the bootstrap against exact oracles.
 
     python tools/coverage.py [--reps 400] [--sizes 2000 20000] [--seed 23] [--json FILE]
 
 Run it from the root of a checkout.  For each family of interval rows it
-draws --reps independent sample tables per sample size, scores
-stats.normal_mean_ci and stats.bootstrap_mean_ci on every row of each table
+draws --reps independent sample tables per sample size, scores the
+family's closed form (stats.normal_mean_ci, or stats.log_mean_exp_ci for
+the Laplace rows) and stats.bootstrap_mean_ci on every row of each table
 against the row's exact value, and prints one line per (row, size): each
 method's miss rate and its binomial standard error sqrt(p (1 - p) / reps) on
 each side.  A low miss is an oracle below ci_low, the side a row's `pass`
@@ -25,12 +26,23 @@ The families and their oracles:
   _euler_sourced_moments.  That recursion leaves out the scheme's clip at
   0, which adds about 1e-6 to E Y_T here (measured on 4e5 paths), under a
   thousandth of the standard error of the mean of 2e4 paths.
+- laplace: the rows of estimators.estimate_chi2_laplace and
+  estimate_ekf_laplace on the benchmark's OU run (bench/workloads.py
+  ou_config).  The chi-square row averages exp(Z^2 / 4), whose exact mean
+  is sqrt(2).  The filter row averages exp(c e^2) over the filter errors e
+  at T = 5, with c the run's estimators.filter_laplace_coefficient; the
+  Euler error is exactly Gaussian with mean 0 and the variance v of the
+  joint (x, xhat) covariance recursion of _euler_filter_mean_var, so the
+  samples are c v Z^2 and the exact mean is (1 - 2 c v)^(-1/2).  A table
+  holds the exponents, which the log-scale interval takes; the bootstrap
+  resamples their exponentials, the samples the row averages.
 
-Both oracles are imported read-only from bench/workloads.py.
+The moment and Gronwall oracles are imported read-only from
+bench/workloads.py.
 
 The switch rule: a family takes the closed form when, in every one of its
-cells and on each side, the normal interval's miss rate is at most two
-standard errors of the difference, sqrt(se_normal^2 + se_bootstrap^2),
+cells and on each side, the closed form's miss rate is at most two
+standard errors of the difference, sqrt(se_closed^2 + se_bootstrap^2),
 above the bootstrap's.  Otherwise it keeps the bootstrap.  Every table is
 drawn from a generator keyed by (--seed, family, size), and each bootstrap
 from one keyed by its replication too, so reruns print the same numbers.
@@ -50,9 +62,19 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from ekbf.harness.stats import bootstrap_mean_ci, normal_mean_ci  # noqa: E402
+from ekbf.bounds import problem_constants  # noqa: E402
+from ekbf.harness.config import config_from_dict  # noqa: E402
+from ekbf.harness.estimators import filter_laplace_coefficient  # noqa: E402
+from ekbf.harness.stats import bootstrap_mean_ci, log_mean_exp_ci, normal_mean_ci  # noqa: E402
 
-FAMILIES = ("moments", "gronwall")
+FAMILIES = ("moments", "gronwall", "laplace")
+# each family's closed form, by name, and the map from its table to the
+# samples the bootstrap resamples: a Laplace table holds exponents
+CLOSED_FORMS = {
+    "moments": ("normal", normal_mean_ci, np.asarray),
+    "gronwall": ("normal", normal_mean_ci, np.asarray),
+    "laplace": ("log-scale", log_mean_exp_ci, np.exp),
+}
 ORDERS = (1, 2, 3, 4)
 # replications simulated at once, so a batch holds at most this many samples
 BATCH_SAMPLES = 400_000
@@ -66,10 +88,37 @@ def _workloads():
     return module
 
 
+def _euler_filter_error_var(wl, steps: int) -> float:
+    """Exact Var(x_k - xhat_k) of the benchmark's Euler OU signal and filter.
+
+    The joint (x, xhat) covariance recursion of _euler_filter_mean_var in
+    bench/workloads.py, read at the error x - xhat instead of at xhat.
+    """
+    dt, A, R1, B, R2 = wl.OU_DT, wl.OU_A, wl.OU_R1, wl.OU_B, wl.OU_R2
+    S = np.zeros((2, 2))
+    P = wl.OU_P0
+    for _ in range(steps):
+        gain = P * B / R2
+        M = np.array([[1.0 + A * dt, 0.0], [gain * B * dt, 1.0 + A * dt - gain * B * dt]])
+        S = M @ S @ M.T + np.diag([R1 * dt, gain * gain * R2 * dt])
+        P = P + dt * (2.0 * A * P + R1 - P * P * B * B / R2)
+    return float(S[0, 0] - 2.0 * S[0, 1] + S[1, 1])
+
+
+def _filter_laplace_scale(wl) -> tuple:
+    """(c, v): the benchmark's filter Laplace coefficient and its Euler error variance at T."""
+    cfg = config_from_dict(wl.ou_config(1))
+    c = filter_laplace_coefficient(problem_constants(cfg.model, cfg.obs, cfg.filters[0][1]), cfg.eps)
+    return c, _euler_filter_error_var(wl, int(round(wl.OU_T / wl.OU_DT)))
+
+
 def _rows(family: str, wl) -> tuple:
     """(labels, oracles) of a family's rows, in the order its tables stack them."""
     if family == "moments":
         return [f"Z^{2 * n}" for n in ORDERS], [float(math.prod(range(1, 2 * n, 2))) for n in ORDERS]
+    if family == "laplace":
+        c, v = _filter_laplace_scale(wl)
+        return ["chi-square exp(Z^2/4)", "filter exp(c e^2)"], [math.sqrt(2.0), (1.0 - 2.0 * c * v) ** -0.5]
     steps = int(round(wl.OU_T / wl.OU_DT))
     labels, oracles = [], []
     for s in (steps // 2, steps):
@@ -87,6 +136,12 @@ def _tables(family: str, wl, reps: int, size: int, rng: np.random.Generator):
         for _ in range(reps):
             z2 = rng.standard_normal(size) ** 2
             yield np.stack([z2**n for n in ORDERS])
+        return
+    if family == "laplace":
+        cv = math.prod(_filter_laplace_scale(wl))
+        for _ in range(reps):
+            z2 = rng.standard_normal(size) ** 2
+            yield np.stack([z2 / 4.0, cv * z2])
         return
     g, dt = wl.GRONWALL, wl.OU_DT
     steps = int(round(wl.OU_T / dt))
@@ -118,22 +173,24 @@ def sweep(family: str, reps: int, size: int, seed: int, wl) -> list:
     labels, oracles = _rows(family, wl)
     oracles = np.asarray(oracles)
     fi = FAMILIES.index(family)
-    misses = {m: np.zeros((2, len(labels)), dtype=int) for m in ("normal", "bootstrap")}
+    closed, interval, samples = CLOSED_FORMS[family]
+    misses = {m: np.zeros((2, len(labels)), dtype=int) for m in (closed, "bootstrap")}
     tables = _tables(family, wl, reps, size, np.random.default_rng([seed, fi, size]))
     for r, table in enumerate(tables):
         boot = np.random.default_rng([seed, fi, size, r])
-        for method, ests in (("normal", normal_mean_ci(table)), ("bootstrap", bootstrap_mean_ci(table, boot))):
+        for method, ests in ((closed, interval(table)), ("bootstrap", bootstrap_mean_ci(samples(table), boot))):
             low = np.array([e.ci_low for e in ests])
             high = np.array([e.ci_high for e in ests])
             misses[method] += np.stack([oracles < low, oracles > high])
     cells = []
     for j, label in enumerate(labels):
-        cell = {"family": family, "row": label, "size": size, "reps": reps, "oracle": float(oracles[j])}
+        cell = {"family": family, "row": label, "size": size, "reps": reps, "oracle": float(oracles[j]),
+                "closed_form": closed}
         for method, count in misses.items():
             cell[method] = {side: _rate(int(count[i, j]), reps) for i, side in enumerate(("low", "high"))}
         cell["rule_holds"] = all(
-            cell["normal"][side]["miss"] - cell["bootstrap"][side]["miss"]
-            <= 2.0 * math.hypot(cell["normal"][side]["se"], cell["bootstrap"][side]["se"])
+            cell[closed][side]["miss"] - cell["bootstrap"][side]["miss"]
+            <= 2.0 * math.hypot(cell[closed][side]["se"], cell["bootstrap"][side]["se"])
             for side in ("low", "high"))
         cells.append(cell)
     return cells
@@ -147,16 +204,18 @@ def main(argv: list) -> int:
     parser.add_argument("--json", help="also write the cells and each family's outcome here")
     args = parser.parse_args(argv)
     wl = _workloads()
-    print("| family | row | samples | normal low | bootstrap low | normal high | bootstrap high | rule |")
-    print("|---|---|---|---|---|---|---|---|")
+    print("| family | row | samples | closed form | closed low | bootstrap low | closed high | bootstrap high"
+          " | rule |")
+    print("|---|---|---|---|---|---|---|---|---|")
     cells = []
     for family in FAMILIES:
         for size in args.sizes:
             for cell in sweep(family, args.reps, size, args.seed, wl):
                 cells.append(cell)
+                closed = cell["closed_form"]
                 rates = [f"{cell[m][side]['miss']:.4f} ± {cell[m][side]['se']:.4f}"
-                         for side in ("low", "high") for m in ("normal", "bootstrap")]
-                print(f"| {family} | {cell['row']} | {size} | " + " | ".join(rates)
+                         for side in ("low", "high") for m in (closed, "bootstrap")]
+                print(f"| {family} | {cell['row']} | {size} | {closed} | " + " | ".join(rates)
                       + f" | {'holds' if cell['rule_holds'] else 'fails'} |", flush=True)
     outcome = {f: "closed form" if all(c["rule_holds"] for c in cells if c["family"] == f) else "bootstrap"
                for f in FAMILIES}

@@ -8,16 +8,16 @@ m = 1, the ensemble engine a chunk of trials.  The trials' state is one
 array, the signal stacked over the filter means, and each step is one
 kernel call, Stepper.filter_step, which evaluates the drift and the sensor
 once on the whole stack.  While no filter has frozen, one whole-array test
-stands for the divergence guard.  The one drawer, draw_increments, fills
-one buffer with one draw per trial per block from the trial's
-counter-derived stream, then hands each block over time-major, TILE steps
-at a time and scaled on that copy, so a step reads contiguous rows; a
-PathBundle and a batched run see the same increments.  Every product in a
-step is a linalg.matvec (ascending multiply-adds) or one small matrix
-product per covariance, so a row's bits do not depend on the batch width
-and the two callers agree bit for bit.  Stepper(model, dt, obs) always has
-a sensor; the noise-free flow needs none, so deterministic_flow runs its
-own RK4 stages on model.drift.
+on the means and one on the covariances stand for the divergence guard.
+The one drawer, draw_increments, fills one buffer with one draw per trial
+per block from the trial's counter-derived stream, then hands each block
+over time-major, TILE steps at a time and scaled on that copy, so a step
+reads contiguous rows; a PathBundle and a batched run see the same
+increments.  Every product in a step is a linalg.matvec (ascending
+multiply-adds) or one small matrix product per covariance, so a row's bits
+do not depend on the batch width and the two callers agree bit for bit.
+Stepper(model, dt, obs) always has a sensor; the noise-free flow needs
+none, so deterministic_flow runs its own RK4 stages on model.drift.
 
 This module is the one home of the seeding policy.  Trial k's stream is
 numpy's PCG64 seeded by SeedSequence(seed, spawn_key=(k,)); trial_states
@@ -29,9 +29,10 @@ paths) comes from stream(), under a key no trial uses.
 The bank keeps one covariance per filter while the Riccati flow does not
 depend on the data (a state-independent Jacobian, as for LinearModel) and
 one per trial and filter otherwise; broadcasting picks the width, so the
-same code serves both.  A RiccatiFlow carries that shared covariance from
-one call of advance to the next, so a run of many chunks takes each shared
-Riccati step once.
+same code serves both.  A RiccatiFlow carries that shared covariance, with
+each step's gain and guard verdict, from one call of advance to the next,
+so a run of many chunks takes each shared Riccati step once; a call uses it
+only until one of its filters freezes.
 """
 
 from __future__ import annotations
@@ -277,36 +278,32 @@ class Stepper:
         P (n_f, ..., d, d) may carry size-1 axes where z does not.  A P
         shared by many rows stays shared while the Jacobian is
         state-independent, so its Riccati step runs once; a state-dependent
-        Jacobian widens it to one P per row.  Given a RiccatiFlow whose
-        shared covariance after k steps is P, a state-independent Jacobian
-        reads the flow's row k (the gain, the next covariance and its guard
-        verdicts), which the first caller to reach step k writes.  The
-        covariance is symmetrized and eigenvalue-clipped after every step.
+        Jacobian widens it to one P per row.  The covariance is symmetrized
+        and eigenvalue-clipped after every step.
 
         active is the (n_f, ...) mask of the filters still stepping, True
-        when all are, or None when all are and the caller keeps no mask.
-        Filters that are not active, or whose update leaves the admissible
-        region, keep their previous mean and covariance (which widens a
-        shared P); the signal is never guarded.  Returns the next z and P
-        and the mask of healthy filters.  With active=None one whole-array
-        test stands for the guard, and while it holds the step builds no
-        mask and returns None for it.
+        when all are, or None when no filter has frozen and the caller
+        keeps no mask.  Filters that are not active, or whose update leaves
+        the admissible region, keep their previous mean and covariance
+        (which widens a shared P); the signal is never guarded.  Returns
+        the next z and P and the mask of healthy filters.  With active=None
+        one whole-array test on the means and the covariance verdict of
+        _covariance_step stand for the guard, and while both hold the step
+        builds no mask and returns None for it.  Only then is P still
+        shared, so only then does a state-independent Jacobian read row k
+        of flow, a RiccatiFlow whose covariance after k steps is P; the
+        first caller to reach step k writes that row.
         """
         dt, obs, model = self.dt, self.obs, self.model
         d, xh = z.shape[-1], z[1:]
         J = model.drift_jacobian(xh)
-        if flow is not None and np.ndim(J) == 2:
-            if len(flow.fine) == k:
-                flow.gain[k], flow.P[k] = self._covariance_step(P, J)
-                flow.ok[k] = _covariance_ok(flow.P[k])
-                flow.fine.append(bool(flow.ok[k].all()))
-            gain, new_P = flow.gain[k], flow.P[k]
-            P_ok = True if flow.fine[k] else flow.ok[k]
+        if flow is not None and active is None and np.ndim(J) == 2:
+            if len(flow.ok) == k:
+                flow.gain[k], flow.P[k], P_ok = self._covariance_step(P, J)
+                flow.ok.append(P_ok)
+            gain, new_P, P_ok = flow.gain[k], flow.P[k], flow.ok[k]
         else:
-            gain, new_P = self._covariance_step(P, J)
-            # per-row verdicts only when a whole-array check fails
-            fine = np.abs(linalg.trace_stack(new_P)).max() <= DIVERGENCE_GUARD
-            P_ok = True if fine and np.isfinite(new_P).all() else _covariance_ok(new_P)
+            gain, new_P, P_ok = self._covariance_step(P, J)
         # in place on fresh arrays: each sum is the one the separate signal,
         # sensor and filter updates formed, with its two terms commuted
         Bz = linalg.matvec(obs.B, z)
@@ -333,15 +330,18 @@ class Stepper:
         return new_z, new_P, healthy
 
     def _covariance_step(self, P, J):
-        """The gain P @ gain_map and the projected Euler step of the Riccati flow from P."""
+        """The gain P @ gain_map, the projected Euler step of the Riccati flow, its verdict.
+
+        The verdict is True when one whole-array test passes (every
+        covariance finite, |tr P| <= DIVERGENCE_GUARD), else its per-row mask.
+        """
         JP = J @ P
         new_P = P + self.dt * (JP + JP.swapaxes(-1, -2) + self.model.R1 - P @ self.obs.S @ P)
-        return P @ self.obs.gain_map, linalg.psd_project_stack(linalg.symmetrize_stack(new_P))
-
-
-def _covariance_ok(P) -> np.ndarray:
-    """Per-row guard verdict on covariances (..., d, d): finite, and |tr P| <= DIVERGENCE_GUARD."""
-    return np.isfinite(P).all(axis=(-2, -1)) & (np.abs(linalg.trace_stack(P)) <= DIVERGENCE_GUARD)
+        new_P = linalg.psd_project_stack(linalg.symmetrize_stack(new_P))
+        gain, tr = P @ self.obs.gain_map, np.abs(linalg.trace_stack(new_P))
+        if tr.max() <= DIVERGENCE_GUARD and np.isfinite(new_P).all():
+            return gain, new_P, True
+        return gain, new_P, np.isfinite(new_P).all(axis=(-2, -1)) & (tr <= DIVERGENCE_GUARD)
 
 
 class RiccatiFlow:
@@ -349,19 +349,18 @@ class RiccatiFlow:
 
     Row k holds step k of a state-independent Riccati flow, counting from
     0: gain[k] (n_f, 1, d, r) the gain the step used, P[k] (n_f, 1, d, d)
-    the covariance it yields, after k + 1 steps, ok[k] (n_f, 1) the guard
-    verdict on P[k], and fine[k] the one bool "every row of ok[k] holds".
-    The first len(fine) rows are written: the first chunk to reach step k
-    writes row k and every later chunk reads it, so a shared Riccati step
-    and its guard reduction run once per filter per run.  The arrays are
-    allocated once, for every step.
+    the covariance it yields, after k + 1 steps, and ok[k] the guard
+    verdict on P[k], as Stepper._covariance_step returns it.  The first
+    len(ok) rows are written: the first chunk to reach step k writes row k
+    and every later chunk reads it, so a shared Riccati step and its guard
+    test run once per filter per run.  P and gain are allocated once, for
+    every step.
     """
 
     def __init__(self, n_f: int, d: int, r: int, steps: int):
         self.P = np.empty((steps, n_f, 1, d, d))
         self.gain = np.empty((steps, n_f, 1, d, r))
-        self.ok = np.empty((steps, n_f, 1), dtype=bool)
-        self.fine = []
+        self.ok = []
 
 
 def deterministic_flow(model, x0, dt: float, steps: int) -> np.ndarray:
@@ -406,10 +405,10 @@ def advance(stepper: Stepper, x0, means0, covs0, m: int, blocks, on_step, flow=N
     with noise (nt, m, d + r), as draw_increments does, and each step is one
     Stepper.filter_step on z.  Filters that trip the divergence guard
     freeze.  flow, a RiccatiFlow of the run that started at covs0, serves
-    the shared covariance until a frozen row widens P; from then on this
-    call steps its own.  on_step(k, x, xh, P) is called at step 0 and after
-    every step k, with the views x = z[0] and xh = z[1:].  Returns the
-    final (n_f, m) health mask.
+    the shared covariance until a filter freezes and widens P.
+    on_step(k, x, xh, P) is called at step 0 and after every step k, with
+    the views x = z[0] and xh = z[1:].  Returns the final (n_f, m) health
+    mask.
     """
     n_f, d = means0.shape
     z = np.empty((1 + n_f, m, d))
@@ -421,9 +420,6 @@ def advance(stepper: Stepper, x0, means0, covs0, m: int, blocks, on_step, flow=N
     for start, noise in blocks:
         for j in range(len(noise)):
             z, P, active = stepper.filter_step(z, P, noise[j], active, flow, start + j)
-            # a frozen row widened P: it no longer follows the shared flow
-            if active is not None:
-                flow = None
             on_step(start + j + 1, z[0], z[1:], P)
     return np.ones((n_f, m), dtype=bool) if active is None else active
 

@@ -15,11 +15,12 @@ once, next to the one time-major tile the blocks are handed over in, one
 draw per trial per block; nothing in the package starts a thread.  A
 chunk seeds no generator per trial: it takes one, trial lo's from
 trial_rng, and the drawer points it at each trial's state from
-dynamics.trial_states, one vectorized pass per chunk.  The run's one RiccatiFlow carries a
-state-independent Riccati flow from chunk to chunk, so each shared
-covariance step runs once per filter per run.  A trial counts as
-diverged when filter 0 or 1 froze, since no estimator reads any other
-filter.
+dynamics.trial_states, one vectorized pass per chunk.  The run's one
+RiccatiFlow carries a state-independent Riccati flow and its guard
+verdicts from chunk to chunk, so each shared covariance step runs once per
+filter per run; a chunk steps its own covariances once one of its filters
+freezes.  A trial counts as diverged when filter 0 or 1 froze, since no
+estimator reads any other filter.
 
 Every other random stream comes from dynamics.stream under its own
 (purpose, index) key.  The chi-square samples and the two Gronwall
@@ -107,7 +108,6 @@ class EnsembleResult:
 
     dt: float
     n_trials: int
-    seed: int
     constants: bounds.ProblemConstants
     init_sq: float
     checkpoint_times: np.ndarray
@@ -169,19 +169,9 @@ def run_ensemble(
     # trial states live in this frame, so they go before the next chunk's
     def run_chunk(lo, hi):
         rows, chunk_gap = slice(lo, hi), gap[lo:hi]
-        # while P is shared its trace gap is one number per step, so the
-        # chunk keeps one running max and folds it into its rows once, when
-        # P widens or the chunk ends
-        shared_gap = np.full(1, -np.inf)
 
         def record(s, x, xh, P):
-            nonlocal shared_gap
-            step_gap = linalg.trace_stack(P[0]) - tau_full[s]
-            if shared_gap is not None and step_gap.size > 1:
-                np.maximum(chunk_gap, shared_gap, out=chunk_gap)
-                shared_gap = None
-            into = chunk_gap if shared_gap is None else shared_gap
-            np.maximum(into, step_gap, out=into)
+            np.maximum(chunk_gap, linalg.trace_stack(P[0]) - tau_full[s], out=chunk_gap)
             i = cp_pos[s]
             if i >= 0:
                 sig_err[rows, i] = linalg.sumsq(x - flow_x0[s])
@@ -194,8 +184,6 @@ def run_ensemble(
         blocks = draw_increments(trial_rng(seed, lo), trial_states(seed, lo, hi), steps, dt,
                                  (d, obs.obs_dim), *buffers)
         active = advance(stepper, x0, means0, covs0, hi - lo, blocks, record, flow)
-        if shared_gap is not None:
-            np.maximum(chunk_gap, shared_gap, out=chunk_gap)
         # only filters 0 and 1 are read, so only they mark a trial diverged
         diverged[rows] = ~active[:2].all(axis=0)
 
@@ -205,7 +193,6 @@ def run_ensemble(
     return EnsembleResult(
         dt=dt,
         n_trials=n_trials,
-        seed=seed,
         constants=consts,
         init_sq=float(linalg.sumsq(x0 - means0[0])),
         checkpoint_times=cp * dt,

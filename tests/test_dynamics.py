@@ -326,6 +326,44 @@ def test_filter_step_guard_matches_its_formula():
         assert got[2] is None if active is None else got[2].shape == (2, 4) and got[2].all()
         assert got[1].shape == (2, 1, 2, 2)
 
+    # the run's shared flow: at k = 0 the first call writes row 0 and its
+    # verdict, True or, for a NaN covariance or one whose trace passes the
+    # guard, the per-row mask, with the bits and the mask of the flow-free
+    # step; a second call reads row 0 and appends nothing
+    nan_P, big_P = shared.copy(), shared.copy()
+    nan_P[1, 0, 0, 0] = np.nan
+    big_P[0, 0] = 2e8 * np.eye(2)
+    for cov, verdict in ((shared, True), (nan_P, [[True], [False]]), (big_P, [[False], [True]])):
+        flow = RiccatiFlow(2, 2, 1, 3)
+        with np.errstate(invalid="ignore"):
+            want = _guarded_step_by_formula(stepper, healthy_z, cov, noise, True)
+            free = stepper.filter_step(healthy_z, cov, noise)
+            for _ in range(2):
+                got = stepper.filter_step(healthy_z, cov, noise, None, flow, 0)
+                for g, f, w in zip(got[:2], free[:2], want[:2]):
+                    assert g.shape == f.shape == w.shape and np.array_equal(g, f, equal_nan=True)
+                    assert np.array_equal(g, w, equal_nan=True)
+                if verdict is True:
+                    assert got[2] is None and free[2] is None and want[2].all()
+                else:
+                    assert np.array_equal(got[2], free[2]) and np.array_equal(got[2], want[2])
+                    assert not got[2].all()
+                assert len(flow.ok) == 1
+                assert flow.ok[0] is True if verdict is True else flow.ok[0].tolist() == verdict
+
+    # with a mask the step takes its own covariance and leaves the flow
+    # untouched, written or not
+    mask = np.ones((2, 4), dtype=bool)
+    row = flow.P[0].copy(), flow.gain[0].copy()
+    for f in (flow, RiccatiFlow(2, 2, 1, 3)):
+        with np.errstate(invalid="ignore"):
+            got = stepper.filter_step(healthy_z, nan_P, noise, mask, f, 0)
+            want = _guarded_step_by_formula(stepper, healthy_z, nan_P, noise, mask)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w, equal_nan=True)
+        assert len(f.ok) == (f is flow)
+    assert np.array_equal(flow.P[0], row[0]) and np.array_equal(flow.gain[0], row[1])
+
 
 def test_signal_step_and_obs_increment_are_the_kernels_rows():
     # the signal row of filter_step is signal_step, and its filter rows see

@@ -494,8 +494,8 @@ def test_engine_matches_single_trial_api_bitwise(case):
                                           ("ou-covariance-guard", [True] * 5)])
 def test_engine_freezes_every_trial_as_the_single_trial_api_does(case, frozen):
     # frozen or not, every trial of the chunk keeps the bits of its own run,
-    # its trace gap too: the shared steps' running max, folded in when a
-    # freeze widens P, and the per-trial steps after it
+    # its trace gap too, over the shared steps before a freeze widens P and
+    # the per-trial steps after it
     model, obs, x0, filters = BITWISE_CASES[case]
     seed, steps, dt = 31, 120, 0.01
     res = run_ensemble(model, obs, x0, filters, dt, steps, 5, seed, checkpoint_steps=[60, steps])

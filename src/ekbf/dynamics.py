@@ -220,7 +220,7 @@ def make_path_bundle(
         raise InvalidArgument("dt must be positive")
     dims = (signal_dim, obs_dim)
     dW, dV = np.empty((steps, signal_dim)), np.empty((steps, obs_dim))
-    gen = np.random.Generator(np.random.PCG64())  # its state is set to the trial's before drawing
+    gen = trial_rng(seed, trial)
     for start, noise in draw_increments(gen, states, steps, dt, dims, *noise_buffers(1, steps, dims)):
         dW[start : start + len(noise)] = noise[:, 0, :signal_dim]
         dV[start : start + len(noise)] = noise[:, 0, signal_dim:]

@@ -19,13 +19,8 @@ The bootstrap is the reference those closed forms are scored against and
 backs no row.  It knows no seeding policy: its caller hands it a
 Generator.  Each resample is one row of unit indices, and all k statistics
 are gathered with it, as the nonparametric bootstrap resamples the
-sampling unit.  Indices are drawn in blocks of BOOTSTRAP_BLOCK rows that
-continue the Generator's stream; each index row gathers the k statistics
-into one reused (k, n) buffer, and each mean is the same pairwise sum as
-over the whole (BOOTSTRAP_RESAMPLES, n) index matrix.  Intervals are
-therefore bit for bit those of the whole-matrix formula applied to each
-statistic alone, while memory stays a block of indices and k rows.  Both
-constants are read at call time.
+sampling unit.  Row j's interval is bit for bit that of one whole
+(BOOTSTRAP_RESAMPLES, n) index matrix applied to samples[j] alone.
 """
 
 from __future__ import annotations
@@ -43,8 +38,6 @@ Z95 = 1.959963984540054
 FIT_FLOOR = 1e-12
 
 BOOTSTRAP_RESAMPLES = 1000
-# resample rows drawn and gathered at a time
-BOOTSTRAP_BLOCK = 8
 # longest untied series whose trend p-value comes from the exact null
 # distribution, as in scipy.stats.kendalltau(method="auto")
 _EXACT_MAX_N = 33
@@ -163,13 +156,10 @@ def bootstrap_mean_ci(samples, rng: np.random.Generator):
         means = samples  # nothing to resample; a one-unit interval is its point
     else:
         means = np.empty((k, BOOTSTRAP_RESAMPLES))
-        buf = np.empty((k, n))
-        for lo in range(0, BOOTSTRAP_RESAMPLES, BOOTSTRAP_BLOCK):
-            idx = rng.integers(0, n, size=(min(BOOTSTRAP_BLOCK, BOOTSTRAP_RESAMPLES - lo), n))
-            for r, row in enumerate(idx):
-                # indices lie in [0, n), so "clip" gathers without a bounds pass
-                np.take(samples, row, axis=1, out=buf, mode="clip")
-                buf.mean(axis=1, out=means[:, lo + r])
+        for r in range(BOOTSTRAP_RESAMPLES):
+            idx = rng.integers(0, n, size=n)
+            # indices lie in [0, n), so "clip" gathers without a bounds pass
+            np.take(samples, idx, axis=1, mode="clip").mean(axis=1, out=means[:, r])
     out = []
     for point, row in zip(points, means):
         low, high = np.percentile(row, [2.5, 97.5])

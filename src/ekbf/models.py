@@ -184,8 +184,8 @@ class QuadraticCubicModel(_GradientFlow):
         safe = np.where(s > CUBIC_CUTOFF, root, 1.0)
         outer = np.einsum("...i,...j->...ij", g, g) / safe[..., None, None]
         mask = (s > CUBIC_CUTOFF)[..., None, None]
-        H = self.Q1 + np.where(mask, root[..., None, None] * self.Q2 + outer, 0.0)
-        return linalg.symmetrize_stack(H)
+        # every term is exactly symmetric, Q1 and Q2 having been averaged with their transposes
+        return self.Q1 + np.where(mask, root[..., None, None] * self.Q2 + outer, 0.0)
 
     def _curvature_bounds(self):
         # Q2 may sit just below zero within the PSD tolerance

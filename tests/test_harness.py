@@ -113,16 +113,14 @@ def _whole_matrix_interval(samples, seed, n_resamples):
     k=st.integers(1, 4),
     n=st.integers(2, 3000),
     n_resamples=st.integers(1, 300),
-    block=st.sampled_from([1, 3, stats.BOOTSTRAP_BLOCK]),
     seed=st.integers(0, 2**32 - 1),
     data_seed=st.integers(0, 2**32 - 1),
 )
-def test_bootstrap_streaming_matches_whole_matrix(k, n, n_resamples, block, seed, data_seed):
+def test_bootstrap_matches_whole_matrix(k, n, n_resamples, seed, data_seed):
     # k statistics of the same n units share one resample stream: row j is
     # bit for bit the whole-matrix interval of x[j] alone
     x = np.random.default_rng(data_seed).lognormal(size=(k, n))
-    with mock.patch.object(stats, "BOOTSTRAP_BLOCK", block), \
-            mock.patch.object(stats, "BOOTSTRAP_RESAMPLES", n_resamples):
+    with mock.patch.object(stats, "BOOTSTRAP_RESAMPLES", n_resamples):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
         ests = bootstrap_mean_ci(x, rng)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))

@@ -72,6 +72,20 @@ def test_qc_gradient_and_hessian_at_origin():
     assert np.allclose(model.potential_hessian(np.zeros(2)), model.Q1)
 
 
+def test_qc_hessian_is_exactly_symmetric():
+    # no symmetrizing pass: Q1 and Q2 are averaged with their transposes at
+    # construction, and every term added to them is exactly symmetric
+    rng = np.random.default_rng(313)
+    A, B = rng.standard_normal((2, 3, 3))
+    skew = 1e-13 * np.triu(rng.standard_normal((3, 3)), 1)  # within as_symmetric's tolerance
+    model = _qc(Q1=A @ A.T + np.eye(3) + skew, Q2=B @ B.T + skew, d=3)
+    below = np.array([1e-8, -2e-8, 0.5e-8])  # <Q2 x, x> below CUBIC_CUTOFF
+    for x in (3.0 * rng.standard_normal((4, 5, 3)), np.zeros(3), below):
+        H = model.potential_hessian(x)
+        assert np.array_equal(H, H.swapaxes(-1, -2))
+    assert np.array_equal(model.potential_hessian(below), model.Q1)
+
+
 def test_qc_hessian_dominates_quadratic_part():
     rng = np.random.default_rng(312)
     model = _qc(Q1=np.diag([0.5, 1.5]), Q2=np.array([[1.0, 0.3], [0.3, 2.0]]))

@@ -27,7 +27,7 @@ only compare checkouts on one machine; no digest is stored.
 Last it prints each side's size: the lines of src/ekbf that hold a
 tokenize token other than a comment, a line break, indentation or the
 encoding marker, so docstrings count and blank or comment-only lines do
-not.
+not.  The totals come with each module's count on both sides.
 """
 
 from __future__ import annotations
@@ -68,14 +68,18 @@ def _workload_configs(root: Path, side: str) -> dict:
     return {"ou_config-1.json": module.ou_config(1), "fg_config-1.json": module.fg_config(1)}
 
 
-def _src_lines(root: Path) -> int:
-    """Lines of root/src/ekbf that hold a token other than NOT_CODE; a string counts every line it spans."""
-    total = 0
+def _src_lines(root: Path) -> dict:
+    """Per module of root/src/ekbf, the lines that hold a token other than NOT_CODE.
+
+    A string counts every line it spans.  Keys are paths below src, such as ekbf/models.py.
+    """
+    counts = {}
     for path in sorted((root / "src" / "ekbf").rglob("*.py")):
         with open(path, "rb") as fh:
-            total += len({line for tok in tokenize.tokenize(fh.readline) if tok.type not in NOT_CODE
-                          for line in range(tok.start[0], tok.end[0] + 1)})
-    return total
+            counts[path.relative_to(root / "src").as_posix()] = len(
+                {line for tok in tokenize.tokenize(fh.readline) if tok.type not in NOT_CODE
+                 for line in range(tok.start[0], tok.end[0] + 1)})
+    return counts
 
 
 def _prepare(root: Path, work: Path) -> dict:
@@ -170,7 +174,9 @@ def main(argv: list) -> int:
             sys.stdout.flush()
         print(f"{differing} of {len(labels)} runs differ")
     old_lines, new_lines = (_src_lines(root) for root in roots)
-    print(f"src/ekbf lines: old {old_lines}, new {new_lines}")
+    for module in sorted(set(old_lines) | set(new_lines)):
+        print(f"  {module}: old {old_lines.get(module, 0)}, new {new_lines.get(module, 0)}")
+    print(f"src/ekbf lines: old {sum(old_lines.values())}, new {sum(new_lines.values())}")
     return 1 if differing else 0
 
 

@@ -2,22 +2,22 @@
 
 All steppers accept leading batch dimensions.  One driver, advance(), runs
 every coupled simulation: m trials of signal and observation, and a bank
-of filters fed the same observation increments, through every tile of
-pre-drawn noise; simulate_coupled passes a whole PathBundle as one tile at
-m = 1, the ensemble engine a chunk of trials.  The trials' state is one
-array, the signal stacked over the filter means, and each step is one
-kernel call, Stepper.filter_step, which evaluates the drift and the sensor
-once on the whole stack.  While no filter has frozen, one whole-array test
-on the means and one on the covariances stand for the divergence guard.
-The one drawer, draw_increments, fills one buffer with one draw per trial
-per block from the trial's counter-derived stream, then hands each block
-over time-major, TILE steps at a time and scaled on that copy, so a step
-reads contiguous rows; a PathBundle and a batched run see the same
-increments.  Every product in a step is a linalg.matvec (ascending
-multiply-adds) or one small matrix product per covariance, so a row's bits
-do not depend on the batch width and the two callers agree bit for bit.
-Stepper(model, dt, obs) always has a sensor; the noise-free flow needs
-none, so deterministic_flow runs its own RK4 stages on model.drift.
+of filters fed the same observation increments, through one (m, d + r) row
+of noise per step; simulate_coupled passes a PathBundle's rows at m = 1,
+the ensemble engine the drawer's rows for a chunk of trials.  The trials'
+state is one array, the signal stacked over the filter means, and each
+step is one kernel call, Stepper.filter_step, which evaluates the drift
+and the sensor once on the whole stack.  While no filter has frozen, one
+whole-array test on the means and one on the covariances stand for the
+divergence guard.  The one drawer, draw_increments, fills one buffer with
+one draw per trial per block from the trial's counter-derived stream, then
+copies each block time-major into its tile, TILE steps at a time, scaled
+on that copy, and yields a contiguous row per step.  Every product in a
+step is a linalg.matvec (ascending multiply-adds) or one small matrix
+product per covariance, so a row's bits do not depend on the batch width
+and the two callers agree bit for bit.  Stepper(model, dt, obs) always
+has a sensor; the noise-free flow needs none, so deterministic_flow runs
+its own RK4 stages on model.drift.
 
 This module is the one home of the seeding policy.  Trial k's stream is
 numpy's PCG64 seeded by SeedSequence(seed, spawn_key=(k,)); trial_states
@@ -51,7 +51,7 @@ from .models import ObservationModel
 # every seeded result, so treat it as part of the on-disk format.
 NOISE_BLOCK = 4096
 
-# The drawer hands each block to the stepper time-major, this many steps at
+# The drawer copies each block time-major into its tile, this many steps at
 # a time.  Like the engine's chunk size, it changes no result.
 TILE = 16
 
@@ -144,14 +144,13 @@ def trial_states(seed: int, lo: int, hi: int) -> list:
     return states
 
 
-def noise_buffers(m: int, steps: int, dims):
-    """The drawer's two buffers for m trials: a block row per trial and a time-major tile."""
-    d, r = dims
-    return np.empty((m, min(NOISE_BLOCK, steps) * (d + r))), np.empty((min(TILE, steps), m, d + r))
+def noise_buffer(m: int, steps: int, dims):
+    """The drawer's block buffer for m trials: one row per trial of a block's normals."""
+    return np.empty((m, min(NOISE_BLOCK, steps) * sum(dims)))
 
 
-def draw_increments(gen, states, steps: int, dt: float, dims, buf: np.ndarray, tile: np.ndarray):
-    """Yield (start, noise) tiles of increments, one PCG64 state per trial.
+def draw_increments(gen, states, steps: int, dt: float, dims, buf: np.ndarray):
+    """Yield each step's (m, d + r) row of increments, one PCG64 state per trial.
 
     gen is a Generator over PCG64; before each trial's draw it is set to
     that trial's state (trial_states), so one generator serves every trial
@@ -160,20 +159,17 @@ def draw_increments(gen, states, steps: int, dt: float, dims, buf: np.ndarray, t
     (signal_dim, obs_dim); buf (m_max, n) holds at least len(states) trials
     of min(NOISE_BLOCK, steps) * sum(dims) normals.  Per block, one draw per
     trial fills its row with its signal block, then its observation block.
-    The block is then handed over time-major, a tile of at most
-    tile.shape[0] steps at a time: tile (n_t, m_max, sum(dims)) takes the
-    tile's increments, scaled by sqrt(dt) on the copy, and noise =
-    tile[:nt, :m] is yielded, valid until the next tile.  Row j of noise is
-    step start + j: noise[j, i] holds trial i's signal increment, then its
-    observation increment, each of variance dt per coordinate.  The tile
-    length moves no bit.
+    The block is then copied time-major into the drawer's own tile, TILE
+    steps at a time, scaled by sqrt(dt) on the copy, and the tile's rows
+    are yielded in step order, each valid until the next tile.  Row i of a
+    step holds trial i's signal increment, then its observation increment,
+    each of variance dt per coordinate.  The tile length moves no bit.
     """
     (d, r), states, root = dims, list(states), np.sqrt(dt)
-    m, bits, n_t = len(states), gen.bit_generator, tile.shape[0]
+    m, bits = len(states), gen.bit_generator
     if buf.shape[0] < m or buf.shape[1] < min(NOISE_BLOCK, steps) * (d + r):
         raise DimensionMismatch("the noise buffer holds fewer trials or steps than a block")
-    if tile.shape[1] < m or tile.shape[2] != d + r:
-        raise DimensionMismatch("the noise tile holds fewer trials than a block or rows of another width")
+    tile = np.empty((min(TILE, steps), m, d + r))
     for start in range(0, steps, NOISE_BLOCK):
         nb = min(NOISE_BLOCK, steps - start)
         block = buf[:m, : nb * (d + r)]
@@ -183,48 +179,44 @@ def draw_increments(gen, states, steps: int, dt: float, dims, buf: np.ndarray, t
             if start + nb < steps:
                 states[j] = bits.state
         W, V = block[:, : nb * d].reshape(m, nb, d), block[:, nb * d :].reshape(m, nb, r)
-        for t in range(0, nb, n_t):
-            noise = tile[: min(n_t, nb - t), :m]
+        for t in range(0, nb, TILE):
+            noise = tile[: min(TILE, nb - t)]
             np.multiply(W[:, t : t + len(noise)].swapaxes(0, 1), root, out=noise[..., :d])
             np.multiply(V[:, t : t + len(noise)].swapaxes(0, 1), root, out=noise[..., d:])
-            yield start + t, noise
+            yield from noise
 
 
 @dataclass(frozen=True)
 class PathBundle:
     """Pre-drawn Brownian increments for one trial.
 
-    dW and dV have one row per step, shapes (steps, dim), and variance dt
-    per coordinate.
+    noise (steps, d + r) holds one row per step, as the drawer yields it:
+    the signal increment dW, then dV, each of variance dt per coordinate.
     """
 
     dt: float
-    dW: np.ndarray
-    dV: np.ndarray
+    noise: np.ndarray
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise InvalidArgument("dt must be positive")
-        if self.dW.shape[0] != self.dV.shape[0]:
-            raise DimensionMismatch("increment arrays must have one row per step")
 
 
 def make_path_bundle(
     seed: int, trial: int, steps: int, dt: float, signal_dim: int, obs_dim: int
 ) -> PathBundle:
-    """Draw the canonical increment arrays for one trial."""
+    """Draw the canonical increment rows for one trial."""
     states = trial_states(seed, trial, trial + 1)
     if steps < 1:
         raise InvalidArgument("steps must be positive")
     if dt <= 0.0:
         raise InvalidArgument("dt must be positive")
     dims = (signal_dim, obs_dim)
-    dW, dV = np.empty((steps, signal_dim)), np.empty((steps, obs_dim))
-    gen = trial_rng(seed, trial)
-    for start, noise in draw_increments(gen, states, steps, dt, dims, *noise_buffers(1, steps, dims)):
-        dW[start : start + len(noise)] = noise[:, 0, :signal_dim]
-        dV[start : start + len(noise)] = noise[:, 0, signal_dim:]
-    return PathBundle(dt=dt, dW=dW, dV=dV)
+    noise = np.empty((steps, signal_dim + obs_dim))
+    rows = draw_increments(trial_rng(seed, trial), states, steps, dt, dims, noise_buffer(1, steps, dims))
+    for k, row in enumerate(rows):
+        noise[k] = row[0]
+    return PathBundle(dt=dt, noise=noise)
 
 
 class FilterState(NamedTuple):
@@ -354,7 +346,9 @@ class RiccatiFlow:
     len(ok) rows are written: the first chunk to reach step k writes row k
     and every later chunk reads it, so a shared Riccati step and its guard
     test run once per filter per run.  P and gain are allocated once, for
-    every step.
+    every step: a list of each step's (gain, P, verdict) gives the same
+    bits but keeps two small arrays per step, whose headers outweigh a
+    small d's data (+0.9 MB peak RSS at 2000 steps, two filters, d = 1).
     """
 
     def __init__(self, n_f: int, d: int, r: int, steps: int):
@@ -394,15 +388,15 @@ def initial_bank(filters, d: int):
     return means0, covs0
 
 
-def advance(stepper: Stepper, x0, means0, covs0, m: int, blocks, on_step, flow=None):
-    """Run m trials from x0 (d,) and their filter bank through every noise tile.
+def advance(stepper: Stepper, x0, means0, covs0, m: int, rows, on_step, flow=None):
+    """Run m trials from x0 (d,) and their filter bank through every noise row.
 
     The trials' state is one array z (1 + n_f, m, d): the signal z[0] and,
     from initial_bank's means0 and covs0, the filter means z[1:], with
     P (n_f, m_P, d, d), m_P 1 or m.  Filter f of trial i is z[1 + f, i],
     and its covariance is P[f, 0] while the filter's covariance is shared
-    by all trials, P[f, i] once it is not.  blocks yields (start, noise)
-    with noise (nt, m, d + r), as draw_increments does, and each step is one
+    by all trials, P[f, i] once it is not.  rows yields each step's noise
+    (m, d + r), as draw_increments does, and each is one
     Stepper.filter_step on z.  Filters that trip the divergence guard
     freeze.  flow, a RiccatiFlow of the run that started at covs0, serves
     the shared covariance until a filter freezes and widens P.
@@ -417,10 +411,9 @@ def advance(stepper: Stepper, x0, means0, covs0, m: int, blocks, on_step, flow=N
     P = covs0[:, None]
     active = None  # no filter has frozen, so no mask is kept
     on_step(0, z[0], z[1:], P)
-    for start, noise in blocks:
-        for j in range(len(noise)):
-            z, P, active = stepper.filter_step(z, P, noise[j], active, flow, start + j)
-            on_step(start + j + 1, z[0], z[1:], P)
+    for k, noise in enumerate(rows):
+        z, P, active = stepper.filter_step(z, P, noise, active, flow, k)
+        on_step(k + 1, z[0], z[1:], P)
     return np.ones((n_f, m), dtype=bool) if active is None else active
 
 
@@ -478,10 +471,10 @@ def simulate_coupled(
 ) -> TrialRecord:
     """Run one signal/observation path and a bank of filters on it.
 
-    This is advance() at m = 1 with the whole bundle as its one tile.
-    Every filter sees the identical observation increments.  Filters that
-    trip the divergence guard freeze and are flagged rather than aborting
-    the trial.
+    This is advance() at m = 1 on the bundle's rows, which must be
+    model.dim + obs.obs_dim wide.  Every filter sees the identical
+    observation increments.  Filters that trip the divergence guard freeze
+    and are flagged rather than aborting the trial.
     """
     d = model.dim
     x0 = linalg.as_vector(x0, d)
@@ -489,9 +482,10 @@ def simulate_coupled(
     if record_every < 1:
         raise InvalidArgument("record_every must be >= 1")
     stepper = Stepper(model, bundle.dt, obs)
-    n_f = len(filters)
+    if bundle.noise.shape[1:] != (d + obs.obs_dim,):
+        raise DimensionMismatch("the bundle's rows are not model.dim + obs.obs_dim wide")
+    n_f, steps = len(filters), len(bundle.noise)
 
-    steps = bundle.dW.shape[0]
     rec_idx, rec_pos = step_grid(record_grid(steps, record_every), steps, "record")
     n_rec = rec_idx.size
 
@@ -509,9 +503,8 @@ def simulate_coupled(
             if delta is not None:
                 delta[i] = bank_delta_sq(xh, P)[0]
 
-    # the whole bundle is one time-major tile of one trial
-    noise = np.concatenate([bundle.dW, bundle.dV], axis=1)[:, None]
-    active = advance(stepper, x0, means0, covs0, 1, [(0, noise)], record)[:, 0]
+    # each row of the bundle is one step's row of a one-trial chunk
+    active = advance(stepper, x0, means0, covs0, 1, bundle.noise[:, None], record)[:, 0]
 
     return TrialRecord(
         times=rec_idx * bundle.dt,

@@ -240,6 +240,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if x0.size != model.dim:
         raise ConfigError("init.x0 length must match the model dimension")
     if "filters" in init:
+        both = [f"init.{key}" for key in ("xhat0", "P0") if key in init]
+        if both:
+            raise ConfigError(f"init.filters cannot be given with {' or '.join(both)}")
         entries = init["filters"]
         if not isinstance(entries, list) or len(entries) == 0:
             raise ConfigError("init.filters must be a non-empty list of [mean, cov] pairs")

@@ -2,7 +2,7 @@
 
 The engine hands each fixed chunk of CHUNK trials to dynamics.advance,
 which stacks the signal over the filter bank and steps both, one kernel
-call per step, through the chunk's noise tiles; the engine keeps only its
+call per step, through the chunk's noise rows; the engine keeps only its
 own reductions, which its callback reads from views of that stacked state
 and records per step into the chunk's rows of run-wide arrays.  Each trial
 draws its noise from an independent stream derived from (seed, trial
@@ -11,10 +11,9 @@ depend on the batch width, so a single trial re-simulated with
 simulate_coupled reproduces the engine bit for bit and output bytes do not
 depend on chunk or tile size.  Every chunk runs on the calling thread, in
 order, and draws its noise blocks into one buffer that the run allocates
-once, next to the one time-major tile the blocks are handed over in, one
-draw per trial per block; nothing in the package starts a thread.  A
-chunk seeds no generator per trial: it takes one, trial lo's from
-trial_rng, and the drawer points it at each trial's state from
+once, one draw per trial per block; nothing in the package starts a
+thread.  A chunk seeds no generator per trial: it takes one, trial lo's
+from trial_rng, and the drawer points it at each trial's state from
 dynamics.trial_states, one vectorized pass per chunk.  The run's one
 RiccatiFlow carries a state-independent Riccati flow and its guard
 verdicts from chunk to chunk, so each shared covariance step runs once per
@@ -61,7 +60,7 @@ from ..dynamics import (
     deterministic_flow,
     draw_increments,
     initial_bank,
-    noise_buffers,
+    noise_buffer,
     step_grid,
     stream,
     trial_rng,
@@ -161,8 +160,8 @@ def run_ensemble(
     gap = np.full(n_trials, -np.inf)
     diverged = np.empty(n_trials, dtype=bool)
     dsq = np.empty((n_trials, rec.size)) if with_delta else None
-    # one pair of noise buffers and one shared Riccati flow serve every chunk of the run
-    buffers = noise_buffers(min(CHUNK, n_trials), steps, (d, obs.obs_dim))
+    # one noise buffer and one shared Riccati flow serve every chunk of the run
+    buffer = noise_buffer(min(CHUNK, n_trials), steps, (d, obs.obs_dim))
     flow = RiccatiFlow(len(filters), d, obs.obs_dim, steps)
 
     # trials lo..hi-1 fill their rows of the run's arrays; a chunk's
@@ -181,9 +180,9 @@ def run_ensemble(
                 dsq[rows, rec_pos[s]] = bank_delta_sq(xh, P)
 
         # one generator per chunk, trial lo's, is pointed at each trial's state
-        blocks = draw_increments(trial_rng(seed, lo), trial_states(seed, lo, hi), steps, dt,
-                                 (d, obs.obs_dim), *buffers)
-        active = advance(stepper, x0, means0, covs0, hi - lo, blocks, record, flow)
+        noise = draw_increments(trial_rng(seed, lo), trial_states(seed, lo, hi), steps, dt,
+                                (d, obs.obs_dim), buffer)
+        active = advance(stepper, x0, means0, covs0, hi - lo, noise, record, flow)
         # only filters 0 and 1 are read, so only they mark a trial diverged
         diverged[rows] = ~active[:2].all(axis=0)
 

@@ -17,7 +17,7 @@ from ekbf.dynamics import (
     deterministic_flow,
     draw_increments,
     make_path_bundle,
-    noise_buffers,
+    noise_buffer,
     simulate_coupled,
     trial_rng,
     trial_states,
@@ -36,37 +36,38 @@ def _qc2():
 def test_path_bundle_reproducible_and_blocked():
     b1 = make_path_bundle(seed=9, trial=4, steps=5000, dt=0.01, signal_dim=2, obs_dim=1)
     b2 = make_path_bundle(seed=9, trial=4, steps=5000, dt=0.01, signal_dim=2, obs_dim=1)
-    assert np.array_equal(b1.dW, b2.dW) and np.array_equal(b1.dV, b2.dV)
+    assert b1.noise.shape == (5000, 3) and np.array_equal(b1.noise, b2.noise)
     other = make_path_bundle(seed=9, trial=5, steps=5000, dt=0.01, signal_dim=2, obs_dim=1)
-    assert not np.array_equal(b1.dW, other.dW)
+    assert not np.array_equal(b1.noise[:, :2], other.noise[:, :2])
 
     # replicate the block protocol by hand: per block, the signal draw comes
-    # first, then the observation draw, from the same per-trial stream
+    # first, then the observation draw, from the same per-trial stream; a
+    # row holds the step's signal increment, then its observation increment
     rng = trial_rng(9, 4)
     root = np.sqrt(0.01)
     for start in (0, NOISE_BLOCK):
         n = min(NOISE_BLOCK, 5000 - start)
-        assert np.array_equal(b1.dW[start : start + n], rng.standard_normal((n, 2)) * root)
-        assert np.array_equal(b1.dV[start : start + n], rng.standard_normal((n, 1)) * root)
+        assert np.array_equal(b1.noise[start : start + n, :2], rng.standard_normal((n, 2)) * root)
+        assert np.array_equal(b1.noise[start : start + n, 2:], rng.standard_normal((n, 1)) * root)
 
 
 def test_draw_increments_fills_the_given_buffers():
-    # each block is drawn into the block buffer and handed over time-major,
-    # TILE steps at a time through views of the tile buffer, the block's
-    # last tile shorter; the block buffer keeps the unscaled draws
+    # each block is drawn into the block buffer and copied time-major into
+    # the drawer's own tile, TILE steps at a time, whose rows are handed over
+    # one step at a time; the block buffer keeps the unscaled draws
     steps, dt = NOISE_BLOCK + 10, 0.01
-    buf, tile = np.empty((3, NOISE_BLOCK * 3)), np.empty((TILE, 3, 3))
-    shapes = []
-    blocks = draw_increments(trial_rng(9, 0), trial_states(9, 0, 2), steps, dt, (2, 1), buf, tile)
-    for start, noise in blocks:
-        assert np.shares_memory(noise, tile) and not np.shares_memory(noise, buf)
-        shapes.append((start, noise.shape))
-    assert shapes == [(lo + t, (min(TILE, n - t), 2, 3))
-                      for lo, n in ((0, NOISE_BLOCK), (NOISE_BLOCK, 10)) for t in range(0, n, TILE)]
+    buf = np.empty((3, NOISE_BLOCK * 3))
+    rows, copies = [], []
+    for row in draw_increments(trial_rng(9, 0), trial_states(9, 0, 2), steps, dt, (2, 1), buf):
+        assert row.shape == (2, 3) and not np.shares_memory(row, buf)
+        # one tile serves the whole call: a row takes the place of the row TILE steps back
+        assert len(rows) < TILE or np.shares_memory(row, rows[-TILE])
+        rows.append(row)
+        copies.append(row.copy())
+    assert len(rows) == steps
     bundle = make_path_bundle(seed=9, trial=1, steps=steps, dt=dt, signal_dim=2, obs_dim=1)
-    assert np.array_equal(buf[1, :20].reshape(10, 2) * np.sqrt(dt), bundle.dW[NOISE_BLOCK:])
-    assert np.array_equal(noise[:, 1, :2], bundle.dW[NOISE_BLOCK:])
-    assert np.array_equal(noise[:, 1, 2:], bundle.dV[NOISE_BLOCK:])
+    assert np.array_equal(buf[1, :20].reshape(10, 2) * np.sqrt(dt), bundle.noise[NOISE_BLOCK:, :2])
+    assert np.array_equal(np.array(copies)[:, 1], bundle.noise)
 
 
 class _CountingGenerator:
@@ -88,7 +89,7 @@ def test_one_buffer_drawer_matches_the_stream_order():
     # short last block too; every step is handed over once, in order; a
     # buffer with too few trials or steps is refused rather than drawn short
     steps, m, d, r, dt = NOISE_BLOCK + 3, 2, 2, 1, 0.01
-    buf, tile = np.empty((m, NOISE_BLOCK * (d + r))), np.empty((3, m, d + r))
+    buf = np.empty((m, NOISE_BLOCK * (d + r)))
     sizes = []
     gen, states = _CountingGenerator(trial_rng(5, 0), sizes), trial_states(5, 0, m)
     want_w, want_v = np.empty((steps, m, d)), np.empty((steps, m, r))
@@ -98,24 +99,19 @@ def test_one_buffer_drawer_matches_the_stream_order():
             nb = min(NOISE_BLOCK, steps - start)
             want_w[start : start + nb, j] = ref.standard_normal((nb, d)) * np.sqrt(dt)
             want_v[start : start + nb, j] = ref.standard_normal((nb, r)) * np.sqrt(dt)
-    seen = []
-    for start, noise in draw_increments(gen, states, steps, dt, (d, r), buf, tile):
-        nt = len(noise)
-        assert noise.shape == (nt, m, d + r) and 1 <= nt <= 3
-        assert np.array_equal(noise[..., :d], want_w[start : start + nt])
-        assert np.array_equal(noise[..., d:], want_v[start : start + nt])
-        seen += range(start, start + nt)
-    assert seen == list(range(steps))
+    seen = 0
+    for k, noise in enumerate(draw_increments(gen, states, steps, dt, (d, r), buf)):
+        assert noise.shape == (m, d + r)
+        assert np.array_equal(noise[:, :d], want_w[k])
+        assert np.array_equal(noise[:, d:], want_v[k])
+        seen += 1
+    assert seen == steps
     # one call per trial per block, each naming its size
     assert sizes == [(NOISE_BLOCK * (d + r),)] * m + [(3 * (d + r),)] * m
     with pytest.raises(DimensionMismatch):  # one trial short
-        next(draw_increments(gen, states, steps, dt, (d, r), buf[: m - 1], tile))
+        next(draw_increments(gen, states, steps, dt, (d, r), buf[: m - 1]))
     with pytest.raises(DimensionMismatch):  # one step short
-        next(draw_increments(gen, states, steps, dt, (d, r), buf[:, : (NOISE_BLOCK - 1) * (d + r)], tile))
-    with pytest.raises(DimensionMismatch):  # a tile one trial short
-        next(draw_increments(gen, states, steps, dt, (d, r), buf, tile[:, : m - 1]))
-    with pytest.raises(DimensionMismatch):  # a tile of rows of another width
-        next(draw_increments(gen, states, steps, dt, (d, r), buf, tile[..., :d]))
+        next(draw_increments(gen, states, steps, dt, (d, r), buf[:, : (NOISE_BLOCK - 1) * (d + r)]))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**128 + 1])
@@ -241,6 +237,18 @@ def test_trace_stays_under_envelope_single_trial():
     tr_R1 = float(np.trace(model.R1))
     tau = np.exp(-lam * rec.full_times) * 1.0 + tr_R1 / lam
     assert np.all(rec.traces[0] <= tau + 5 * bundle.dt * tr_R1)
+
+
+def test_simulate_coupled_refuses_rows_of_another_width():
+    # a bundle's rows must be d + r wide: one drawn at d = r = 1 cannot drive
+    # a run at d = r = 2, nor one drawn at d = 2, r = 1 a run at d = r = 1
+    qc = (_qc2(), observation_params(np.eye(2), np.eye(2)), np.zeros(2),
+          [FilterState(mean=np.zeros(2), cov=np.eye(2))])
+    ou = (OU, OBS1, np.zeros(1), [FilterState(mean=np.zeros(1), cov=np.eye(1))])
+    for (model, obs, x0, bank), dims in ((qc, (1, 1)), (ou, (2, 1))):
+        bundle = make_path_bundle(seed=3, trial=0, steps=5, dt=0.01, signal_dim=dims[0], obs_dim=dims[1])
+        with pytest.raises(DimensionMismatch, match="wide"):
+            simulate_coupled(model, obs, x0, bank, bundle, record_every=1)
 
 
 def test_divergence_guard_freezes_and_flags():
@@ -421,10 +429,10 @@ def test_covariance_psd_and_finite_after_every_step(data):
 
     seed = draw(st.integers(0, 2**32 - 1), label="seed")
     with np.errstate(over="ignore", invalid="ignore"):  # blown-up rows freeze
-        blocks = draw_increments(trial_rng(seed, 0), trial_states(seed, 0, m), 40, dt, (2, 2),
-                                 *noise_buffers(m, 40, (2, 2)))
+        noise = draw_increments(trial_rng(seed, 0), trial_states(seed, 0, m), 40, dt, (2, 2),
+                                noise_buffer(m, 40, (2, 2)))
         # a linear model's shared covariance steps through the run's flow
-        advance(stepper, np.zeros(2), means0, P0, m, blocks, check, RiccatiFlow(n_f, 2, 2, 40))
+        advance(stepper, np.zeros(2), means0, P0, m, noise, check, RiccatiFlow(n_f, 2, 2, 40))
     assert steps_seen == list(range(41))  # step 0 is checked too
 
 

@@ -506,6 +506,24 @@ def test_engine_freezes_every_trial_as_the_single_trial_api_does(case, frozen):
         assert res.trace_gap_max[trial] == np.max(rec.traces[0] - tau), trial
 
 
+def test_engine_matches_single_trial_api_across_a_noise_block():
+    # past NOISE_BLOCK steps each trial's stream state is read back between
+    # blocks and the last block is 7 steps, a short last tile; d = 3, r = 2
+    model, obs, x0, filters = BITWISE_CASES["lin3-two-filters"]
+    seed, steps, dt, n_trials = 31, dynamics.NOISE_BLOCK + 7, 0.01, 3
+    grid = dynamics.record_grid(steps, 512)  # steps 0, 512, ..., NOISE_BLOCK, steps
+    res = run_ensemble(model, obs, x0, filters, dt, steps, n_trials, seed,
+                       checkpoint_steps=grid, record_steps=grid)
+    tau = np.asarray(bounds.tau_t(res.constants, np.arange(steps + 1) * dt))
+    for trial in range(n_trials):
+        bundle = make_path_bundle(seed, trial, steps, dt, model.dim, obs.obs_dim)
+        rec = simulate_coupled(model, obs, x0, [FilterState(*f) for f in filters], bundle, 512)
+        assert np.array_equal(res.filter_err_sq[trial], linalg.sumsq(rec.signal - rec.means[0])), trial
+        assert np.array_equal(res.delta_sq[trial], rec.delta), trial
+        assert res.trace_gap_max[trial] == np.max(rec.traces[0] - tau), trial
+    assert not res.diverged.any()
+
+
 def _assert_engine_unchanged_by(patch, model, obs, n_trials, n_filters, seed):
     """The arrays of one run equal those of the same run under patch, bit for bit."""
     d = model.dim
@@ -805,6 +823,10 @@ def test_config_errors_carry_dotted_paths():
         config_from_dict(_base_config(model={"variant": "pendulum", "R1": [[1.0]]}))
     with pytest.raises(ConfigError, match="dt rejected"):
         config_from_dict(_base_config(sim={"dt": 0.4, "T": 1.0, "n_trials": 1, "seed": 0}))
+    # init.filters given with a P0 that init.filters would leave unread
+    init = {"x0": [0.0], "filters": [[[0.0], [[1.0]]], [[1.0], [[0.5]]]], "P0": [[-5.0]]}
+    with pytest.raises(ConfigError, match=r"^init\.filters cannot be given with init\.P0$"):
+        config_from_dict(_base_config(init=init))
 
 
 def test_config_trims_checkpoints_to_horizon():
@@ -876,6 +898,8 @@ def test_config_fuzz_raises_only_config_error(case, value):
         ("test", "n_orders", 2),
         ("test", "checkpoints", 5),
         ("init", "P0", [[-1.0]]),
+        # init.filters replaces the base config's init.xhat0 and init.P0
+        ("init", "filters", [[[0.0], [[1.0]]], [[1.0], [[0.5]]]]),
     ],
 )
 def test_cli_rejects_bad_values_as_config_errors(tmp_path, capsys, section, key, value):

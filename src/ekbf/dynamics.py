@@ -9,15 +9,15 @@ state is one array, the signal stacked over the filter means, and each
 step is one kernel call, Stepper.filter_step, which evaluates the drift
 and the sensor once on the whole stack.  While no filter has frozen, one
 whole-array test on the means and one on the covariances stand for the
-divergence guard.  The one drawer, draw_increments, fills one buffer with
-one draw per trial per block from the trial's counter-derived stream, then
-copies each block time-major into its tile, TILE steps at a time, scaled
-on that copy, and yields a contiguous row per step.  Every product in a
-step is a linalg.matvec (ascending multiply-adds) or one small matrix
-product per covariance, so a row's bits do not depend on the batch width
-and the two callers agree bit for bit.  Stepper(model, dt, obs) always
-has a sensor; the noise-free flow needs none, so deterministic_flow runs
-its own RK4 stages on model.drift.
+divergence guard.  The one drawer, draw_increments, derives a chunk's
+trial states, fills its own buffer with one draw per trial per block from
+each trial's counter-derived stream, copies each block time-major into its
+tile, TILE steps at a time, scaled on that copy, and yields a row per step.
+Every product in a step is a linalg.matvec (ascending multiply-adds) or
+one small matrix product per covariance, so a row's bits do not depend on
+the batch width and the two callers agree bit for bit.  Stepper(model,
+dt, obs) always has a sensor; the noise-free flow needs none, so
+deterministic_flow runs its own RK4 stages on model.drift.
 
 This module is the one home of the seeding policy.  Trial k's stream is
 numpy's PCG64 seeded by SeedSequence(seed, spawn_key=(k,)); trial_states
@@ -144,35 +144,28 @@ def trial_states(seed: int, lo: int, hi: int) -> list:
     return states
 
 
-def noise_buffer(m: int, steps: int, dims):
-    """The drawer's block buffer for m trials: one row per trial of a block's normals."""
-    return np.empty((m, min(NOISE_BLOCK, steps) * sum(dims)))
-
-
-def draw_increments(gen, states, steps: int, dt: float, dims, buf: np.ndarray):
-    """Yield each step's (m, d + r) row of increments, one PCG64 state per trial.
+def draw_increments(gen, seed: int, lo: int, hi: int, steps: int, dt: float, dims):
+    """Yield each step's (hi - lo, d + r) row of increments for trials lo .. hi - 1.
 
     gen is a Generator over PCG64; before each trial's draw it is set to
-    that trial's state (trial_states), so one generator serves every trial
-    and each trial's draws are those of its own stream.  A trial's state is
-    read back after its draw only when another block follows.  dims is
-    (signal_dim, obs_dim); buf (m_max, n) holds at least len(states) trials
-    of min(NOISE_BLOCK, steps) * sum(dims) normals.  Per block, one draw per
-    trial fills its row with its signal block, then its observation block.
-    The block is then copied time-major into the drawer's own tile, TILE
-    steps at a time, scaled by sqrt(dt) on the copy, and the tile's rows
-    are yielded in step order, each valid until the next tile.  Row i of a
-    step holds trial i's signal increment, then its observation increment,
-    each of variance dt per coordinate.  The tile length moves no bit.
+    that trial's state from trial_states(seed, lo, hi), so one generator
+    serves every trial and each trial's draws are those of its own stream.
+    A state is read back after its draw only when another block follows.
+    dims is (d, r).  Per block, one draw per trial fills its row of the
+    drawer's buffer with its signal block, then its observation block.  The
+    block is then copied time-major into the drawer's tile, TILE steps at a
+    time, scaled by sqrt(dt) on the copy, and the tile's rows are yielded
+    in step order, each valid until the next tile.  Row i of a step holds
+    trial lo + i's signal increment, then its observation increment, each
+    of variance dt per coordinate.  The tile length moves no bit.
     """
-    (d, r), states, root = dims, list(states), np.sqrt(dt)
-    m, bits = len(states), gen.bit_generator
-    if buf.shape[0] < m or buf.shape[1] < min(NOISE_BLOCK, steps) * (d + r):
-        raise DimensionMismatch("the noise buffer holds fewer trials or steps than a block")
+    (d, r), states, root = dims, trial_states(seed, lo, hi), np.sqrt(dt)
+    m, bits = hi - lo, gen.bit_generator
+    buf = np.empty((m, min(NOISE_BLOCK, steps) * (d + r)))
     tile = np.empty((min(TILE, steps), m, d + r))
     for start in range(0, steps, NOISE_BLOCK):
         nb = min(NOISE_BLOCK, steps - start)
-        block = buf[:m, : nb * (d + r)]
+        block = buf[:, : nb * (d + r)]
         for j in range(m):
             bits.state = states[j]
             gen.standard_normal(block[j].shape, out=block[j])
@@ -191,11 +184,12 @@ class PathBundle:
     """Pre-drawn Brownian increments for one trial.
 
     noise (steps, d + r) holds one row per step, as the drawer yields it:
-    the signal increment dW, then dV, each of variance dt per coordinate.
+    the signal increment dW (d = signal_dim), then dV, each of variance dt.
     """
 
     dt: float
     noise: np.ndarray
+    signal_dim: int
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -206,17 +200,15 @@ def make_path_bundle(
     seed: int, trial: int, steps: int, dt: float, signal_dim: int, obs_dim: int
 ) -> PathBundle:
     """Draw the canonical increment rows for one trial."""
-    states = trial_states(seed, trial, trial + 1)
     if steps < 1:
         raise InvalidArgument("steps must be positive")
     if dt <= 0.0:
         raise InvalidArgument("dt must be positive")
-    dims = (signal_dim, obs_dim)
-    noise = np.empty((steps, signal_dim + obs_dim))
-    rows = draw_increments(trial_rng(seed, trial), states, steps, dt, dims, noise_buffer(1, steps, dims))
-    for k, row in enumerate(rows):
-        noise[k] = row[0]
-    return PathBundle(dt=dt, noise=noise)
+    # the drawer points any PCG64 generator at the trial's own state
+    rows = draw_increments(np.random.default_rng(0), seed, trial, trial + 1, steps, dt,
+                           (signal_dim, obs_dim))
+    noise = np.fromiter((row[0] for row in rows), np.dtype((float, signal_dim + obs_dim)), steps)
+    return PathBundle(dt=dt, noise=noise, signal_dim=signal_dim)
 
 
 class FilterState(NamedTuple):
@@ -471,10 +463,10 @@ def simulate_coupled(
 ) -> TrialRecord:
     """Run one signal/observation path and a bank of filters on it.
 
-    This is advance() at m = 1 on the bundle's rows, which must be
-    model.dim + obs.obs_dim wide.  Every filter sees the identical
-    observation increments.  Filters that trip the divergence guard freeze
-    and are flagged rather than aborting the trial.
+    This is advance() at m = 1 on the bundle's rows, drawn at d = model.dim
+    and r = obs.obs_dim.  Every filter sees the identical observation
+    increments.  Filters that trip the divergence guard freeze and are
+    flagged rather than aborting the trial.
     """
     d = model.dim
     x0 = linalg.as_vector(x0, d)
@@ -482,8 +474,8 @@ def simulate_coupled(
     if record_every < 1:
         raise InvalidArgument("record_every must be >= 1")
     stepper = Stepper(model, bundle.dt, obs)
-    if bundle.noise.shape[1:] != (d + obs.obs_dim,):
-        raise DimensionMismatch("the bundle's rows are not model.dim + obs.obs_dim wide")
+    if bundle.signal_dim != d or bundle.noise.shape[1:] != (d + obs.obs_dim,):
+        raise DimensionMismatch("the bundle's rows are not model.dim, then obs.obs_dim wide")
     n_f, steps = len(filters), len(bundle.noise)
 
     rec_idx, rec_pos = step_grid(record_grid(steps, record_every), steps, "record")

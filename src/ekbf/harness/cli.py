@@ -20,10 +20,11 @@ than 3 times past the forgetting burn-in, a zero-gain sensor under the
 forgetting row, or an --out that cannot be made a directory), 3 when the
 run itself fails (any other EkbfError, e.g. a Laplace row whose every
 trial diverged or has a non-finite exponent, an OSError while writing a
-result file, or a MemoryError when an array cannot be allocated; a
-Laplace mean past the float range is a FAIL, and a diverged filter
-freezes and is counted, not raised); 2 and 3
-print a one-line message to stderr.  check prints bounds.bounds_report's
+result file, a MemoryError, an ArithmeticError such as an envelope's
+float power past the float range, or a NaN or Infinity that a JSON file
+would hold; a Laplace mean past the float range is a FAIL, and a diverged
+filter freezes and is counted, not raised); 2 and 3 print a one-line
+message to stderr.  check prints bounds.bounds_report's
 plain data as JSON, the text it also writes to bounds.json; simulate
 prints one line of trial and diverged counts, with no verdict; every
 other command prints one verdict line and nothing else.
@@ -88,7 +89,10 @@ def _tally(details: list, key: str) -> tuple:
 
 def _write_json(data, out: str | None, stem: str) -> str:
     """data as JSON text with sorted keys, also written to stem.json under out."""
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # strict JSON has no NaN or Infinity
+        raise EkbfError(f"{stem}.json would hold a non-finite value ({exc})") from exc
     if out is not None:
         with open(os.path.join(out, f"{stem}.json"), "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -298,6 +302,10 @@ def run_cli(argv) -> int:
         return 2
     except (EkbfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:  # e.g. a Python-float power past the float range
+        detail = f": {exc.args[-1]}" if exc.args else ""
+        print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
         return 3
     except MemoryError as exc:  # numpy's message names the array; a bare MemoryError has none
         detail = f": {exc}" if str(exc) else ""

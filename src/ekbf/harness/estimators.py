@@ -10,12 +10,12 @@ index) through the same drawer as PathBundle, and a row's bits do not
 depend on the batch width, so a single trial re-simulated with
 simulate_coupled reproduces the engine bit for bit and output bytes do not
 depend on chunk or tile size.  Every chunk runs on the calling thread, in
-order, and draws its noise blocks into one buffer that the run allocates
-once, one draw per trial per block; nothing in the package starts a
-thread.  A chunk seeds no generator per trial: it takes one, trial lo's
-from trial_rng, and the drawer points it at each trial's state from
-dynamics.trial_states, one vectorized pass per chunk.  The run's one
-RiccatiFlow carries a state-independent Riccati flow and its guard
+order, and its drawer, dynamics.draw_increments, draws its noise blocks
+into the drawer's own buffer, one draw per trial per block; nothing in the
+package starts a thread.  A chunk seeds no generator per trial: it passes
+one, trial lo's from trial_rng, and the drawer points it at each trial's
+state, which it derives for the chunk in one vectorized pass.  The run's
+one RiccatiFlow carries a state-independent Riccati flow and its guard
 verdicts from chunk to chunk, so each shared covariance step runs once per
 filter per run; a chunk steps its own covariances once one of its filters
 freezes.  A trial counts as diverged when filter 0 or 1 froze, since no
@@ -60,11 +60,9 @@ from ..dynamics import (
     deterministic_flow,
     draw_increments,
     initial_bank,
-    noise_buffer,
     step_grid,
     stream,
     trial_rng,
-    trial_states,
 )
 from ..errors import InvalidArgument
 from .stats import (Z95, EstimateWithCI, fit_decay_rate, increasing_trend_pvalue, log_mean_exp_ci,
@@ -160,12 +158,11 @@ def run_ensemble(
     gap = np.full(n_trials, -np.inf)
     diverged = np.empty(n_trials, dtype=bool)
     dsq = np.empty((n_trials, rec.size)) if with_delta else None
-    # one noise buffer and one shared Riccati flow serve every chunk of the run
-    buffer = noise_buffer(min(CHUNK, n_trials), steps, (d, obs.obs_dim))
+    # one shared Riccati flow serves every chunk of the run
     flow = RiccatiFlow(len(filters), d, obs.obs_dim, steps)
 
-    # trials lo..hi-1 fill their rows of the run's arrays; a chunk's
-    # trial states live in this frame, so they go before the next chunk's
+    # trials lo..hi-1 fill their rows of the run's arrays; a chunk's drawer
+    # lives in this frame, so its buffers go before the next chunk's
     def run_chunk(lo, hi):
         rows, chunk_gap = slice(lo, hi), gap[lo:hi]
 
@@ -180,8 +177,7 @@ def run_ensemble(
                 dsq[rows, rec_pos[s]] = bank_delta_sq(xh, P)
 
         # one generator per chunk, trial lo's, is pointed at each trial's state
-        noise = draw_increments(trial_rng(seed, lo), trial_states(seed, lo, hi), steps, dt,
-                                (d, obs.obs_dim), buffer)
+        noise = draw_increments(trial_rng(seed, lo), seed, lo, hi, steps, dt, (d, obs.obs_dim))
         active = advance(stepper, x0, means0, covs0, hi - lo, noise, record, flow)
         # only filters 0 and 1 are read, so only they mark a trial diverged
         diverged[rows] = ~active[:2].all(axis=0)

@@ -172,7 +172,7 @@ def test_gronwall_rhs_validation():
 
 def test_gronwall_rhs_matches_scipy_quad():
     # the closed form against the integral its docstring states, a = h w included
-    from scipy.integrate import quad
+    quad = pytest.importorskip("scipy.integrate").quad
 
     rng = np.random.default_rng(808)
     cases = [(2, 1.0, 2.0, 0.3, 0.2, 3.0), (3, 1.0, 1.0, 0.5, 0.1, 1.5)]  # a == h w
@@ -189,7 +189,7 @@ def test_gronwall_rhs_matches_scipy_quad():
 
 def _sourced_moments_ivp(T, a, w, u, v):
     """E Y_T and E Y_T^2 of dY = (-a Y + u) dt + sqrt(v Y + w Y^2) dN from 0, by solve_ivp."""
-    from scipy.integrate import solve_ivp
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
 
     def rhs(_, m):
         return [-a * m[0] + u, (w - 2.0 * a) * m[1] + (2.0 * u + v) * m[0]]

@@ -17,7 +17,6 @@ from ekbf.dynamics import (
     deterministic_flow,
     draw_increments,
     make_path_bundle,
-    noise_buffer,
     simulate_coupled,
     trial_rng,
     trial_states,
@@ -51,22 +50,20 @@ def test_path_bundle_reproducible_and_blocked():
         assert np.array_equal(b1.noise[start : start + n, 2:], rng.standard_normal((n, 1)) * root)
 
 
-def test_draw_increments_fills_the_given_buffers():
-    # each block is drawn into the block buffer and copied time-major into
-    # the drawer's own tile, TILE steps at a time, whose rows are handed over
-    # one step at a time; the block buffer keeps the unscaled draws
+def test_draw_increments_hands_over_its_tile_rows():
+    # each block is drawn into the drawer's block buffer and copied
+    # time-major into its tile, TILE steps at a time, whose rows are handed
+    # over one step at a time
     steps, dt = NOISE_BLOCK + 10, 0.01
-    buf = np.empty((3, NOISE_BLOCK * 3))
     rows, copies = [], []
-    for row in draw_increments(trial_rng(9, 0), trial_states(9, 0, 2), steps, dt, (2, 1), buf):
-        assert row.shape == (2, 3) and not np.shares_memory(row, buf)
+    for row in draw_increments(trial_rng(9, 0), 9, 0, 2, steps, dt, (2, 1)):
+        assert row.shape == (2, 3)
         # one tile serves the whole call: a row takes the place of the row TILE steps back
         assert len(rows) < TILE or np.shares_memory(row, rows[-TILE])
         rows.append(row)
         copies.append(row.copy())
     assert len(rows) == steps
     bundle = make_path_bundle(seed=9, trial=1, steps=steps, dt=dt, signal_dim=2, obs_dim=1)
-    assert np.array_equal(buf[1, :20].reshape(10, 2) * np.sqrt(dt), bundle.noise[NOISE_BLOCK:, :2])
     assert np.array_equal(np.array(copies)[:, 1], bundle.noise)
 
 
@@ -86,32 +83,29 @@ def test_one_buffer_drawer_matches_the_stream_order():
     # each trial fills its [signal block | observation block] row with one
     # draw, so the handed-over increments are a signal draw followed by an
     # observation draw from the trial's stream, scaled by sqrt(dt), the
-    # short last block too; every step is handed over once, in order; a
-    # buffer with too few trials or steps is refused rather than drawn short
-    steps, m, d, r, dt = NOISE_BLOCK + 3, 2, 2, 1, 0.01
-    buf = np.empty((m, NOISE_BLOCK * (d + r)))
-    sizes = []
-    gen, states = _CountingGenerator(trial_rng(5, 0), sizes), trial_states(5, 0, m)
+    # short last block too; every step is handed over once, in order, and a
+    # range of trials past 0 gets those trials' own rows
+    steps, lo, hi, d, r, dt = NOISE_BLOCK + 3, 3, 5, 2, 1, 0.01
+    m, sizes = hi - lo, []
+    gen = _CountingGenerator(trial_rng(5, lo), sizes)
     want_w, want_v = np.empty((steps, m, d)), np.empty((steps, m, r))
     for j in range(m):
-        ref = trial_rng(5, j)
+        ref = trial_rng(5, lo + j)
         for start in (0, NOISE_BLOCK):
             nb = min(NOISE_BLOCK, steps - start)
             want_w[start : start + nb, j] = ref.standard_normal((nb, d)) * np.sqrt(dt)
             want_v[start : start + nb, j] = ref.standard_normal((nb, r)) * np.sqrt(dt)
+    bundles = [make_path_bundle(5, k, steps, dt, d, r).noise for k in range(lo, hi)]
     seen = 0
-    for k, noise in enumerate(draw_increments(gen, states, steps, dt, (d, r), buf)):
+    for k, noise in enumerate(draw_increments(gen, 5, lo, hi, steps, dt, (d, r))):
         assert noise.shape == (m, d + r)
         assert np.array_equal(noise[:, :d], want_w[k])
         assert np.array_equal(noise[:, d:], want_v[k])
+        assert np.array_equal(noise, [b[k] for b in bundles])
         seen += 1
     assert seen == steps
     # one call per trial per block, each naming its size
     assert sizes == [(NOISE_BLOCK * (d + r),)] * m + [(3 * (d + r),)] * m
-    with pytest.raises(DimensionMismatch):  # one trial short
-        next(draw_increments(gen, states, steps, dt, (d, r), buf[: m - 1]))
-    with pytest.raises(DimensionMismatch):  # one step short
-        next(draw_increments(gen, states, steps, dt, (d, r), buf[:, : (NOISE_BLOCK - 1) * (d + r)]))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**128 + 1])
@@ -240,12 +234,15 @@ def test_trace_stays_under_envelope_single_trial():
 
 
 def test_simulate_coupled_refuses_rows_of_another_width():
-    # a bundle's rows must be d + r wide: one drawn at d = r = 1 cannot drive
-    # a run at d = r = 2, nor one drawn at d = 2, r = 1 a run at d = r = 1
-    qc = (_qc2(), observation_params(np.eye(2), np.eye(2)), np.zeros(2),
-          [FilterState(mean=np.zeros(2), cov=np.eye(2))])
+    # a bundle's rows must be d signal, then r observation coordinates wide:
+    # one drawn at d = r = 1 cannot drive a run at d = r = 2, nor one drawn
+    # at d = 2, r = 1 a run at d = r = 1, nor one drawn at d = 1, r = 2 a
+    # run at d = 2, r = 1, though its rows are as wide
+    bank2 = [FilterState(mean=np.zeros(2), cov=np.eye(2))]
+    qc = (_qc2(), observation_params(np.eye(2), np.eye(2)), np.zeros(2), bank2)
+    qc1 = (_qc2(), observation_params(np.array([[1.0, 0.0]]), np.eye(1)), np.zeros(2), bank2)
     ou = (OU, OBS1, np.zeros(1), [FilterState(mean=np.zeros(1), cov=np.eye(1))])
-    for (model, obs, x0, bank), dims in ((qc, (1, 1)), (ou, (2, 1))):
+    for (model, obs, x0, bank), dims in ((qc, (1, 1)), (ou, (2, 1)), (qc1, (1, 2))):
         bundle = make_path_bundle(seed=3, trial=0, steps=5, dt=0.01, signal_dim=dims[0], obs_dim=dims[1])
         with pytest.raises(DimensionMismatch, match="wide"):
             simulate_coupled(model, obs, x0, bank, bundle, record_every=1)
@@ -429,8 +426,7 @@ def test_covariance_psd_and_finite_after_every_step(data):
 
     seed = draw(st.integers(0, 2**32 - 1), label="seed")
     with np.errstate(over="ignore", invalid="ignore"):  # blown-up rows freeze
-        noise = draw_increments(trial_rng(seed, 0), trial_states(seed, 0, m), 40, dt, (2, 2),
-                                noise_buffer(m, 40, (2, 2)))
+        noise = draw_increments(trial_rng(seed, 0), seed, 0, m, 40, dt, (2, 2))
         # a linear model's shared covariance steps through the run's flow
         advance(stepper, np.zeros(2), means0, P0, m, noise, check, RiccatiFlow(n_f, 2, 2, 40))
     assert steps_seen == list(range(41))  # step 0 is checked too

@@ -365,7 +365,7 @@ def test_discordant_pairs_match_direct_count():
 
 
 def test_trend_pvalue_matches_scipy_exact_branch():
-    from scipy.stats import kendalltau
+    kendalltau = pytest.importorskip("scipy.stats").kendalltau
 
     rng = np.random.default_rng(612)
     for k in range(400):
@@ -384,7 +384,7 @@ def test_trend_pvalue_matches_scipy_exact_branch():
 def test_trend_pvalue_matches_scipy_asymptotic_branch():
     import time
 
-    from scipy.stats import kendalltau
+    kendalltau = pytest.importorskip("scipy.stats").kendalltau
 
     rng = np.random.default_rng(613)
     for n in (34, 35, 100, 1000, 10_000, 100_000):
@@ -1228,13 +1228,40 @@ def test_cli_filter_laplace_row_past_the_float_range_fails(tmp_path, capsys):
                                                  "pass", "paper_ref"]
 
 
-def test_cli_runtime_error_exits_three(tmp_path, capsys):
-    # a failure of the run itself, not of a config value
+@pytest.mark.parametrize(
+    "failure, line",
+    [(InvalidArgument("all samples overflowed or diverged"), "error: all samples overflowed or diverged"),
+     (OverflowError(34, "Numerical result out of range"),
+      "error: OverflowError: Numerical result out of range")],
+    ids=["ekbf-error", "overflow"],
+)
+def test_cli_runtime_error_exits_three(tmp_path, capsys, failure, line):
+    # a failure of the run itself, not of a config value: a package error,
+    # or a Python-float power past the float range, as an envelope of a
+    # huge prior or noise raises it, in one line and not a traceback
     path = _write_cfg(tmp_path, _base_config())
-    failure = InvalidArgument("all samples overflowed or diverged")
     with mock.patch.object(cli, "run_ensemble", side_effect=failure):
         assert run_cli(["report", "--config", path]) == 3
-    assert capsys.readouterr().err.splitlines() == ["error: all samples overflowed or diverged"]
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
+def test_cli_refuses_to_write_non_finite_json(tmp_path):
+    # a signal noise of 1e200 overflows the envelope radii: check exits 3
+    # and names the file rather than write Infinity into bounds.json; a
+    # subprocess keeps numpy's overflow warnings out of this process
+    cfg = _base_config()
+    cfg["model"]["R1"] = [[1e200]]
+    root, out = Path(__file__).resolve().parents[1], tmp_path / "out"
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ekbf.harness.cli", "check", "--config", _write_cfg(tmp_path, cfg),
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].startswith("error: bounds.json would hold a non-finite value")
+    assert not (out / "bounds.json").exists()
 
 
 @pytest.mark.parametrize(

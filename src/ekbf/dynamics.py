@@ -9,22 +9,23 @@ state is one array, the signal stacked over the filter means, and each
 step is one kernel call, Stepper.filter_step, which evaluates the drift
 and the sensor once on the whole stack.  While no filter has frozen, one
 whole-array test on the means and one on the covariances stand for the
-divergence guard.  The one drawer, draw_increments, derives a chunk's
-trial states, fills its own buffer with one draw per trial per block from
-each trial's counter-derived stream, copies each block time-major into its
-tile, TILE steps at a time, scaled on that copy, and yields a row per step.
+divergence guard.  The one drawer, draw_increments, draws a step at a
+time: each group of GROUP trials fills its rows of the drawer's buffer with
+one draw from the group's stream, and the rows, scaled by sqrt(dt) in
+place, are yielded; nothing is held across steps.
 Every product in a step is a linalg.matvec (ascending multiply-adds) or
 one small matrix product per covariance, so a row's bits do not depend on
 the batch width and the two callers agree bit for bit.  Stepper(model,
 dt, obs) always has a sensor; the noise-free flow needs none, so
 deterministic_flow runs its own RK4 stages on model.drift.
 
-This module is the one home of the seeding policy.  Trial k's stream is
-numpy's PCG64 seeded by SeedSequence(seed, spawn_key=(k,)); trial_states
-replays that seeding for a whole range of trials in one vectorized uint32
-pass, and the drawer points one generator at each trial's state in turn.
-Every other random stream of the package (chi-square samples, Gronwall
-paths) comes from stream(), under a key no trial uses.
+This module is the one home of the seeding policy.  Trials draw in groups
+of GROUP: group g holds trials GROUP * g .. GROUP * g + GROUP - 1, and its
+stream is numpy's PCG64 seeded by SeedSequence(seed, spawn_key=(g,)).  A
+group is always drawn whole, so a trial's increments do not depend on how
+many trials run or how they are chunked.  Every other random stream of the
+package (chi-square samples, Gronwall paths) comes from stream(), under a
+key no group uses.
 
 The bank keeps one covariance per filter while the Riccati flow does not
 depend on the data (a state-independent Jacobian, as for LinearModel) and
@@ -46,14 +47,10 @@ from . import linalg
 from .errors import DimensionMismatch, InvalidArgument, UnstableStep
 from .models import ObservationModel
 
-# Canonical noise protocol: standard normals are drawn in blocks of this many
-# steps, signal block first then observation block.  Changing it would change
-# every seeded result, so treat it as part of the on-disk format.
-NOISE_BLOCK = 4096
-
-# The drawer copies each block time-major into its tile, this many steps at
-# a time.  Like the engine's chunk size, it changes no result.
-TILE = 16
+# Canonical noise protocol: trials draw their noise in groups of this many,
+# one stream per group, one (GROUP, d + r) draw per step.  Changing it would
+# change every seeded result, so treat it as part of the on-disk format.
+GROUP = 256
 
 # A filter whose mean norm or covariance trace passes this guard is recorded
 # as diverged and frozen rather than allowed to overflow.
@@ -61,17 +58,19 @@ DIVERGENCE_GUARD = 1e8
 
 
 # Purposes of the streams that are not trial noise.  stream() keys them
-# (purpose, index), and a 2-tuple never equals a trial's 1-tuple key (k,).
-# Like NOISE_BLOCK, these keys are part of the on-disk format.  Purposes 1,
+# (purpose, index), and a 2-tuple never equals a trial group's 1-tuple key (g,).
+# Like GROUP, these keys are part of the on-disk format.  Purposes 1,
 # 2 and 5 and the key (3, 1) keyed retired bootstraps and stay unused;
 # renumbering the others would move their bits.
 CHI2 = 3  # index 0: samples
 GRONWALL_PATHS = 4  # index 0: homogeneous process, 1: sourced process
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent stream for one trial, invariant to scheduling and batching."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
+def trial_rng(seed: int, group: int) -> np.random.Generator:
+    """The stream of trial group g: trials GROUP * g .. GROUP * g + GROUP - 1."""
+    if seed < 0 or group < 0:
+        raise InvalidArgument("trial streams need seed >= 0 and trials >= 0")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(group,)))
 
 
 def stream(seed: int, purpose: int, index: int = 0) -> np.random.Generator:
@@ -79,104 +78,34 @@ def stream(seed: int, purpose: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(purpose, index)))
 
 
-# numpy's SeedSequence: a pool of four uint32 words and its hash constants;
-# PCG64's 128-bit LCG multiplier.  trial_states replays both bit for bit.
-_POOL = 4
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+def trial_groups(lo: int, hi: int) -> range:
+    """The groups that hold trials lo .. hi - 1, whole groups included."""
+    return range(lo // GROUP, -(-hi // GROUP))
 
 
-def _hasher(h: int, mult: int):
-    """SeedSequence's hashmix on uint32 arrays, its constant h advancing by mult per call."""
-
-    def hashmix(v):
-        nonlocal h
-        v = v ^ h
-        h = h * mult & _M32
-        v = v * h
-        return v ^ (v >> 16)
-
-    return hashmix
-
-
-def trial_states(seed: int, lo: int, hi: int) -> list:
-    """The PCG64 states trial_rng(seed, k) starts from, for k = lo .. hi - 1.
-
-    Each is a dict as PCG64.state reads.  One vectorized uint32 pass over
-    the trials replays SeedSequence(seed, spawn_key=(k,)): the seed's 32-bit
-    words, padded to the pool of four, and then the word k are hashed and
-    mixed into the pool; the pool's eight generated words seed PCG64's
-    128-bit (state, inc) as PCG64(seed_seq) does.  numpy gives a trial past
-    2**32 - 1 a second spawn-key word, so such trials are refused.
-    """
-    seed = int(seed)
-    if seed < 0 or lo < 0 or hi > 1 << 32:
-        raise InvalidArgument("trial streams need seed >= 0 and trials in [0, 2**32)")
-    words = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL - len(words))
-    entropy = [np.full(hi - lo, w, np.uint32) for w in words] + [np.arange(lo, hi, dtype=np.uint32)]
-
-    def mix(x, y):
-        v = _MIX_L * x - _MIX_R * y
-        return v ^ (v >> 16)
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(e) for e in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for e in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(e))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    out = [hashmix(pool[i % _POOL]).astype(np.uint64) for i in range(8)]
-    # little-endian word pairs make four uint64s: (seed high, low, inc high, low)
-    v0, v1, v2, v3 = ((out[i] | out[i + 1] << np.uint64(32)).tolist() for i in range(0, 8, 2))
-    states = []
-    for a, b, c, e in zip(v0, v1, v2, v3):
-        inc = ((c << 64 | e) << 1 | 1) & _M128
-        state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _M128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
-
-
-def draw_increments(gen, seed: int, lo: int, hi: int, steps: int, dt: float, dims):
+def draw_increments(gens, lo: int, hi: int, steps: int, dt: float, dims):
     """Yield each step's (hi - lo, d + r) row of increments for trials lo .. hi - 1.
 
-    gen is a Generator over PCG64; before each trial's draw it is set to
-    that trial's state from trial_states(seed, lo, hi), so one generator
-    serves every trial and each trial's draws are those of its own stream.
-    A state is read back after its draw only when another block follows.
-    dims is (d, r).  Per block, one draw per trial fills its row of the
-    drawer's buffer with its signal block, then its observation block.  The
-    block is then copied time-major into the drawer's tile, TILE steps at a
-    time, scaled by sqrt(dt) on the copy, and the tile's rows are yielded
-    in step order, each valid until the next tile.  Row i of a step holds
-    trial lo + i's signal increment, then its observation increment, each
-    of variance dt per coordinate.  The tile length moves no bit.
+    gens holds one generator per group of trial_groups(lo, hi), each the
+    group's trial_rng stream.  dims is (d, r).  At each step every group
+    fills its GROUP rows of the drawer's buffer with one (GROUP, d + r)
+    standard_normal draw, a partial group drawn whole; the rows of trials
+    lo .. hi - 1 are scaled by sqrt(dt) in place and yielded, valid until
+    the next step.  Row i holds trial lo + i's signal increment, then its
+    observation increment, each of variance dt per coordinate, so a trial's
+    increments depend on (seed, trial, d, r, dt) alone.
     """
-    (d, r), states, root = dims, trial_states(seed, lo, hi), np.sqrt(dt)
-    m, bits = hi - lo, gen.bit_generator
-    buf = np.empty((m, min(NOISE_BLOCK, steps) * (d + r)))
-    tile = np.empty((min(TILE, steps), m, d + r))
-    for start in range(0, steps, NOISE_BLOCK):
-        nb = min(NOISE_BLOCK, steps - start)
-        block = buf[:, : nb * (d + r)]
-        for j in range(m):
-            bits.state = states[j]
-            gen.standard_normal(block[j].shape, out=block[j])
-            if start + nb < steps:
-                states[j] = bits.state
-        W, V = block[:, : nb * d].reshape(m, nb, d), block[:, nb * d :].reshape(m, nb, r)
-        for t in range(0, nb, TILE):
-            noise = tile[: min(TILE, nb - t)]
-            np.multiply(W[:, t : t + len(noise)].swapaxes(0, 1), root, out=noise[..., :d])
-            np.multiply(V[:, t : t + len(noise)].swapaxes(0, 1), root, out=noise[..., d:])
-            yield from noise
+    if len(gens) != len(trial_groups(lo, hi)):
+        raise InvalidArgument("draw_increments needs one generator per group of trials lo .. hi - 1")
+    (d, r), root = dims, np.sqrt(dt)
+    buf = np.empty((len(gens), GROUP, d + r))
+    first = lo % GROUP
+    rows = buf.reshape(-1, d + r)[first : first + hi - lo]
+    for _ in range(steps):
+        for gen, block in zip(gens, buf):
+            gen.standard_normal(block.shape, out=block)
+        rows *= root
+        yield rows
 
 
 @dataclass(frozen=True)
@@ -204,9 +133,9 @@ def make_path_bundle(
         raise InvalidArgument("steps must be positive")
     if dt <= 0.0:
         raise InvalidArgument("dt must be positive")
-    # the drawer points any PCG64 generator at the trial's own state
-    rows = draw_increments(np.random.default_rng(0), seed, trial, trial + 1, steps, dt,
-                           (signal_dim, obs_dim))
+    # the trial's whole group is drawn, and its row kept
+    gens = [trial_rng(seed, g) for g in trial_groups(trial, trial + 1)]
+    rows = draw_increments(gens, trial, trial + 1, steps, dt, (signal_dim, obs_dim))
     noise = np.fromiter((row[0] for row in rows), np.dtype((float, signal_dim + obs_dim)), steps)
     return PathBundle(dt=dt, noise=noise, signal_dim=signal_dim)
 

@@ -145,10 +145,15 @@ def _ensemble(cfg: ExperimentConfig):
 
 
 def _write_bounds(cfg: ExperimentConfig, out: str | None) -> str:
-    """The envelope report as JSON text, also written to bounds.json under out."""
+    """The envelope report as JSON text, also written to bounds.json under out.
+
+    An envelope past the float range is refused by _write_json in one line,
+    so numpy's overflow warnings on the way there are silenced.
+    """
     c = bounds.problem_constants(cfg.model, cfg.obs, cfg.filters[0][1])
     init_sq = float(linalg.sumsq(cfg.x0 - cfg.filters[0][0]))
-    report = bounds.bounds_report(c, cfg.checkpoints, cfg.delta_grid, alpha=cfg.alpha, init_sq=init_sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = bounds.bounds_report(c, cfg.checkpoints, cfg.delta_grid, alpha=cfg.alpha, init_sq=init_sq)
     return _write_json(report, out, "bounds")
 
 
@@ -205,10 +210,10 @@ _PRECONDITIONS = (
 
 
 def _forgetting(cfg: ExperimentConfig, result, out: str | None) -> dict:
-    """The forgetting row; its curves also go to forgetting.csv under out."""
-    report = estimate_forgetting_rate(result, cfg.eps, cfg.alpha)
+    """The forgetting row; its curves, computed once, also go to forgetting.csv under out."""
+    curves = forgetting_curves(result)
+    report = estimate_forgetting_rate(result, cfg.eps, cfg.alpha, curves)
     if out is not None:
-        curves = forgetting_curves(result)
         rows = [
             dict({name: float(curve[i]) for name, curve in curves.items()}, t=float(t))
             for i, t in enumerate(result.record_times)

@@ -4,27 +4,26 @@ The engine hands each fixed chunk of CHUNK trials to dynamics.advance,
 which stacks the signal over the filter bank and steps both, one kernel
 call per step, through the chunk's noise rows; the engine keeps only its
 own reductions, which its callback reads from views of that stacked state
-and records per step into the chunk's rows of run-wide arrays.  Each trial
-draws its noise from an independent stream derived from (seed, trial
-index) through the same drawer as PathBundle, and a row's bits do not
-depend on the batch width, so a single trial re-simulated with
-simulate_coupled reproduces the engine bit for bit and output bytes do not
-depend on chunk or tile size.  Every chunk runs on the calling thread, in
-order, and its drawer, dynamics.draw_increments, draws its noise blocks
-into the drawer's own buffer, one draw per trial per block; nothing in the
-package starts a thread.  A chunk seeds no generator per trial: it passes
-one, trial lo's from trial_rng, and the drawer points it at each trial's
-state, which it derives for the chunk in one vectorized pass.  The run's
-one RiccatiFlow carries a state-independent Riccati flow and its guard
-verdicts from chunk to chunk, so each shared covariance step runs once per
-filter per run; a chunk steps its own covariances once one of its filters
-freezes.  A trial counts as diverged when filter 0 or 1 froze, since no
-estimator reads any other filter.
+and records per step into the chunk's rows of run-wide arrays.  Each group
+of dynamics.GROUP trials draws its noise from one stream derived from
+(seed, group index) through the same drawer as PathBundle, a step at a
+time and always the whole group, and a row's bits do not depend on the
+batch width, so a single trial re-simulated with simulate_coupled
+reproduces the engine bit for bit and output bytes do not depend on the
+chunk size.  Every chunk runs on the calling thread, in order, and hands
+its drawer, dynamics.draw_increments, one trial_rng generator per group it
+touches; a group that two chunks split is drawn by both.  Nothing in the
+package starts a thread.  The run's one RiccatiFlow carries a
+state-independent Riccati flow and its guard verdicts from chunk to chunk,
+so each shared covariance step runs once per filter per run; a chunk steps
+its own covariances once one of its filters freezes.  A trial counts as
+diverged when filter 0 or 1 froze, since no estimator reads any other
+filter.
 
 Every other random stream comes from dynamics.stream under its own
 (purpose, index) key.  The chi-square samples and the two Gronwall
 processes each draw from one stream; no interval draws any.  No key equals
-a trial's, so no row reuses the noise of the trials it summarizes.
+a trial group's, so no row reuses the noise of the trials it summarizes.
 
 Estimators compare recorded trial statistics against the closed-form
 envelopes from the bounds module and return plain dict rows ready for CSV
@@ -62,6 +61,7 @@ from ..dynamics import (
     initial_bank,
     step_grid,
     stream,
+    trial_groups,
     trial_rng,
 )
 from ..errors import InvalidArgument
@@ -70,10 +70,11 @@ from .stats import (Z95, EstimateWithCI, fit_decay_rate, increasing_trend_pvalue
 # no row bootstraps; the name stays here because bench/tracer.py wraps it by name
 from .stats import bootstrap_mean_ci  # noqa: F401
 
-# Trials are processed in fixed chunks, which bounds the noise and state
-# held at once; changing this constant changes no results (noise is
-# per-trial and rows are width-independent).
-CHUNK = 1024
+# Trials are processed in fixed chunks, which bounds the state held at
+# once; changing this constant changes no results (a trial's noise depends
+# on its group alone and rows are width-independent).  A multiple of
+# dynamics.GROUP splits no group between chunks.
+CHUNK = 4096
 
 # Highest moment order n whose interval is trusted; higher moments are too
 # tail-sensitive.
@@ -97,8 +98,9 @@ class EnsembleResult:
     noise-free flow from x0, the reference filter mean against the signal,
     and the reference filter mean against the noise-free flow from its own
     initial mean.  trace_gap_max is the per-trial maximum over the full step
-    grid of tr(P_t) minus the trace envelope.  delta_sq holds the squared
-    joint distance between the first two filters on the record grid.
+    grid of tr(P_t) minus the trace envelope.  delta_sq (records, trials)
+    holds the squared joint distance between the first two filters on the
+    record grid, one row per record time.
     diverged marks the trials where filter 0 or 1 froze.  init_sq is the
     squared offset |x0 - mean0|^2 of the reference filter's initial mean.
     """
@@ -157,12 +159,12 @@ def run_ensemble(
     sig_err, fil_err, dev_err = (np.empty((n_trials, cp.size)) for _ in range(3))
     gap = np.full(n_trials, -np.inf)
     diverged = np.empty(n_trials, dtype=bool)
-    dsq = np.empty((n_trials, rec.size)) if with_delta else None
+    dsq = np.empty((rec.size, n_trials)) if with_delta else None
     # one shared Riccati flow serves every chunk of the run
     flow = RiccatiFlow(len(filters), d, obs.obs_dim, steps)
 
     # trials lo..hi-1 fill their rows of the run's arrays; a chunk's drawer
-    # lives in this frame, so its buffers go before the next chunk's
+    # lives in this frame, so its buffer goes before the next chunk's
     def run_chunk(lo, hi):
         rows, chunk_gap = slice(lo, hi), gap[lo:hi]
 
@@ -174,10 +176,10 @@ def run_ensemble(
                 fil_err[rows, i] = linalg.sumsq(x - xh[0])
                 dev_err[rows, i] = linalg.sumsq(xh[0] - flow_xh0[s])
             if with_delta and rec_pos[s] >= 0:
-                dsq[rows, rec_pos[s]] = bank_delta_sq(xh, P)
+                dsq[rec_pos[s], rows] = bank_delta_sq(xh, P)
 
-        # one generator per chunk, trial lo's, is pointed at each trial's state
-        noise = draw_increments(trial_rng(seed, lo), seed, lo, hi, steps, dt, (d, obs.obs_dim))
+        gens = [trial_rng(seed, g) for g in trial_groups(lo, hi)]
+        noise = draw_increments(gens, lo, hi, steps, dt, (d, obs.obs_dim))
         active = advance(stepper, x0, means0, covs0, hi - lo, noise, record, flow)
         # only filters 0 and 1 are read, so only they mark a trial diverged
         diverged[rows] = ~active[:2].all(axis=0)
@@ -381,23 +383,26 @@ def forgetting_curves(result: EnsembleResult) -> dict:
 
     The exponent is bounds.lyapunov_rate's for the run's constants.  Means
     run over surviving trials (all trials when none survived), each a
-    pairwise sum over one contiguous row per record time.
+    pairwise sum over one contiguous row of result.delta_sq, which is
+    copied only to leave diverged trials out (np.compress keeps the rows
+    contiguous, where a boolean index would not).
     """
     _, exponent = bounds.lyapunov_rate(result.constants)
     alive = ~result.diverged
-    dsq = np.ascontiguousarray((result.delta_sq[alive] if alive.any() else result.delta_sq).T)
+    dsq = result.delta_sq if alive.all() or not alive.any() else np.compress(alive, result.delta_sq, axis=1)
     return {"mean_delta_n1": dsq.mean(axis=1), "mean_delta_n2": (dsq**2).mean(axis=1),
             "mean_delta_pow": (dsq ** (exponent / 2.0)).mean(axis=1)}
 
 
-def estimate_forgetting_rate(result: EnsembleResult, eps: float, alpha: float) -> dict:
+def estimate_forgetting_rate(result: EnsembleResult, eps: float, alpha: float, curves=None) -> dict:
     """Fitted decay rate of the coupled filter distance against the envelope.
 
     Takes m(t) = mean of delta^{exponent/2} over surviving trials from
-    forgetting_curves, fits its log-slope past the burn-in, and requires the
-    fitted decay rate to reach (1-eps) * rate * exponent / 2 up to the
-    slope's 95% slack.  Also checks that the raw moments mean delta^n,
-    n = 1, 2, show no increasing trend (one-sided Mann-Kendall at 5%).
+    curves, forgetting_curves(result) when None, fits its log-slope past
+    the burn-in, and requires the fitted decay rate to reach
+    (1-eps) * rate * exponent / 2 up to the slope's 95% slack.  Also checks
+    that the raw moments mean delta^n, n = 1, 2, show no increasing trend
+    (one-sided Mann-Kendall at 5%).
     conditions_hold reports the paper's spectral-gap and small-noise
     conditions at margin alpha.  A run without the distance record, which
     needs two filters and a record grid, is an InvalidArgument.
@@ -410,7 +415,7 @@ def estimate_forgetting_rate(result: EnsembleResult, eps: float, alpha: float) -
     alive = ~result.diverged
     if not alive.any():
         return {"status": "inconclusive", "pass": False, "paper_ref": "forgetting-rate"}
-    curves = forgetting_curves(result)
+    curves = forgetting_curves(result) if curves is None else curves
     times = result.record_times
     if curves["mean_delta_n1"][0] == 0.0:
         return {"status": "degenerate_input", "pass": True, "paper_ref": "forgetting-rate"}

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ekbf import linalg
 from ekbf.dynamics import (
     DIVERGENCE_GUARD,
-    NOISE_BLOCK,
-    TILE,
+    GROUP,
     FilterState,
     RiccatiFlow,
     Stepper,
@@ -18,8 +17,8 @@ from ekbf.dynamics import (
     draw_increments,
     make_path_bundle,
     simulate_coupled,
+    trial_groups,
     trial_rng,
-    trial_states,
 )
 from ekbf.errors import DimensionMismatch, InvalidArgument, UnstableStep
 from ekbf.models import LinearModel, QuadraticCubicModel, observation_params
@@ -32,39 +31,47 @@ def _qc2():
     return QuadraticCubicModel(np.eye(2), np.zeros(2), np.eye(2), 1.0, 0.5 * np.eye(2))
 
 
+def _group_rows(seed, group, steps, dt, width):
+    """Group g's rows by hand: one (GROUP, width) draw per step from its stream, times sqrt(dt)."""
+    rng = trial_rng(seed, group)
+    return np.stack([rng.standard_normal((GROUP, width)) * np.sqrt(dt) for _ in range(steps)])
+
+
 def test_path_bundle_reproducible_and_blocked():
-    b1 = make_path_bundle(seed=9, trial=4, steps=5000, dt=0.01, signal_dim=2, obs_dim=1)
-    b2 = make_path_bundle(seed=9, trial=4, steps=5000, dt=0.01, signal_dim=2, obs_dim=1)
-    assert b1.noise.shape == (5000, 3) and np.array_equal(b1.noise, b2.noise)
-    other = make_path_bundle(seed=9, trial=5, steps=5000, dt=0.01, signal_dim=2, obs_dim=1)
+    b1 = make_path_bundle(seed=9, trial=4, steps=500, dt=0.01, signal_dim=2, obs_dim=1)
+    b2 = make_path_bundle(seed=9, trial=4, steps=500, dt=0.01, signal_dim=2, obs_dim=1)
+    assert b1.noise.shape == (500, 3) and np.array_equal(b1.noise, b2.noise)
+    other = make_path_bundle(seed=9, trial=5, steps=500, dt=0.01, signal_dim=2, obs_dim=1)
     assert not np.array_equal(b1.noise[:, :2], other.noise[:, :2])
 
-    # replicate the block protocol by hand: per block, the signal draw comes
-    # first, then the observation draw, from the same per-trial stream; a
-    # row holds the step's signal increment, then its observation increment
-    rng = trial_rng(9, 4)
-    root = np.sqrt(0.01)
-    for start in (0, NOISE_BLOCK):
-        n = min(NOISE_BLOCK, 5000 - start)
-        assert np.array_equal(b1.noise[start : start + n, :2], rng.standard_normal((n, 2)) * root)
-        assert np.array_equal(b1.noise[start : start + n, 2:], rng.standard_normal((n, 1)) * root)
+    # replicate the group protocol by hand: trial 4 is row 4 of group 0,
+    # whose stream draws one (GROUP, d + r) block per step; a row holds the
+    # step's signal increment, then its observation increment
+    assert np.array_equal(b1.noise, _group_rows(9, 0, 500, 0.01, 3)[:, 4])
+    # trial GROUP + 4 is row 4 of group 1, from group 1's own stream
+    late = make_path_bundle(seed=9, trial=GROUP + 4, steps=500, dt=0.01, signal_dim=2, obs_dim=1)
+    assert np.array_equal(late.noise, _group_rows(9, 1, 500, 0.01, 3)[:, 4])
+    for seed, trial in ((3, -1), (-1, 0)):
+        with pytest.raises(InvalidArgument):
+            make_path_bundle(seed=seed, trial=trial, steps=5, dt=0.01, signal_dim=1, obs_dim=1)
 
 
 def test_draw_increments_hands_over_its_tile_rows():
-    # each block is drawn into the drawer's block buffer and copied
-    # time-major into its tile, TILE steps at a time, whose rows are handed
-    # over one step at a time
-    steps, dt = NOISE_BLOCK + 10, 0.01
+    # each step is drawn into the drawer's one buffer, whose rows are handed
+    # over one step at a time, each valid until the next step
+    steps, dt = 10, 0.01
     rows, copies = [], []
-    for row in draw_increments(trial_rng(9, 0), 9, 0, 2, steps, dt, (2, 1)):
+    for row in draw_increments([trial_rng(9, 0)], 0, 2, steps, dt, (2, 1)):
         assert row.shape == (2, 3)
-        # one tile serves the whole call: a row takes the place of the row TILE steps back
-        assert len(rows) < TILE or np.shares_memory(row, rows[-TILE])
+        # one buffer serves the whole call: a row takes the place of the last one
+        assert not rows or np.shares_memory(row, rows[-1])
         rows.append(row)
         copies.append(row.copy())
     assert len(rows) == steps
     bundle = make_path_bundle(seed=9, trial=1, steps=steps, dt=dt, signal_dim=2, obs_dim=1)
     assert np.array_equal(np.array(copies)[:, 1], bundle.noise)
+    with pytest.raises(InvalidArgument):  # trials 0 .. 299 span two groups
+        next(draw_increments([trial_rng(9, 0)], 0, 300, steps, dt, (2, 1)))
 
 
 class _CountingGenerator:
@@ -72,7 +79,6 @@ class _CountingGenerator:
 
     def __init__(self, gen, sizes):
         self._gen, self._sizes = gen, sizes
-        self.bit_generator = gen.bit_generator
 
     def standard_normal(self, size=None, **kwargs):
         self._sizes.append(size)
@@ -80,64 +86,28 @@ class _CountingGenerator:
 
 
 def test_one_buffer_drawer_matches_the_stream_order():
-    # each trial fills its [signal block | observation block] row with one
-    # draw, so the handed-over increments are a signal draw followed by an
-    # observation draw from the trial's stream, scaled by sqrt(dt), the
-    # short last block too; every step is handed over once, in order, and a
-    # range of trials past 0 gets those trials' own rows
-    steps, lo, hi, d, r, dt = NOISE_BLOCK + 3, 3, 5, 2, 1, 0.01
-    m, sizes = hi - lo, []
-    gen = _CountingGenerator(trial_rng(5, lo), sizes)
-    want_w, want_v = np.empty((steps, m, d)), np.empty((steps, m, r))
-    for j in range(m):
-        ref = trial_rng(5, lo + j)
-        for start in (0, NOISE_BLOCK):
-            nb = min(NOISE_BLOCK, steps - start)
-            want_w[start : start + nb, j] = ref.standard_normal((nb, d)) * np.sqrt(dt)
-            want_v[start : start + nb, j] = ref.standard_normal((nb, r)) * np.sqrt(dt)
+    # each group fills its rows with one sized draw per step from its own
+    # stream, scaled by sqrt(dt); every step is handed over once, in order.
+    # Trials 250 .. 299 split groups 0 and 1, which are drawn whole, so they
+    # get the rows of a range that covers both groups, and of their bundles
+    steps, lo, hi, d, r, dt = 7, 250, 300, 2, 1, 0.01
+    assert list(trial_groups(lo, hi)) == [0, 1]
+    sizes = []
+    gens = [_CountingGenerator(trial_rng(5, g), sizes) for g in trial_groups(lo, hi)]
+    want = np.concatenate([_group_rows(5, g, steps, dt, d + r) for g in (0, 1)], axis=1)[:, lo:hi]
+    whole = [row.copy() for row in draw_increments([trial_rng(5, 0), trial_rng(5, 1)], 0, 2 * GROUP,
+                                                   steps, dt, (d, r))]
     bundles = [make_path_bundle(5, k, steps, dt, d, r).noise for k in range(lo, hi)]
     seen = 0
-    for k, noise in enumerate(draw_increments(gen, 5, lo, hi, steps, dt, (d, r))):
-        assert noise.shape == (m, d + r)
-        assert np.array_equal(noise[:, :d], want_w[k])
-        assert np.array_equal(noise[:, d:], want_v[k])
+    for k, noise in enumerate(draw_increments(gens, lo, hi, steps, dt, (d, r))):
+        assert noise.shape == (hi - lo, d + r)
+        assert np.array_equal(noise, want[k])
+        assert np.array_equal(noise, whole[k][lo:hi])
         assert np.array_equal(noise, [b[k] for b in bundles])
         seen += 1
     assert seen == steps
-    # one call per trial per block, each naming its size
-    assert sizes == [(NOISE_BLOCK * (d + r),)] * m + [(3 * (d + r),)] * m
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**128 + 1])
-def test_trial_states_match_numpy_seeding(seed):
-    # one to five seed words, with trials on both sides of 2**16; the states
-    # are numpy's own, and a draw from one equals the trial stream's draw
-    hi = 2**16 + 40
-    states = trial_states(seed, 0, hi)
-    assert len(states) == hi
-    trials = [*range(40), *range(2**16 - 40, hi), *range(40, 2**16 - 40, 997)]
-    gen = np.random.Generator(np.random.PCG64(0))
-    for k in trials:
-        want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))).state
-        assert states[k] == want, k
-        gen.bit_generator.state = states[k]
-        assert np.array_equal(gen.standard_normal(7), trial_rng(seed, k).standard_normal(7)), k
-    # a range that starts past 0 gives the same states
-    assert trial_states(seed, 2**16 - 3, 2**16 + 3) == states[2**16 - 3 : 2**16 + 3]
-
-
-def test_trial_states_refuse_what_numpy_keys_otherwise():
-    # numpy keys trial 2**32 and above with two spawn-key words: refused, as
-    # are negative trials and seeds; the last one-word trial is numpy's
-    last = 2**32 - 1
-    assert trial_states(3, last, last + 1)[0] == np.random.PCG64(
-        np.random.SeedSequence(3, spawn_key=(last,))).state
-    refused = [(3, last, last + 2), (3, 2**32, 2**32 + 1), (3, 0, 2**40), (-1, 0, 1), (3, -1, 1)]
-    for seed, lo, hi in refused:
-        with pytest.raises(InvalidArgument):
-            trial_states(seed, lo, hi)
-    with pytest.raises(InvalidArgument):
-        make_path_bundle(seed=3, trial=-1, steps=5, dt=0.01, signal_dim=1, obs_dim=1)
+    # one call per group per step, each naming its size
+    assert sizes == [(GROUP, d + r)] * (2 * steps)
 
 
 def _signal_step(stepper, x, dw):
@@ -426,7 +396,7 @@ def test_covariance_psd_and_finite_after_every_step(data):
 
     seed = draw(st.integers(0, 2**32 - 1), label="seed")
     with np.errstate(over="ignore", invalid="ignore"):  # blown-up rows freeze
-        noise = draw_increments(trial_rng(seed, 0), seed, 0, m, 40, dt, (2, 2))
+        noise = draw_increments([trial_rng(seed, 0)], 0, m, 40, dt, (2, 2))
         # a linear model's shared covariance steps through the run's flow
         advance(stepper, np.zeros(2), means0, P0, m, noise, check, RiccatiFlow(n_f, 2, 2, 40))
     assert steps_seen == list(range(41))  # step 0 is checked too

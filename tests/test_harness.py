@@ -448,8 +448,8 @@ BITWISE_CASES = {
         [(np.zeros(3), np.eye(3)), (np.array([1.0, -0.5, 0.2]), 0.5 * np.eye(3))],
     ),
     # the signal and filter 0 start just inside the guard on a barely
-    # decaying drift: trials 0, 2 and 4 of the chunk freeze filter 0 after
-    # 28 to 47 healthy steps of the shared flow, trial 3 never does
+    # decaying drift: trials 1 and 2 of the chunk freeze filter 0 after 70
+    # and 82 healthy steps of the shared flow, trials 0, 3 and 4 never do
     "ou-late-freeze": (
         LinearModel(np.array([[-1e-9]]), np.array([[1.0]])), OBS1, np.array([1e8 - 0.5]),
         [(np.array([1e8 - 0.5]), np.ones((1, 1))), (np.zeros(1), np.ones((1, 1)))],
@@ -485,10 +485,10 @@ def test_engine_matches_single_trial_api_bitwise(case):
         # which np.einsum matches only up to d = 2
         assert res.filter_err_sq[trial, 1] == linalg.sumsq(e)
         if f == 0 and len(filters) > 1:
-            assert np.array_equal(res.delta_sq[trial], rec.delta)
+            assert np.array_equal(res.delta_sq[:, trial], rec.delta)
 
 
-@pytest.mark.parametrize("case, frozen", [("ou-late-freeze", [True, False, True, False, True]),
+@pytest.mark.parametrize("case, frozen", [("ou-late-freeze", [False, True, True, False, False]),
                                           ("ou-covariance-guard", [True] * 5)])
 def test_engine_freezes_every_trial_as_the_single_trial_api_does(case, frozen):
     # frozen or not, every trial of the chunk keeps the bits of its own run,
@@ -507,21 +507,25 @@ def test_engine_freezes_every_trial_as_the_single_trial_api_does(case, frozen):
 
 
 def test_engine_matches_single_trial_api_across_a_noise_block():
-    # past NOISE_BLOCK steps each trial's stream state is read back between
-    # blocks and the last block is 7 steps, a short last tile; d = 3, r = 2
+    # a noise block is a group of dynamics.GROUP trials on one stream: the
+    # last trials of group 0 and the first of group 1, a partial group
+    # drawn whole, keep the bits of their own runs, in one chunk and when
+    # a chunk boundary splits group 1; d = 3, r = 2
     model, obs, x0, filters = BITWISE_CASES["lin3-two-filters"]
-    seed, steps, dt, n_trials = 31, dynamics.NOISE_BLOCK + 7, 0.01, 3
-    grid = dynamics.record_grid(steps, 512)  # steps 0, 512, ..., NOISE_BLOCK, steps
-    res = run_ensemble(model, obs, x0, filters, dt, steps, n_trials, seed,
-                       checkpoint_steps=grid, record_steps=grid)
-    tau = np.asarray(bounds.tau_t(res.constants, np.arange(steps + 1) * dt))
-    for trial in range(n_trials):
-        bundle = make_path_bundle(seed, trial, steps, dt, model.dim, obs.obs_dim)
-        rec = simulate_coupled(model, obs, x0, [FilterState(*f) for f in filters], bundle, 512)
-        assert np.array_equal(res.filter_err_sq[trial], linalg.sumsq(rec.signal - rec.means[0])), trial
-        assert np.array_equal(res.delta_sq[trial], rec.delta), trial
-        assert res.trace_gap_max[trial] == np.max(rec.traces[0] - tau), trial
-    assert not res.diverged.any()
+    seed, steps, dt, n_trials = 31, 40, 0.01, dynamics.GROUP + 5
+    grid = dynamics.record_grid(steps, 8)
+    for chunk in (estimators.CHUNK, dynamics.GROUP + 2):
+        with mock.patch.object(estimators, "CHUNK", chunk):
+            res = run_ensemble(model, obs, x0, filters, dt, steps, n_trials, seed,
+                               checkpoint_steps=grid, record_steps=grid)
+        tau = np.asarray(bounds.tau_t(res.constants, np.arange(steps + 1) * dt))
+        for trial in (0, dynamics.GROUP - 1, dynamics.GROUP, n_trials - 1):
+            bundle = make_path_bundle(seed, trial, steps, dt, model.dim, obs.obs_dim)
+            rec = simulate_coupled(model, obs, x0, [FilterState(*f) for f in filters], bundle, 8)
+            assert np.array_equal(res.filter_err_sq[trial], linalg.sumsq(rec.signal - rec.means[0])), trial
+            assert np.array_equal(res.delta_sq[:, trial], rec.delta), trial
+            assert res.trace_gap_max[trial] == np.max(rec.traces[0] - tau), trial
+        assert not res.diverged.any()
 
 
 def _assert_engine_unchanged_by(patch, model, obs, n_trials, n_filters, seed):
@@ -547,9 +551,13 @@ def _assert_engine_unchanged_by(patch, model, obs, n_trials, n_filters, seed):
 @settings(max_examples=20, deadline=None, database=None)
 @given(data=st.data())
 def test_engine_invariant_to_chunk_size(data):
-    n_trials = data.draw(st.integers(1, 40), label="n_trials")
-    # one-row chunks are where a width-dependent product shows most often
-    chunk = data.draw(st.just(1) | st.integers(1, n_trials), label="chunk")
+    n_trials = data.draw(st.integers(1, 40) | st.integers(dynamics.GROUP + 1, 3 * dynamics.GROUP),
+                         label="n_trials")
+    # one-row chunks are where a width-dependent product shows most often;
+    # a chunk that is no multiple of GROUP splits a group, which both draw
+    narrow = st.just(1) | st.integers(1, n_trials)
+    wide = st.integers(dynamics.GROUP // 2, n_trials).filter(lambda c: c % dynamics.GROUP)
+    chunk = data.draw(narrow if n_trials <= 40 else wide, label="chunk")
     n_filters = data.draw(st.integers(1, 3), label="n_filters")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     model, obs = data.draw(
@@ -566,15 +574,6 @@ def test_engine_chunks_of_one_trial_match_the_whole_width(model, obs):
     # one, so only the Jacobian tells the engine whether the run's shared
     # Riccati flow applies
     _assert_engine_unchanged_by(mock.patch.object(estimators, "CHUNK", 1), model, obs, 6, 2, 2024)
-
-
-@pytest.mark.parametrize("tile", [1, 3, 40])
-@pytest.mark.parametrize("model, obs", [(QC2, OBS2), (LIN3, OBS3)], ids=["qc2", "lin3"])
-def test_engine_invariant_to_tile_length(model, obs, tile):
-    # the noise is handed to the stepper in time-major tiles; one step per
-    # tile, tiles that straddle the record grid, and one tile longer than
-    # the 25-step run all give the same bits
-    _assert_engine_unchanged_by(mock.patch.object(dynamics, "TILE", tile), model, obs, 13, 2, 77)
 
 
 @pytest.mark.parametrize("frozen", [False, True])
@@ -999,29 +998,6 @@ class _RecordedSeedSequence(np.random.SeedSequence):
         self.created.append((self.entropy, tuple(self.spawn_key)))
 
 
-class _StateLog:
-    """A trial generator that records every state set on its bit generator."""
-
-    def __init__(self, gen, log):
-        self._gen, self._log = gen, log
-
-    @property
-    def bit_generator(self):
-        return self
-
-    @property
-    def state(self):
-        return self._gen.bit_generator.state
-
-    @state.setter
-    def state(self, value):
-        self._log.append(value)
-        self._gen.bit_generator.state = value
-
-    def standard_normal(self, *args, **kwargs):
-        return self._gen.standard_normal(*args, **kwargs)
-
-
 def test_report_interval_rows_follow_one_rule(tmp_path):
     # every moment, Laplace and Gronwall row is judged the same way
     cfg = _base_config()
@@ -1047,22 +1023,19 @@ def test_report_streams_are_independent(tmp_path, monkeypatch):
     cfg = _base_config()
     cfg["test"]["n_orders"] = [1, 2]
     cfg["gronwall"] = {"a": 1.0, "w": 0.5, "u": 0.3, "v": 0.2, "n_paths": 200}
+    cfg["sim"]["n_trials"] = 2 * dynamics.GROUP + 1  # three groups, the last partial
     path = _write_cfg(tmp_path, cfg)
     monkeypatch.setattr(_RecordedSeedSequence, "created", [])
-    trial_rng, states = estimators.trial_rng, []
-    monkeypatch.setattr(estimators, "trial_rng", lambda seed, k: _StateLog(trial_rng(seed, k), states))
     with mock.patch.object(np.random, "SeedSequence", _RecordedSeedSequence):
         run_cli(["report", "--config", path, "--out", str(tmp_path / "out")])
     keys = _RecordedSeedSequence.created
     repeated = sorted({k for k in keys if keys.count(k) > 1})
     assert not repeated, f"streams used twice: {repeated}"
-    # trials keep (k,): trial k's draws come from exactly one state, the
-    # one numpy seeds from (k,); every other stream has its own (purpose, index)
-    assert states == [np.random.PCG64(np.random.SeedSequence(7, spawn_key=(k,))).state
-                      for k in range(50)]
-    # the one one-word key is the chunk's generator, trial 0's own stream:
-    # any other stream keyed (k,) would share trial k's draws
-    assert [k for _, k in keys if len(k) == 1] == [(0,)]
+    # the one-word keys are exactly the trial groups, (g,) for the group of
+    # trials GROUP g .. GROUP g + GROUP - 1, each used once: any other stream
+    # keyed (g,) would share those trials' draws; every other stream has
+    # its own (purpose, index)
+    assert [k for _, k in keys if len(k) == 1] == [(0,), (1,), (2,)]
     # every row takes a closed-form interval and draws nothing; the retired
     # bootstrap keys (1, 0), (2, 0), (3, 1), (5, 0) and (5, 1) renumber no other key
     assert sorted(k for _, k in keys if len(k) != 1) == [(3, 0), (4, 0), (4, 1)]
@@ -1245,23 +1218,40 @@ def test_cli_runtime_error_exits_three(tmp_path, capsys, failure, line):
     assert capsys.readouterr().err.splitlines() == [line]
 
 
-def test_cli_refuses_to_write_non_finite_json(tmp_path):
-    # a signal noise of 1e200 overflows the envelope radii: check exits 3
-    # and names the file rather than write Infinity into bounds.json; a
-    # subprocess keeps numpy's overflow warnings out of this process
-    cfg = _base_config()
-    cfg["model"]["R1"] = [[1e200]]
-    root, out = Path(__file__).resolve().parents[1], tmp_path / "out"
+def _run_check(tmp_path, cfg, out):
+    """ekbf check on cfg in a fresh interpreter, which prints what the console script would."""
+    root = Path(__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "ekbf.harness.cli", "check", "--config", _write_cfg(tmp_path, cfg),
          "--out", str(out)],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
     )
+
+
+def test_cli_refuses_to_write_non_finite_json(tmp_path):
+    # a signal noise of 1e200 overflows the envelope radii: check exits 3
+    # and names the file rather than write Infinity into bounds.json, in
+    # one stderr line with no numpy overflow warning before it
+    cfg = _base_config()
+    cfg["model"]["R1"] = [[1e200]]
+    out = tmp_path / "out"
+    proc = _run_check(tmp_path, cfg, out)
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr.splitlines()[-1].startswith("error: bounds.json would hold a non-finite value")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bounds.json would hold a non-finite value")
     assert not (out / "bounds.json").exists()
+
+
+def test_cli_overflowing_prior_fails_in_one_line(tmp_path):
+    # a prior of 1e200 overflows a Python-float envelope term: exit 3 and
+    # the one error line, with no numpy overflow warning before it
+    cfg = _base_config()
+    cfg["init"]["P0"] = [[1e200]]
+    proc = _run_check(tmp_path, cfg, tmp_path / "out")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == ["error: OverflowError: Numerical result out of range"]
 
 
 @pytest.mark.parametrize(

@@ -110,6 +110,37 @@ def test_one_buffer_drawer_matches_the_stream_order():
     assert sizes == [(GROUP, d + r)] * (2 * steps)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**128 + 1])
+def test_trial_states_match_numpy_seeding(seed):
+    # one to five seed words, with groups on both sides of 2**16; a trial's
+    # state is its group's, numpy's own PCG64 seeded from (g,), and the
+    # trial's first increment is its row of the group's first draw
+    groups = [*range(3), *range(2**16 - 2, 2**16 + 2), 2**32 - 1]
+    for g in groups:
+        want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(g,)))
+        assert trial_rng(seed, g).bit_generator.state == want.state, g
+        first = np.random.Generator(want).standard_normal((GROUP, 2)) * np.sqrt(0.01)
+        for j in (0, GROUP - 1):
+            bundle = make_path_bundle(seed, GROUP * g + j, 1, 0.01, 1, 1)
+            assert np.array_equal(bundle.noise[0], first[j]), (g, j)
+
+
+def test_trial_states_refuse_what_numpy_keys_otherwise():
+    # numpy refuses a negative seed or spawn key with a ValueError of its
+    # own: trial streams refuse both as InvalidArgument, as do bundles of a
+    # negative trial; group 2**32 takes two key words, a stream of its own
+    last = 2**32 - 1
+    draw = [trial_rng(3, g).standard_normal(4) for g in (0, 1, last, last + 1)]
+    assert all(not np.array_equal(a, b) for i, a in enumerate(draw) for b in draw[i + 1 :])
+    for seed, group in ((-1, 0), (3, -1), (-(2**40), 0)):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(seed, spawn_key=(group,))
+        with pytest.raises(InvalidArgument):
+            trial_rng(seed, group)
+    with pytest.raises(InvalidArgument):
+        make_path_bundle(seed=3, trial=-1, steps=5, dt=0.01, signal_dim=1, obs_dim=1)
+
+
 def _signal_step(stepper, x, dw):
     """The signal row of one filter_step from x, beside one filter started at x."""
     d = x.shape[-1]

@@ -4,12 +4,12 @@ All steppers accept leading batch dimensions.  One driver, advance(), runs
 every coupled simulation: m trials of signal and observation, and a bank
 of filters fed the same observation increments, through one (m, d + r) row
 of noise per step; simulate_coupled passes a PathBundle's rows at m = 1,
-the ensemble engine the drawer's rows for a chunk of trials.  The trials'
-state is one array, the signal stacked over the filter means, and each
-step is one kernel call, Stepper.filter_step, which evaluates the drift
-and the sensor once on the whole stack.  While no filter has frozen, one
-whole-array test on the means and one on the covariances stand for the
-divergence guard.  The one drawer, draw_increments, draws a step at a
+the ensemble engine the drawer's rows for all its trials in one call.
+The trials' state is one array, the signal stacked over the filter means,
+and each step is one kernel call, Stepper.filter_step, which evaluates
+the drift and the sensor once on the whole stack.  While no filter has
+frozen, one whole-array test on the means and one on the covariances
+stand for the divergence guard.  The one drawer, draw_increments, draws a step at a
 time: each group of GROUP trials fills its rows of the drawer's buffer with
 one draw from the group's stream, and the rows, scaled by sqrt(dt) in
 place, are yielded; nothing is held across steps.
@@ -23,17 +23,14 @@ This module is the one home of the seeding policy.  Trials draw in groups
 of GROUP: group g holds trials GROUP * g .. GROUP * g + GROUP - 1, and its
 stream is numpy's PCG64 seeded by SeedSequence(seed, spawn_key=(g,)).  A
 group is always drawn whole, so a trial's increments do not depend on how
-many trials run or how they are chunked.  Every other random stream of the
-package (chi-square samples, Gronwall paths) comes from stream(), under a
-key no group uses.
+many trials run.  Every other random stream of the package (chi-square
+samples, Gronwall paths) comes from stream(), under a key no group uses.
 
 The bank keeps one covariance per filter while the Riccati flow does not
 depend on the data (a state-independent Jacobian, as for LinearModel) and
 one per trial and filter otherwise; broadcasting picks the width, so the
-same code serves both.  A RiccatiFlow carries that shared covariance, with
-each step's gain and guard verdict, from one call of advance to the next,
-so a run of many chunks takes each shared Riccati step once; a call uses it
-only until one of its filters freezes.
+same code serves both, and a shared Riccati step runs once per filter and
+step however many trials share it.
 """
 
 from __future__ import annotations
@@ -178,7 +175,7 @@ class Stepper:
         """Sensor increment dY generated by the state x over one step, as filter_step forms it."""
         return linalg.matvec(self.obs.B, x) * self.dt + linalg.matvec(self.obs.R2_sqrt, dv)
 
-    def filter_step(self, z, P, noise, active=None, flow=None, k: int = 0):
+    def filter_step(self, z, P, noise, active=None):
         """One explicit Euler step of the signal and of its filter bank.
 
         z (1 + n_f, ..., d) stacks the signal z[0] over the filter means
@@ -202,21 +199,11 @@ class Stepper:
         the next z and P and the mask of healthy filters.  With active=None
         one whole-array test on the means and the covariance verdict of
         _covariance_step stand for the guard, and while both hold the step
-        builds no mask and returns None for it.  Only then is P still
-        shared, so only then does a state-independent Jacobian read row k
-        of flow, a RiccatiFlow whose covariance after k steps is P; the
-        first caller to reach step k writes that row.
+        builds no mask and returns None for it.
         """
         dt, obs, model = self.dt, self.obs, self.model
         d, xh = z.shape[-1], z[1:]
-        J = model.drift_jacobian(xh)
-        if flow is not None and active is None and np.ndim(J) == 2:
-            if len(flow.ok) == k:
-                flow.gain[k], flow.P[k], P_ok = self._covariance_step(P, J)
-                flow.ok.append(P_ok)
-            gain, new_P, P_ok = flow.gain[k], flow.P[k], flow.ok[k]
-        else:
-            gain, new_P, P_ok = self._covariance_step(P, J)
+        gain, new_P, P_ok = self._covariance_step(P, model.drift_jacobian(xh))
         # in place on fresh arrays: each sum is the one the separate signal,
         # sensor and filter updates formed, with its two terms commuted
         Bz = linalg.matvec(obs.B, z)
@@ -257,27 +244,6 @@ class Stepper:
         return gain, new_P, np.isfinite(new_P).all(axis=(-2, -1)) & (tr <= DIVERGENCE_GUARD)
 
 
-class RiccatiFlow:
-    """The bank's shared covariance flow, kept across every chunk of a run.
-
-    Row k holds step k of a state-independent Riccati flow, counting from
-    0: gain[k] (n_f, 1, d, r) the gain the step used, P[k] (n_f, 1, d, d)
-    the covariance it yields, after k + 1 steps, and ok[k] the guard
-    verdict on P[k], as Stepper._covariance_step returns it.  The first
-    len(ok) rows are written: the first chunk to reach step k writes row k
-    and every later chunk reads it, so a shared Riccati step and its guard
-    test run once per filter per run.  P and gain are allocated once, for
-    every step: a list of each step's (gain, P, verdict) gives the same
-    bits but keeps two small arrays per step, whose headers outweigh a
-    small d's data (+0.9 MB peak RSS at 2000 steps, two filters, d = 1).
-    """
-
-    def __init__(self, n_f: int, d: int, r: int, steps: int):
-        self.P = np.empty((steps, n_f, 1, d, d))
-        self.gain = np.empty((steps, n_f, 1, d, r))
-        self.ok = []
-
-
 def deterministic_flow(model, x0, dt: float, steps: int) -> np.ndarray:
     """Integrate the noise-free flow with classical RK4; batched over leading dims of x0.
 
@@ -309,7 +275,7 @@ def initial_bank(filters, d: int):
     return means0, covs0
 
 
-def advance(stepper: Stepper, x0, means0, covs0, m: int, rows, on_step, flow=None):
+def advance(stepper: Stepper, x0, means0, covs0, m: int, rows, on_step):
     """Run m trials from x0 (d,) and their filter bank through every noise row.
 
     The trials' state is one array z (1 + n_f, m, d): the signal z[0] and,
@@ -319,11 +285,9 @@ def advance(stepper: Stepper, x0, means0, covs0, m: int, rows, on_step, flow=Non
     by all trials, P[f, i] once it is not.  rows yields each step's noise
     (m, d + r), as draw_increments does, and each is one
     Stepper.filter_step on z.  Filters that trip the divergence guard
-    freeze.  flow, a RiccatiFlow of the run that started at covs0, serves
-    the shared covariance until a filter freezes and widens P.
-    on_step(k, x, xh, P) is called at step 0 and after every step k, with
-    the views x = z[0] and xh = z[1:].  Returns the final (n_f, m) health
-    mask.
+    freeze, which widens P.  on_step(k, x, xh, P) is called at step 0 and
+    after every step k, with the views x = z[0] and xh = z[1:].  Returns
+    the final (n_f, m) health mask.
     """
     n_f, d = means0.shape
     z = np.empty((1 + n_f, m, d))
@@ -333,7 +297,7 @@ def advance(stepper: Stepper, x0, means0, covs0, m: int, rows, on_step, flow=Non
     active = None  # no filter has frozen, so no mask is kept
     on_step(0, z[0], z[1:], P)
     for k, noise in enumerate(rows):
-        z, P, active = stepper.filter_step(z, P, noise, active, flow, k)
+        z, P, active = stepper.filter_step(z, P, noise, active)
         on_step(k + 1, z[0], z[1:], P)
     return np.ones((n_f, m), dtype=bool) if active is None else active
 
@@ -424,7 +388,7 @@ def simulate_coupled(
             if delta is not None:
                 delta[i] = bank_delta_sq(xh, P)[0]
 
-    # each row of the bundle is one step's row of a one-trial chunk
+    # each row of the bundle is one step's row of a one-trial run
     active = advance(stepper, x0, means0, covs0, 1, bundle.noise[:, None], record)[:, 0]
 
     return TrialRecord(

@@ -33,7 +33,7 @@ the oracles are continuous-time values that ignore the Euler scheme's
 bias.  All file output is deterministic for a fixed (config, seed): CSV
 cells use 17 significant digits and JSON is emitted with sorted keys, so
 reruns are byte-identical.  No command starts a thread: every ensemble
-chunk runs on the calling thread.
+runs on the calling thread.
 """
 
 from __future__ import annotations

@@ -39,6 +39,9 @@ _DEFAULT_DELTAS = (0.5, 1.0, 2.0, 4.0)
 _DEFAULT_ORDERS = (1, 2)
 _DEFAULT_CHECKPOINTS = (1.0, 5.0, 10.0)
 _GRONWALL_DEFAULTS = {"a": 1.0, "w": 0.5, "u": 0.0, "v": 0.0, "y0": 1.0, "n_paths": 10000}
+# The most trials or Gronwall paths a config may ask for; no run can hold
+# more, since the three checkpoint tables alone take at least 24 B per trial.
+_MAX_COUNT = 2**40
 # what building a model or sensor from finite but extreme entries may raise
 _REJECTED = (EkbfError, ArithmeticError, np.linalg.LinAlgError)
 
@@ -174,8 +177,8 @@ def _gronwall_section(section) -> dict:
     for key in ("w", "u", "v", "y0"):
         if g[key] < 0:
             raise ConfigError(f"gronwall.{key} must be non-negative")
-    if g["n_paths"] < 2:
-        raise ConfigError("gronwall.n_paths must be >= 2")
+    if not 2 <= g["n_paths"] <= _MAX_COUNT:
+        raise ConfigError("gronwall.n_paths must be >= 2 and <= 2**40")
     if g["y0"] == g["u"] == g["v"] == 0:
         raise ConfigError("gronwall.y0, gronwall.u and gronwall.v are all 0, which starts no process")
     return g
@@ -224,8 +227,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("sim.T must exceed sim.dt, and sim.dt must be positive")
     if not np.isfinite(T / dt):
         raise ConfigError("sim.T / sim.dt overflows the step count")
-    if n_trials < 1:
-        raise ConfigError("sim.n_trials must be >= 1")
+    if not 1 <= n_trials <= _MAX_COUNT:
+        raise ConfigError("sim.n_trials must be >= 1 and <= 2**40")
     if seed < 0:
         raise ConfigError("sim.seed must be >= 0")
     if record_every < 1:

@@ -1,24 +1,20 @@
 """Batched Monte Carlo engine and the estimators built on top of it.
 
-The engine hands each fixed chunk of CHUNK trials to dynamics.advance,
-which stacks the signal over the filter bank and steps both, one kernel
-call per step, through the chunk's noise rows; the engine keeps only its
-own reductions, which its callback reads from views of that stacked state
-and records per step into the chunk's rows of run-wide arrays.  Each group
-of dynamics.GROUP trials draws its noise from one stream derived from
-(seed, group index) through the same drawer as PathBundle, a step at a
-time and always the whole group, and a row's bits do not depend on the
-batch width, so a single trial re-simulated with simulate_coupled
-reproduces the engine bit for bit and output bytes do not depend on the
-chunk size.  Every chunk runs on the calling thread, in order, and hands
-its drawer, dynamics.draw_increments, one trial_rng generator per group it
-touches; a group that two chunks split is drawn by both.  Nothing in the
-package starts a thread.  The run's one RiccatiFlow carries a
-state-independent Riccati flow and its guard verdicts from chunk to chunk,
-so each shared covariance step runs once per filter per run; a chunk steps
-its own covariances once one of its filters freezes.  A trial counts as
-diverged when filter 0 or 1 froze, since no estimator reads any other
-filter.
+The engine hands every trial to one dynamics.advance call, which stacks
+the signal over the filter bank and steps both, one kernel call per step,
+through the trials' noise rows; the engine keeps only its own reductions,
+which its callback reads from views of that stacked state and records per
+step into run-wide arrays.  Each group of dynamics.GROUP trials draws its
+noise from one stream derived from (seed, group index) through the same
+drawer as PathBundle, a step at a time and always the whole group, and a
+row's bits do not depend on the batch width, so a single trial
+re-simulated with simulate_coupled reproduces the engine bit for bit and a
+trial's outputs do not depend on how many trials run.  Nothing in the
+package starts a thread.  A state-independent Riccati flow keeps one
+covariance per filter, so its step runs once per filter and step of the
+run, until a filter freezes and gives every trial its own.  A trial
+counts as diverged when filter 0 or 1 froze, since no estimator reads any
+other filter.
 
 Every other random stream comes from dynamics.stream under its own
 (purpose, index) key.  The chi-square samples and the two Gronwall
@@ -52,7 +48,6 @@ from .. import bounds, linalg
 from ..dynamics import (
     CHI2,
     GRONWALL_PATHS,
-    RiccatiFlow,
     Stepper,
     advance,
     bank_delta_sq,
@@ -69,12 +64,6 @@ from .stats import (Z95, EstimateWithCI, fit_decay_rate, increasing_trend_pvalue
                     normal_mean_ci, wilson_interval)
 # no row bootstraps; the name stays here because bench/tracer.py wraps it by name
 from .stats import bootstrap_mean_ci  # noqa: F401
-
-# Trials are processed in fixed chunks, which bounds the state held at
-# once; changing this constant changes no results (a trial's noise depends
-# on its group alone and rows are width-independent).  A multiple of
-# dynamics.GROUP splits no group between chunks.
-CHUNK = 4096
 
 # Highest moment order n whose interval is trusted; higher moments are too
 # tail-sensitive.
@@ -158,34 +147,23 @@ def run_ensemble(
 
     sig_err, fil_err, dev_err = (np.empty((n_trials, cp.size)) for _ in range(3))
     gap = np.full(n_trials, -np.inf)
-    diverged = np.empty(n_trials, dtype=bool)
     dsq = np.empty((rec.size, n_trials)) if with_delta else None
-    # one shared Riccati flow serves every chunk of the run
-    flow = RiccatiFlow(len(filters), d, obs.obs_dim, steps)
 
-    # trials lo..hi-1 fill their rows of the run's arrays; a chunk's drawer
-    # lives in this frame, so its buffer goes before the next chunk's
-    def run_chunk(lo, hi):
-        rows, chunk_gap = slice(lo, hi), gap[lo:hi]
+    def record(s, x, xh, P):
+        np.maximum(gap, linalg.trace_stack(P[0]) - tau_full[s], out=gap)
+        i = cp_pos[s]
+        if i >= 0:
+            sig_err[:, i] = linalg.sumsq(x - flow_x0[s])
+            fil_err[:, i] = linalg.sumsq(x - xh[0])
+            dev_err[:, i] = linalg.sumsq(xh[0] - flow_xh0[s])
+        if with_delta and rec_pos[s] >= 0:
+            dsq[rec_pos[s]] = bank_delta_sq(xh, P)
 
-        def record(s, x, xh, P):
-            np.maximum(chunk_gap, linalg.trace_stack(P[0]) - tau_full[s], out=chunk_gap)
-            i = cp_pos[s]
-            if i >= 0:
-                sig_err[rows, i] = linalg.sumsq(x - flow_x0[s])
-                fil_err[rows, i] = linalg.sumsq(x - xh[0])
-                dev_err[rows, i] = linalg.sumsq(xh[0] - flow_xh0[s])
-            if with_delta and rec_pos[s] >= 0:
-                dsq[rec_pos[s], rows] = bank_delta_sq(xh, P)
-
-        gens = [trial_rng(seed, g) for g in trial_groups(lo, hi)]
-        noise = draw_increments(gens, lo, hi, steps, dt, (d, obs.obs_dim))
-        active = advance(stepper, x0, means0, covs0, hi - lo, noise, record, flow)
-        # only filters 0 and 1 are read, so only they mark a trial diverged
-        diverged[rows] = ~active[:2].all(axis=0)
-
-    for lo in range(0, n_trials, CHUNK):
-        run_chunk(lo, min(lo + CHUNK, n_trials))
+    gens = [trial_rng(seed, g) for g in trial_groups(0, n_trials)]
+    noise = draw_increments(gens, 0, n_trials, steps, dt, (d, obs.obs_dim))
+    active = advance(stepper, x0, means0, covs0, n_trials, noise, record)
+    # only filters 0 and 1 are read, so only they mark a trial diverged
+    diverged = ~active[:2].all(axis=0)
 
     return EnsembleResult(
         dt=dt,

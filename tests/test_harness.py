@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ekbf import bounds, dynamics, linalg
 from ekbf.dynamics import FilterState, make_path_bundle, simulate_coupled
@@ -448,7 +448,7 @@ BITWISE_CASES = {
         [(np.zeros(3), np.eye(3)), (np.array([1.0, -0.5, 0.2]), 0.5 * np.eye(3))],
     ),
     # the signal and filter 0 start just inside the guard on a barely
-    # decaying drift: trials 1 and 2 of the chunk freeze filter 0 after 70
+    # decaying drift: trials 1 and 2 of the run freeze filter 0 after 70
     # and 82 healthy steps of the shared flow, trials 0, 3 and 4 never do
     "ou-late-freeze": (
         LinearModel(np.array([[-1e-9]]), np.array([[1.0]])), OBS1, np.array([1e8 - 0.5]),
@@ -491,7 +491,7 @@ def test_engine_matches_single_trial_api_bitwise(case):
 @pytest.mark.parametrize("case, frozen", [("ou-late-freeze", [False, True, True, False, False]),
                                           ("ou-covariance-guard", [True] * 5)])
 def test_engine_freezes_every_trial_as_the_single_trial_api_does(case, frozen):
-    # frozen or not, every trial of the chunk keeps the bits of its own run,
+    # frozen or not, every trial of the run keeps the bits of its own run,
     # its trace gap too, over the shared steps before a freeze widens P and
     # the per-trial steps after it
     model, obs, x0, filters = BITWISE_CASES[case]
@@ -509,78 +509,67 @@ def test_engine_freezes_every_trial_as_the_single_trial_api_does(case, frozen):
 def test_engine_matches_single_trial_api_across_a_noise_block():
     # a noise block is a group of dynamics.GROUP trials on one stream: the
     # last trials of group 0 and the first of group 1, a partial group
-    # drawn whole, keep the bits of their own runs, in one chunk and when
-    # a chunk boundary splits group 1; d = 3, r = 2
+    # drawn whole, keep the bits of their own runs; d = 3, r = 2
     model, obs, x0, filters = BITWISE_CASES["lin3-two-filters"]
     seed, steps, dt, n_trials = 31, 40, 0.01, dynamics.GROUP + 5
     grid = dynamics.record_grid(steps, 8)
-    for chunk in (estimators.CHUNK, dynamics.GROUP + 2):
-        with mock.patch.object(estimators, "CHUNK", chunk):
-            res = run_ensemble(model, obs, x0, filters, dt, steps, n_trials, seed,
-                               checkpoint_steps=grid, record_steps=grid)
-        tau = np.asarray(bounds.tau_t(res.constants, np.arange(steps + 1) * dt))
-        for trial in (0, dynamics.GROUP - 1, dynamics.GROUP, n_trials - 1):
-            bundle = make_path_bundle(seed, trial, steps, dt, model.dim, obs.obs_dim)
-            rec = simulate_coupled(model, obs, x0, [FilterState(*f) for f in filters], bundle, 8)
-            assert np.array_equal(res.filter_err_sq[trial], linalg.sumsq(rec.signal - rec.means[0])), trial
-            assert np.array_equal(res.delta_sq[:, trial], rec.delta), trial
-            assert res.trace_gap_max[trial] == np.max(rec.traces[0] - tau), trial
-        assert not res.diverged.any()
+    res = run_ensemble(model, obs, x0, filters, dt, steps, n_trials, seed,
+                       checkpoint_steps=grid, record_steps=grid)
+    tau = np.asarray(bounds.tau_t(res.constants, np.arange(steps + 1) * dt))
+    for trial in (0, dynamics.GROUP - 1, dynamics.GROUP, n_trials - 1):
+        bundle = make_path_bundle(seed, trial, steps, dt, model.dim, obs.obs_dim)
+        rec = simulate_coupled(model, obs, x0, [FilterState(*f) for f in filters], bundle, 8)
+        assert np.array_equal(res.filter_err_sq[trial], linalg.sumsq(rec.signal - rec.means[0])), trial
+        assert np.array_equal(res.delta_sq[:, trial], rec.delta), trial
+        assert res.trace_gap_max[trial] == np.max(rec.traces[0] - tau), trial
+    assert not res.diverged.any()
 
 
-def _assert_engine_unchanged_by(patch, model, obs, n_trials, n_filters, seed):
-    """The arrays of one run equal those of the same run under patch, bit for bit."""
+# one trial is where a width-dependent product shows most often, so it is
+# drawn as often as each range, and where a per-row covariance has the
+# shape of a shared one, so only the Jacobian tells the engine whether the
+# Riccati step is shared
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    n_trials=st.just(1) | st.integers(2, 40) | st.integers(dynamics.GROUP + 1, 3 * dynamics.GROUP),
+    extra=st.integers(1, dynamics.GROUP + 1),
+    n_filters=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    model_obs=st.sampled_from([(QC2, OBS2), (QC2_SKEW, OBS2_SKEW), (LIN2, OBS2_SKEW), (OU, OBS1),
+                               (LIN3, OBS3)]),
+)
+@example(n_trials=1, extra=5, n_filters=2, seed=2024, model_obs=(QC2, OBS2))
+@example(n_trials=1, extra=5, n_filters=2, seed=2024, model_obs=(LIN2, OBS2_SKEW))
+def test_engine_invariant_to_trial_count(n_trials, extra, n_filters, seed, model_obs):
+    # a run of n trials is, bit for bit, the first n trials of a run of
+    # n + extra: a trial's bits depend on its group's stream and its own
+    # rows alone, and the wider run may end in a later group or draw more
+    # of the narrower run's last group
+    model, obs = model_obs
     d = model.dim
     filters = [(np.resize([1.0 - f, 0.5 * f], d), (0.5 + f) * np.eye(d)) for f in range(n_filters)]
 
-    def run():
+    def run(n):
         return run_ensemble(
-            model, obs, np.zeros(d), filters, 0.01, 25, n_trials, seed,
+            model, obs, np.zeros(d), filters, 0.01, 25, n, seed,
             checkpoint_steps=[10, 25], record_steps=range(0, 26, 5),
         )
 
-    whole = run()
-    with patch:
-        split = run()
-    for name in ("signal_err_sq", "filter_err_sq", "mean_dev_sq", "trace_gap_max",
-                 "diverged", "delta_sq"):
-        a, b = getattr(whole, name), getattr(split, name)
-        assert (a is None and b is None) or np.array_equal(a, b), name
-
-
-@settings(max_examples=20, deadline=None, database=None)
-@given(data=st.data())
-def test_engine_invariant_to_chunk_size(data):
-    n_trials = data.draw(st.integers(1, 40) | st.integers(dynamics.GROUP + 1, 3 * dynamics.GROUP),
-                         label="n_trials")
-    # one-row chunks are where a width-dependent product shows most often;
-    # a chunk that is no multiple of GROUP splits a group, which both draw
-    narrow = st.just(1) | st.integers(1, n_trials)
-    wide = st.integers(dynamics.GROUP // 2, n_trials).filter(lambda c: c % dynamics.GROUP)
-    chunk = data.draw(narrow if n_trials <= 40 else wide, label="chunk")
-    n_filters = data.draw(st.integers(1, 3), label="n_filters")
-    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    model, obs = data.draw(
-        st.sampled_from([(QC2, OBS2), (QC2_SKEW, OBS2_SKEW), (LIN2, OBS2_SKEW), (OU, OBS1),
-                         (LIN3, OBS3)]), label="model"
-    )
-    _assert_engine_unchanged_by(mock.patch.object(estimators, "CHUNK", chunk),
-                                model, obs, n_trials, n_filters, seed)
-
-
-@pytest.mark.parametrize("model, obs", [(QC2, OBS2), (LIN2, OBS2_SKEW)], ids=["qc2", "lin2"])
-def test_engine_chunks_of_one_trial_match_the_whole_width(model, obs):
-    # at one trial per chunk a per-row covariance has the shape of a shared
-    # one, so only the Jacobian tells the engine whether the run's shared
-    # Riccati flow applies
-    _assert_engine_unchanged_by(mock.patch.object(estimators, "CHUNK", 1), model, obs, 6, 2, 2024)
+    narrow, wide = run(n_trials), run(n_trials + extra)
+    for name in ("signal_err_sq", "filter_err_sq", "mean_dev_sq", "trace_gap_max", "diverged"):
+        a, b = getattr(narrow, name), getattr(wide, name)
+        assert a.shape[0] == n_trials and np.array_equal(a, b[:n_trials]), name
+    if n_filters == 1:
+        assert narrow.delta_sq is None and wide.delta_sq is None
+    else:
+        assert np.array_equal(narrow.delta_sq, wide.delta_sq[:, :n_trials])
 
 
 @pytest.mark.parametrize("frozen", [False, True])
 def test_linear_engine_projects_one_covariance_per_filter(monkeypatch, frozen):
     # a linear model's Riccati flow ignores the data: one covariance per
-    # filter and step for the whole run, however many chunks share it, until
-    # a filter freezes; from then on each chunk steps one per trial and filter
+    # filter and step for the whole run, until a filter freezes; from then
+    # on the run steps one per trial and filter
     rows = []
     project = linalg.psd_project_stack
 
@@ -593,32 +582,21 @@ def test_linear_engine_projects_one_covariance_per_filter(monkeypatch, frozen):
     if frozen:
         filters.append((np.array([5e8, 0.0]), np.eye(2)))
     n_f, m, steps = len(filters), 7, 30
-    want = {
-        (False, 7): [n_f] * steps,
-        (False, 3): [n_f] * steps,
-        (True, 7): [n_f] + [n_f * 7] * (steps - 1),
-        # the first chunk's step 0 writes the shared flow; the freeze then
-        # widens every chunk, whose later steps are its own: 3 + 3 + 1 trials
-        (True, 3): [n_f] + [n_f * 3] * (steps - 1) + [n_f * 3] * (steps - 1) + [n_f] * (steps - 1),
-    }
-    for chunk in (7, 3):
-        rows.clear()
-        monkeypatch.setattr(estimators, "CHUNK", chunk)
-        res = run_ensemble(
-            LIN2, OBS2_SKEW, np.zeros(2), filters, 0.01, steps, m, 44, checkpoint_steps=[steps],
-        )
-        # the frozen third filter is read by no estimator, so no trial is diverged
-        assert not res.diverged.any()
-        assert rows == want[frozen, chunk], chunk
+    res = run_ensemble(
+        LIN2, OBS2_SKEW, np.zeros(2), filters, 0.01, steps, m, 44, checkpoint_steps=[steps],
+    )
+    # the frozen third filter is read by no estimator, so no trial is diverged
+    assert not res.diverged.any()
+    # the third filter freezes on step 0, which widens P for every later step
+    assert rows == ([n_f] + [n_f * m] * (steps - 1) if frozen else [n_f] * steps)
 
 
 def test_no_command_starts_a_thread(tmp_path, monkeypatch):
-    # every chunk of a state-dependent model runs on the calling thread too
+    # an ensemble of a state-dependent model runs on the calling thread too
     def refuse(self):
         raise AssertionError(f"a thread was started: {self!r}")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    monkeypatch.setattr(estimators, "CHUNK", 4)
     cfg = _base_config(
         init={"x0": [0.0, 0.0], "filters": [[[0.0, 0.0], [[0.5, 0.0], [0.0, 0.5]]],
                                             [[1.0, -0.5], [[1.0, 0.0], [0.0, 1.0]]]]},
@@ -899,6 +877,8 @@ def test_config_fuzz_raises_only_config_error(case, value):
         ("init", "P0", [[-1.0]]),
         # init.filters replaces the base config's init.xhat0 and init.P0
         ("init", "filters", [[[0.0], [[1.0]]], [[1.0], [[0.5]]]]),
+        # more trials than any run can hold: refused before numpy allocates
+        ("sim", "n_trials", 10**20),
     ],
 )
 def test_cli_rejects_bad_values_as_config_errors(tmp_path, capsys, section, key, value):
@@ -934,7 +914,8 @@ def test_cli_rejects_filter_covariance_not_symmetric_psd(tmp_path, capsys, argv,
 
 @pytest.mark.parametrize("command", ["report", "gronwall"])
 @pytest.mark.parametrize(
-    "key, value", [("n_paths", 1), ("w", -0.5), ("u", -0.1), ("v", -0.2), ("y0", -1.0)]
+    "key, value",
+    [("n_paths", 1), ("n_paths", 10**20), ("w", -0.5), ("u", -0.1), ("v", -0.2), ("y0", -1.0)],
 )
 def test_cli_rejects_bad_gronwall_section_before_running(tmp_path, capsys, command, key, value):
     cfg = _base_config()

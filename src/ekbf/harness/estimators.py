@@ -34,8 +34,10 @@ heavy-tailed Laplace rows log-scale intervals of their exponents
 (stats.log_mean_exp_ci).  _interval_row is the one home of their
 verdicts: `pass` is ci_low <= bound and `oracle_pass` is
 ci_low <= oracle <= ci_high, both False when the estimate or an end is
-past the float range, which the row then leaves out.  The forgetting row is
-JSON-only; its verdict and forgetting.csv share forgetting_curves.
+past the float range, which the row then leaves out.  Each interval takes
+its own samples alone, and the JSON-only forgetting row and forgetting.csv
+share forgetting_curves, reduced one record row at a time, so no estimator
+builds a table of every row.
 """
 
 from __future__ import annotations
@@ -255,13 +257,11 @@ def estimate_moments(result: EnsembleResult, orders) -> list[dict]:
         raise InvalidArgument(f"moment orders above {MAX_MOMENT_ORDER} are too tail-sensitive")
     c = result.constants
     errors = {"signal": result.signal_err_sq, "filter-mean": result.mean_dev_sq}
+    # one row per (checkpoint, order, kind), each the interval of its own samples alone
     cells = [(i, n, kind) for i in range(result.checkpoint_times.size) for n in orders for kind in errors]
-    # one row per (checkpoint, order, kind); fromiter fills the table row by
-    # row, holding no list of rows beside it
-    samples = np.fromiter((errors[kind][:, i] ** n for i, n, kind in cells),
-                          np.dtype((float, result.n_trials)), len(cells))
     rows = []
-    for (i, n, kind), est in zip(cells, normal_mean_ci(samples)):
+    for i, n, kind in cells:
+        (est,) = normal_mean_ci((errors[kind][:, i] ** n)[None])
         t = float(result.checkpoint_times[i])
         if kind == "signal":
             bound, slug = bounds.signal_moment_bound(c, n) ** n, "moment-envelope-signal"
@@ -360,16 +360,16 @@ def forgetting_curves(result: EnsembleResult) -> dict:
     """Per record time, the means of delta, delta^2 and delta^{exponent/2}.
 
     The exponent is bounds.lyapunov_rate's for the run's constants.  Means
-    run over surviving trials (all trials when none survived), each a
-    pairwise sum over one contiguous row of result.delta_sq, which is
-    copied only to leave diverged trials out (np.compress keeps the rows
-    contiguous, where a boolean index would not).
+    run over surviving trials (all trials when none survived); result.delta_sq
+    is reduced one record row at a time, each mean a pairwise sum over one
+    row, so no temporary holds more than one row.
     """
     _, exponent = bounds.lyapunov_rate(result.constants)
-    alive = ~result.diverged
-    dsq = result.delta_sq if alive.all() or not alive.any() else np.compress(alive, result.delta_sq, axis=1)
-    return {"mean_delta_n1": dsq.mean(axis=1), "mean_delta_n2": (dsq**2).mean(axis=1),
-            "mean_delta_pow": (dsq ** (exponent / 2.0)).mean(axis=1)}
+    keep = ~result.diverged if result.diverged.any() and not result.diverged.all() else slice(None)
+    curves = np.empty((3, result.delta_sq.shape[0]))
+    for j, row in enumerate(row[keep] for row in result.delta_sq):
+        curves[:, j] = row.mean(), (row**2).mean(), (row ** (exponent / 2.0)).mean()
+    return dict(zip(("mean_delta_n1", "mean_delta_n2", "mean_delta_pow"), curves))
 
 
 def estimate_forgetting_rate(result: EnsembleResult, eps: float, alpha: float, curves=None) -> dict:
@@ -482,8 +482,7 @@ def gronwall_test_process(
             np.maximum(y, 0.0, out=y)
             if k in cp_idx:
                 snaps[k] = y  # the next step builds a new array
-        return normal_mean_ci(np.fromiter((snaps[s] ** (n / 2.0) for s, n in cells),
-                                          np.dtype((float, n_paths)), len(cells)))
+        return [normal_mean_ci((snaps[s] ** (n / 2.0))[None])[0] for s, n in cells]
 
     rows = []
     if y0 > 0:

@@ -1,11 +1,13 @@
 """Harness: statistics calibration, engine determinism, config and CLI contract."""
 
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -330,8 +332,9 @@ def test_sourced_row_with_a_negative_normal_end_maps_to_zero(monkeypatch):
     rows = gronwall_test_process(
         a=1.0, w=0.0, dt=0.5, T=1.0, n_paths=3, seed=5, orders=(2, 4), y0=0.0, u=0.01, v=10.0,
     )
-    (samples,) = tables
-    for row, sample in zip(rows, samples):
+    # one (1, paths) table per row, each the row's own samples
+    assert [table.shape for table in tables] == [(1, 3)] * len(rows) and len(rows) == 2
+    for row, sample in zip(rows, np.concatenate(tables)):
         unclipped = sample.mean() - stats.Z95 * sample.std(ddof=1) / np.sqrt(sample.size)
         assert sample.min() == 0.0 and unclipped < 0.0
         assert row["ci_low"] == 0.0
@@ -642,6 +645,15 @@ def test_moment_rows_structure():
     assert len(rows) == 8  # two checkpoints x two orders x two processes
     assert all(r["ci_low"] <= r["estimate"] <= r["ci_high"] for r in rows)
     assert all(r["bound"] > 0 for r in rows)
+    # each row's interval, taken from its own samples, is bit for bit that
+    # row of the stacked (cells, trials) table
+    errors = {"signal": res.signal_err_sq, "filter-mean": res.mean_dev_sq}
+    cells = [(i, n, kind) for i in range(2) for n in (1, 2) for kind in errors]
+    stacked = normal_mean_ci(np.stack([errors[kind][:, i] ** n for i, n, kind in cells]))
+    assert [(r["t"], r["n"], r["kind"]) for r in rows] == [(res.checkpoint_times[i], n, kind)
+                                                           for i, n, kind in cells]
+    assert [(r["estimate"], r["ci_low"], r["ci_high"]) for r in rows] == [
+        (e.point, e.ci_low, e.ci_high) for e in stacked]
     with pytest.raises(InvalidArgument):
         estimate_moments(res, [5])
 
@@ -713,6 +725,40 @@ def test_forgetting_runs_on_distinct_inits():
     assert report["exponent"] == pytest.approx(1.118033988749895)
 
 
+def _forgetting_result(delta_sq, diverged):
+    """A two-filter OU run's result carrying the given record-major delta_sq and divergence mask."""
+    filters = [(np.zeros(1), np.ones((1, 1))), (np.ones(1), np.ones((1, 1)))]
+    res = _ou_ensemble(n_trials=2, steps=10, filters=filters, record=range(0, 11, 5))
+    return dataclasses.replace(res, n_trials=delta_sq.shape[1], delta_sq=delta_sq, diverged=diverged,
+                               record_times=np.arange(delta_sq.shape[0]) * 0.01)
+
+
+@pytest.mark.parametrize("n_diverged", [0, 37, 4000])
+def test_forgetting_curves_match_the_whole_table_means_one_row_at_a_time(n_diverged):
+    rng = np.random.default_rng(n_diverged)
+    table = rng.standard_normal((200, 4000)) ** 2
+    diverged = np.zeros(4000, dtype=bool)
+    diverged[rng.choice(4000, n_diverged, replace=False)] = True
+    res = _forgetting_result(table, diverged)
+    tracemalloc.start()
+    try:
+        got = estimators.forgetting_curves(res)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # no temporary the size of the table: a whole-table power alone is 8 times the bound
+    assert peak < table.nbytes / 8, (peak, table.nbytes)
+    # the whole-table expressions: compress the survivors, then mean each row
+    _, exponent = bounds.lyapunov_rate(res.constants)
+    alive = ~diverged
+    dsq = table if alive.all() or not alive.any() else np.compress(alive, table, axis=1)
+    want = {"mean_delta_n1": dsq.mean(axis=1), "mean_delta_n2": (dsq**2).mean(axis=1),
+            "mean_delta_pow": (dsq ** (exponent / 2.0)).mean(axis=1)}
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype and got[name].tobytes() == want[name].tobytes(), name
+
+
 def test_gronwall_deterministic_case():
     rows = gronwall_test_process(
         a=1.0, w=0.0, dt=1e-3, T=1.0, n_paths=50, seed=40, orders=(2,), y0=1.0, u=0.0, v=0.0
@@ -746,6 +792,26 @@ def test_gronwall_sourced_rows():
     # no exact value is computed at odd n: the row carries no oracle at all
     # rather than a NaN one with an invented verdict
     assert "oracle" not in sourced[1] and "oracle_pass" not in sourced[1]
+
+    # each row's interval is bit for bit that row of the stacked (cells, paths)
+    # table, re-simulated here: Euler steps from each process's own stream
+    def paths(index, y, drift_const, bracket_lin, a=1.0, w=0.3, dt=1e-3):
+        rng, y, snaps = dynamics.stream(43, dynamics.GRONWALL_PATHS, index), np.full(2000, y), {}
+        for k in range(1, 1001):
+            bracket = np.sqrt(np.maximum(bracket_lin * y + w * y * y, 0.0))
+            y = y + (-a * y + drift_const) * dt + bracket * rng.standard_normal(2000) * np.sqrt(dt)
+            y = np.maximum(y, 0.0)
+            if k in (500, 1000):
+                snaps[k] = y
+        return snaps
+
+    homogeneous, source = paths(0, 1.0, 0.0, 0.0), paths(1, 0.0, 0.5, 0.2)
+    cells = [(s, n) for s in (500, 1000) for n in (1, 2)]
+    want = normal_mean_ci(np.stack([homogeneous[s] ** (n / 2.0) for s, n in cells]))
+    want = [(e.point, e.ci_low, e.ci_high) for e in want] + [
+        tuple(x ** (2.0 / n) for x in (e.point, e.ci_low, e.ci_high))
+        for n, e in zip((1, 2), normal_mean_ci(np.stack([source[1000] ** (n / 2.0) for n in (1, 2)])))]
+    assert [(r["estimate"], r["ci_low"], r["ci_high"]) for r in rows] == want
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
